@@ -1,6 +1,6 @@
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the numba sampling kernels against their pure-numpy fallbacks.
 
-Runs each hot kernel with both backends on identical counter-based draw
+Runs each sampling kernel with both backends on identical counter-based draw
 streams, reports throughput, and cross-checks that the outputs agree.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
@@ -16,7 +16,6 @@ import strainforge.population as pop
 from strainforge.config import default_config
 from strainforge.core import SivParameters
 from strainforge.mechanics import CRYSTAL_FROM_BEAM, solve_beam_state
-from strainforge.thermal import K_PER_GHZ, ThermalReference, _ln_rate
 
 
 def timeit(fn, repeats):
@@ -79,25 +78,6 @@ def bench_post(n, repeats, params, root, field, pos):
     return out
 
 
-def bench_top(n, repeats, gss_source):
-    ref = ThermalReference()
-    ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, False)
-    gss = gss_source[:n]
-    out = {}
-    for name, fn in (("numba", kernels._top_block_nb if kernels.HAVE_NUMBA else None),
-                     ("numpy", kernels._top_block_numpy)):
-        if fn is None:
-            continue
-        top = np.empty(n)
-
-        def call():
-            fn(top, gss, 0, n, K_PER_GHZ, ln0, False)
-
-        call()
-        out[name] = (timeit(call, repeats), top.copy())
-    return out
-
-
 def report(label, results, n):
     print(f"\n{label} (n = {n:,})")
     ref = None
@@ -139,11 +119,6 @@ def main():
 
     post = bench_post(args.n, args.repeats, params, root, field, pos)
     report("post-deposition ensemble kernel", post, args.n)
-
-    gss_source = next(iter(post.values()))[1]
-    n_top = min(args.n, 200_000)
-    top = bench_top(n_top, args.repeats, gss_source)
-    report("operating-temperature bisection kernel", top, n_top)
 
 
 if __name__ == "__main__":

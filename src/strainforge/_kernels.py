@@ -1,10 +1,10 @@
 """Hot numerical kernels with two interchangeable backends.
 
-Monte Carlo sampling and the per-sample operating-temperature solve
-dominate runtime, so both exist twice: a numba ``@njit`` version and a
-pure-numpy version. The active backend is chosen by the environment
-variable ``STRAINFORGE_BACKEND`` (``numba`` or ``numpy``); unset, numba is
-used when importable. ``benchmarks/bench_kernels.py`` compares the two.
+Monte Carlo sampling dominates runtime, so each sampler exists twice: a
+numba ``@njit`` version and a pure-numpy version. The active backend is
+chosen by the environment variable ``STRAINFORGE_BACKEND`` (``numba`` or
+``numpy``); unset, numba is used when importable.
+``benchmarks/bench_kernels.py`` compares the two.
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -30,7 +30,6 @@ __all__ = [
     "run_blocks",
     "sample_pre_block",
     "sample_post_block",
-    "top_block",
 ]
 
 # Fixed per-sample draw budget; rejection resampling stays well inside it.
@@ -40,11 +39,6 @@ MAX_POSITION_ATTEMPTS = 100
 # Fixed chunk size for thread-level parallelism. Per-sample values never
 # depend on chunk boundaries, so this only bounds working memory.
 CHUNK = 65536
-TOP_BISECT_LO = 1e-3
-TOP_BISECT_HI = 300.0
-# 64 halvings of the 300 K bracket exhaust double precision (well inside
-# the 200-iteration cap and far beyond the 1e-4 K accuracy contract)
-TOP_BISECT_ITERS = 64
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -256,24 +250,6 @@ def _post_block_numpy(gss, eps_c, ori, xs, ys, depths, lo, hi, root,
     return n_fail
 
 
-def _top_block_numpy(out, gss, lo, hi, c1, lnrate0, boltzmann):
-    g = gss[lo:hi]
-    # solve -x - log1p(-exp(-x)) < lnrate0 - 3 log(g), the per-sample
-    # constant hoisted out of the bisection loop
-    target = lnrate0 - 3.0 * np.log(g)
-    xg = c1 * g
-    t_lo = np.full(g.shape, TOP_BISECT_LO)
-    t_hi = np.full(g.shape, TOP_BISECT_HI)
-    for _ in range(TOP_BISECT_ITERS):
-        mid = 0.5 * (t_lo + t_hi)
-        x = xg / mid
-        occ = -x if boltzmann else -x + np.log1p(-np.exp(-x))
-        up = occ < target
-        t_lo = np.where(up, mid, t_lo)
-        t_hi = np.where(up, t_hi, mid)
-    out[lo:hi] = 0.5 * (t_lo + t_hi)
-
-
 # ---------------------------------------------------------------------------
 # numba backend
 # ---------------------------------------------------------------------------
@@ -442,24 +418,6 @@ if HAVE_NUMBA:
             depths[i] = cd
         return n_fail
 
-    @njit(cache=True, nogil=True)
-    def _top_block_nb(out, gss, lo, hi, c1, lnrate0, boltzmann):
-        for i in range(lo, hi):
-            g = gss[i]
-            target = lnrate0 - 3.0 * math.log(g)
-            xg = c1 * g
-            t_lo = TOP_BISECT_LO
-            t_hi = TOP_BISECT_HI
-            for _ in range(TOP_BISECT_ITERS):
-                mid = 0.5 * (t_lo + t_hi)
-                x = xg / mid
-                occ = -x if boltzmann else -x + math.log1p(-math.exp(-x))
-                if occ < target:
-                    t_lo = mid
-                else:
-                    t_hi = mid
-            out[i] = 0.5 * (t_lo + t_hi)
-
 
 # ---------------------------------------------------------------------------
 # dispatch
@@ -484,10 +442,3 @@ def sample_post_block(gss, eps_c, ori, xs, ys, depths, lo, hi, root,
               poly_y, poly_z, z_top, membrane, curv, d_na, b, nu_s,
               ax, ay, dmean, dstrag, crystal_from_beam, rots,
               include_intr, sigma_i, d, f, lam)
-
-
-def top_block(out, gss, lo, hi, c1, lnrate0, boltzmann: bool) -> None:
-    if BACKEND == "numba":
-        _top_block_nb(out, gss, lo, hi, c1, lnrate0, boltzmann)
-    else:
-        _top_block_numpy(out, gss, lo, hi, c1, lnrate0, boltzmann)

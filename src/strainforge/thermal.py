@@ -33,6 +33,10 @@ K_PER_GHZ = 6.62607015e-34 / 1.380649e-23 * 1e9
 
 OCCUPATION_MODELS = ("bose_einstein", "boltzmann")
 
+# operating temperatures outside this range are a domain error
+T_MIN_K = 1e-3
+T_MAX_K = 300.0
+
 
 @dataclass(frozen=True)
 class ThermalReference:
@@ -73,7 +77,7 @@ def _ln_rate(gss_ghz: float, temp_k: float, boltzmann: bool) -> float:
     base = 3.0 * math.log(gss_ghz) - x
     if boltzmann:
         return base
-    return base + math.log1p(-math.exp(-x))
+    return base - math.log1p(-math.exp(-x))
 
 
 def gamma_up_relative(
@@ -93,31 +97,41 @@ def gamma_up_relative(
     )
 
 
+def _solve_top(gss, ln_rate0: float, boltzmann: bool):
+    """Closed-form T where gss^3 * n_th(gss, T) = exp(ln_rate0).
+
+    With x = K*gss/T the equation is n_th(x) = exp(ln_rate0) / gss^3, so
+    exp(x) - 1 = gss^3 / rate0 (Bose-Einstein) or exp(x) = gss^3 / rate0
+    (Boltzmann). The Boltzmann case has no root when gss^3 <= rate0; the
+    division then gives a non-positive or infinite T, which the domain
+    check rejects with everything else outside [T_MIN_K, T_MAX_K].
+    """
+    if not np.all(np.isfinite(gss) & (gss > 0)):
+        raise InvalidDomain("gss must be finite and positive")
+    y = 3.0 * np.log(gss) - ln_rate0
+    x = y if boltzmann else np.logaddexp(0.0, y)
+    with np.errstate(divide="ignore"):
+        temp = K_PER_GHZ * gss / x
+    if not np.all((temp >= T_MIN_K) & (temp <= T_MAX_K)):
+        raise InvalidDomain(
+            f"operating temperature outside [{T_MIN_K:g}, {T_MAX_K:g}] K"
+        )
+    return temp
+
+
 def operational_temperature(
     gss_ghz: float,
     ref: ThermalReference | None = None,
     model: str = "bose_einstein",
 ) -> float:
     """Temperature where the normalized rate equals 1; unique because the
-    rate grows strictly with temperature. Solved by bisection on
-    [1e-3, 300] K."""
+    rate grows strictly with temperature. Solved in closed form; raises
+    InvalidDomain unless gss is finite and positive and the temperature
+    lies in [T_MIN_K, T_MAX_K]."""
     ref = ref or ThermalReference()
     boltzmann = _check_model(model)
-    if not gss_ghz > 0:
-        raise InvalidDomain("gss must be positive")
     ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann)
-    lo, hi = _kernels.TOP_BISECT_LO, _kernels.TOP_BISECT_HI
-    if _ln_rate(gss_ghz, hi, boltzmann) < ln0:
-        raise InvalidDomain("operating temperature above the 300 K solve bracket")
-    if _ln_rate(gss_ghz, lo, boltzmann) > ln0:
-        raise InvalidDomain("operating temperature below the 1 mK solve bracket")
-    for _ in range(_kernels.TOP_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _ln_rate(gss_ghz, mid, boltzmann) < ln0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_solve_top(np.float64(gss_ghz), ln0, boltzmann))
 
 
 def operational_temperature_batch(
@@ -126,23 +140,21 @@ def operational_temperature_batch(
     model: str = "bose_einstein",
     threads: int | None = None,
 ) -> np.ndarray:
-    """Vectorized operating temperatures, chunked over the hot kernel."""
+    """Vectorized operating temperatures, chunked to bound working memory.
+    Same closed form and domain contract as operational_temperature."""
     ref = ref or ThermalReference()
     boltzmann = _check_model(model)
     gss = np.ascontiguousarray(gss_ghz, dtype=float)
     if gss.size == 0:
         raise EmptyRequest("no splittings supplied")
-    if not np.all(gss > 0):
-        raise InvalidDomain("gss values must be positive")
     ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann)
     out = np.empty(gss.size)
     flat = gss.ravel()
 
-    _kernels.run_blocks(
-        flat.size,
-        lambda lo, hi: _kernels.top_block(out, flat, lo, hi, K_PER_GHZ, ln0, boltzmann),
-        threads,
-    )
+    def block(lo, hi):
+        out[lo:hi] = _solve_top(flat[lo:hi], ln0, boltzmann)
+
+    _kernels.run_blocks(flat.size, block, threads)
     return out.reshape(gss.shape)
 
 
@@ -155,7 +167,7 @@ def operability_curve(
 ) -> list[tuple[float, float]]:
     """For each temperature, the fraction of emitters whose operating
     temperature is at least that temperature. Nonincreasing by
-    construction; ties within the bisection tolerance count as operable."""
+    construction; ties within 1e-9 K count as operable."""
     gss = np.asarray(
         ensemble.samples.gss_ghz if hasattr(ensemble, "samples") else ensemble,
         dtype=float,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_spectrum
-from strainforge.cli import run
+from strainforge.cli import _write_atomic, run
 from strainforge.spectra import write_spectrum
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
@@ -41,6 +41,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"unknown_section": {}}))
         assert run(["top", "--gss-ghz", "554", "--config", str(bad)]) == 1
+
+
+class TestWriteAtomic:
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "keep").write_text("x")
+        with pytest.raises(OSError):
+            _write_atomic(target, "data\n")
+        assert list(tmp_path.glob("*.tmp*")) == []
+        assert (target / "keep").read_text() == "x"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(target, "unpaired surrogate \ud800\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMechanicsCommand:

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 import strainforge
 import strainforge._kernels as kernels
@@ -127,15 +127,51 @@ class TestChunkIndependence:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_top_block_backends_agree(self):
-        from strainforge.thermal import K_PER_GHZ, ThermalReference, _ln_rate
+    @given(
+        cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
+        include_intr=st.booleans(),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_post_block_values_do_not_depend_on_chunking(
+        self, cuts, include_intr, seed
+    ):
+        from strainforge.config import default_config
+        from strainforge.mechanics import solve_beam_state
+        import strainforge.population as pop
 
-        ref = ThermalReference()
-        ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, False)
-        gss = np.linspace(50.0, 1500.0, 512)
-        out_a = np.empty(512)
-        out_b = np.empty(512)
-        kernels._top_block_nb(out_a, gss, 0, 512, K_PER_GHZ, ln0, False)
-        kernels._top_block_numpy(out_b, gss, 0, 512, K_PER_GHZ, ln0, False)
-        assert np.allclose(out_a, out_b, rtol=1e-9)
+        cfg = default_config()
+        params = cfg.siv_parameters()
+        pos = cfg.position_distribution()
+        field = solve_beam_state(cfg.layer_stack())
+        cs = field.cross_section
+        root = kernels.seed_root(seed)
+        n = 600
+
+        def run(split):
+            out = (np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64),
+                   np.empty(n), np.empty(n), np.empty(n))
+            fails = 0
+            for lo, hi in split:
+                fails += kernels._post_block_numpy(
+                    *out, lo, hi, root,
+                    np.ascontiguousarray(cs.vertices_nm[:, 0]),
+                    np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
+                    field.membrane_strain, field.curvature_per_nm,
+                    field.neutral_axis_depth_nm, field.biaxiality_factor,
+                    field.nu_substrate,
+                    pos.aperture_x_nm, pos.aperture_y_nm,
+                    pos.depth_mean_nm, pos.depth_straggle_nm,
+                    pop.CRYSTAL_FROM_BEAM, pop._ROTS,
+                    include_intr, 1.5e-5 if include_intr else 0.0,
+                    params.d_ghz_per_strain, params.f_ghz_per_strain,
+                    params.lambda_so_ghz,
+                )
+            return out, fails
+
+        edges = [0, *sorted(cuts), n]
+        a, fails_a = run([(0, n)])
+        b, fails_b = run(list(zip(edges, edges[1:])))
+        assert fails_a == fails_b
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y, equal_nan=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from strainforge.errors import EmptyRequest, InvalidDomain
@@ -29,6 +30,19 @@ def oracle_top(gss, gss0=554.0, t0=1.5):
         return (3.0 * math.log(gss / gss0) - x - math.log1p(-math.exp(-x))
                 + x0 + math.log1p(-math.exp(-x0)))
     return brentq(g, 1e-3, 300.0, xtol=1e-12)
+
+
+def exact_rate_residual(temp, gss, ref, boltzmann):
+    """ln(gss^3 n_th(gss, T)) minus its reference value, exact constant."""
+    def ln_rate(g, t):
+        x = K_PER_GHZ * g / t
+        occ = -x if boltzmann else -x - math.log1p(-math.exp(-x))
+        return 3.0 * math.log(g) + occ
+    return ln_rate(gss, temp) - ln_rate(ref.gss_ref_ghz, ref.temp_ref_k)
+
+
+MODELS = ("bose_einstein", "boltzmann")
+OUT_OF_DOMAIN_GSS = (1e-6, 1e7, math.inf, -math.inf, math.nan, 0.0, -5.0)
 
 
 class TestThermalOccupation:
@@ -86,7 +100,7 @@ class TestGammaUpRelative:
         val = gamma_up_relative(1108.0, 1.5, REF)
         n_hi = 1.0 / math.expm1(K_PER_GHZ * 1108.0 / 1.5)
         n_lo = 1.0 / math.expm1(K_PER_GHZ * 554.0 / 1.5)
-        assert val == pytest.approx(8.0 * n_hi / n_lo, rel=1e-9)
+        assert val == pytest.approx(8.0 * n_hi / n_lo, rel=1e-9, abs=0)
         assert val == pytest.approx(1.6e-7, rel=0.02)
 
     def test_invalid_domain(self):
@@ -128,6 +142,56 @@ class TestOperationalTemperature:
         a = operational_temperature(400.0, REF)
         b = operational_temperature(400.0, REF, model="boltzmann")
         assert a == pytest.approx(b, rel=1e-6)
+
+
+class TestClosedFormAgainstRootFind:
+    @given(
+        gss=st.floats(46.0, 3000.0),
+        gss_ref=st.floats(46.0, 3000.0),
+        temp_ref=st.floats(0.5, 10.0),
+        model=st.sampled_from(MODELS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brentq_and_normalizes_rate(self, gss, gss_ref, temp_ref, model):
+        ref = ThermalReference(gss_ref_ghz=gss_ref, temp_ref_k=temp_ref)
+        boltzmann = model == "boltzmann"
+        lo = exact_rate_residual(1e-3, gss, ref, boltzmann)
+        hi = exact_rate_residual(300.0, gss, ref, boltzmann)
+        if not lo < 0.0 < hi:
+            # no operating temperature inside [1 mK, 300 K]
+            with pytest.raises(InvalidDomain):
+                operational_temperature(gss, ref, model)
+            return
+        oracle = brentq(exact_rate_residual, 1e-3, 300.0,
+                        args=(gss, ref, boltzmann), xtol=1e-13, rtol=1e-15)
+        t_op = operational_temperature(gss, ref, model)
+        assert abs(t_op - oracle) <= 1e-9
+        assert abs(gamma_up_relative(gss, t_op, ref, model) - 1.0) <= 1e-9
+
+    @given(
+        gss=st.lists(st.floats(46.0, 3000.0), min_size=1, max_size=50),
+        model=st.sampled_from(MODELS),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batch_matches_scalar(self, gss, model):
+        batch = operational_temperature_batch(np.array(gss), REF, model)
+        scalar = [operational_temperature(g, REF, model) for g in gss]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("gss", OUT_OF_DOMAIN_GSS)
+    def test_scalar_and_batch_share_domain(self, gss, model):
+        with pytest.raises(InvalidDomain):
+            operational_temperature(gss, REF, model)
+        with pytest.raises(InvalidDomain):
+            operational_temperature_batch(np.array([554.0, gss]), REF, model)
+
+    def test_boltzmann_without_root_rejected(self):
+        # the Boltzmann rate tends to gss^3 as T grows, so a splitting whose
+        # cube is below the reference rate has no operating temperature
+        ref = ThermalReference(gss_ref_ghz=1000.0, temp_ref_k=10.0)
+        with pytest.raises(InvalidDomain):
+            operational_temperature(46.0, ref, "boltzmann")
 
 
 class TestBatch:
