@@ -1,7 +1,9 @@
-"""Benchmark the numba sampling kernels against their pure-numpy fallbacks.
+"""Time the two sampling stages: the scale-free draws and the evaluation.
 
-Runs each sampling kernel with both backends on identical counter-based draw
-streams, reports throughput, and cross-checks that the outputs agree.
+The draw stage (counter-based normals, orientations, rejection-sampled
+positions) runs once per ensemble; the evaluation stage (coupling tables
+applied to the draws, then the splitting) is what every calibration step
+repeats. Both run here as single unchunked blocks on one thread.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
 """
@@ -14,11 +16,10 @@ import numpy as np
 import strainforge._kernels as kernels
 import strainforge.population as pop
 from strainforge.config import default_config
-from strainforge.core import SivParameters
-from strainforge.mechanics import CRYSTAL_FROM_BEAM, solve_beam_state
+from strainforge.mechanics import solve_beam_state
 
 
-def timeit(fn, repeats):
+def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -27,76 +28,8 @@ def timeit(fn, repeats):
     return best
 
 
-def bench_pre(n, repeats, params, root):
-    out = {}
-    for name, fn in (("numba", kernels._pre_block_nb if kernels.HAVE_NUMBA else None),
-                     ("numpy", kernels._pre_block_numpy)):
-        if fn is None:
-            continue
-        gss = np.empty(n)
-        eps = np.empty((n, 6))
-        ori = np.empty(n, dtype=np.int64)
-
-        def call():
-            fn(gss, eps, ori, 0, n, root, 1.5e-5,
-               params.d_ghz_per_strain, params.f_ghz_per_strain,
-               params.lambda_so_ghz, pop._ROTS, False)
-
-        call()  # warm / jit
-        out[name] = (timeit(call, repeats), gss.copy())
-    return out
-
-
-def bench_post(n, repeats, params, root, field, pos):
-    cs = field.cross_section
-    poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
-    poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
-    out = {}
-    for name, fn in (("numba", kernels._post_block_nb if kernels.HAVE_NUMBA else None),
-                     ("numpy", kernels._post_block_numpy)):
-        if fn is None:
-            continue
-        gss = np.empty(n)
-        eps = np.empty((n, 6))
-        ori = np.empty(n, dtype=np.int64)
-        xs, ys, ds = np.empty(n), np.empty(n), np.empty(n)
-
-        def call():
-            fn(gss, eps, ori, xs, ys, ds, 0, n, root,
-               poly_y, poly_z, cs.z_top_nm,
-               field.membrane_strain, field.curvature_per_nm,
-               field.neutral_axis_depth_nm, field.biaxiality_factor,
-               field.nu_substrate,
-               pos.aperture_x_nm, pos.aperture_y_nm,
-               pos.depth_mean_nm, pos.depth_straggle_nm,
-               CRYSTAL_FROM_BEAM, pop._ROTS, True, 1.5e-5,
-               params.d_ghz_per_strain, params.f_ghz_per_strain,
-               params.lambda_so_ghz)
-
-        call()
-        out[name] = (timeit(call, repeats), gss.copy())
-    return out
-
-
-def report(label, results, n):
-    print(f"\n{label} (n = {n:,})")
-    ref = None
-    for name in ("numba", "numpy"):
-        if name not in results:
-            print(f"  {name:6s}  unavailable")
-            continue
-        secs, values = results[name]
-        rate = n / secs / 1e6
-        print(f"  {name:6s}  {secs * 1e3:9.2f} ms   {rate:8.2f} Msamples/s")
-        if ref is None:
-            ref = (secs, values)
-        else:
-            speedup = results["numpy"][0] / results["numba"][0] \
-                if "numba" in results else float("nan")
-            nz = np.abs(ref[1]) + 1e-300
-            rel = float(np.max(np.abs(values - ref[1]) / nz))
-            print(f"  speedup numba/numpy: {speedup:.1f}x   "
-                  f"max rel deviation: {rel:.2e}")
+def line(label, secs, n):
+    print(f"  {label:34s} {secs * 1e3:9.2f} ms   {n / secs / 1e6:8.2f} Msamples/s")
 
 
 def main():
@@ -104,21 +37,40 @@ def main():
     ap.add_argument("--n", type=int, default=1_000_000)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-
-    print(f"active backend: {kernels.active_backend()} "
-          f"(numba available: {kernels.HAVE_NUMBA})")
+    n, repeats = args.n, args.repeats
 
     cfg = default_config()
-    params = SivParameters()
-    root = kernels.seed_root(12345)
-    field = solve_beam_state(cfg.layer_stack())
+    params = cfg.siv_parameters()
     pos = cfg.position_distribution()
+    field = solve_beam_state(cfg.layer_stack())
+    root = kernels.seed_root(12345)
+    lam, sigma = params.lambda_so_ghz, 1.5e-5
+    rows, to_crystal = pop._intrinsic_maps(params, "defect")
+    film_crystal, film_rows = pop._film_response(field, params)
 
-    pre = bench_pre(args.n, args.repeats, params, root)
-    report("pre-deposition ensemble kernel", pre, args.n)
+    print(f"pre-deposition (n = {n:,})")
+    z, o = kernels.draw_pre_block(0, n, root)
+    line("draw: normals + orientation", best_of(lambda: kernels.draw_pre_block(0, n, root), repeats), n)
+    line("couplings: W[o] z", best_of(lambda: kernels.apply_maps(rows, o, z), repeats), n)
+    unit = kernels.apply_maps(rows, o, z)
+    line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma, unit), repeats), n)
+    line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
 
-    post = bench_post(args.n, args.repeats, params, root, field, pos)
-    report("post-deposition ensemble kernel", post, args.n)
+    print(f"\npost-deposition with intrinsic strain (n = {n:,})")
+    draw = pop._draw_post(root, pos, field.cross_section, True)
+    line("draw: positions + o + normals", best_of(lambda: draw(0, n), repeats), n)
+    _, _, depth, o, z, _ = draw(0, n)
+    unit = kernels.apply_maps(rows, o, z)
+
+    def evaluate():
+        eyy = field.axial_strain(depth)
+        return kernels.splitting(lam, sigma, unit, eyy * film_rows[:, o])
+
+    line("splitting from cached couplings", best_of(evaluate, repeats), n)
+    line("crystal tensors: film + 6x6 map",
+         best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
+                 + (sigma * kernels.apply_maps(to_crystal, o, z)).T, repeats), n)
+    print(f"\nmean gss of the last evaluation: {float(np.mean(evaluate())):.3f} GHz")
 
 
 if __name__ == "__main__":

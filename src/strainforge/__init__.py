@@ -6,7 +6,6 @@ phonon-limited operating temperatures, and analyzes photoluminescence
 spectra. See the ``strainforge`` CLI for the end-to-end pipeline.
 """
 
-from ._kernels import active_backend
 from .core import (
     DefectOrientation,
     EgCouplings,

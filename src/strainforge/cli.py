@@ -3,8 +3,9 @@
 Subcommands: mechanics, sample, calibrate, top, report, spectra. Every
 output file is written atomically (temp file + rename) and is byte-stable
 for a fixed seed and config, independent of --threads. Exit status: 0 on
-success, 1 on domain errors (single diagnostic line on stderr), 2 on
-usage errors.
+success, 1 on domain errors and on operating-system errors such as an
+unwritable output path (single diagnostic line on stderr), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, spectra
+from . import spectra
 from .config import Config, load_config
 from .errors import NoSingleEmitters, StrainforgeError
 from .mechanics import solve_beam_state, strain_at
@@ -34,7 +35,7 @@ from .thermal import operability_curve, operational_temperature, operational_tem
 
 __all__ = ["main", "run", "report"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Measured batch means the report reproduces by construction.
 PRE_TARGET_MEAN_GHZ = 119.0
@@ -291,7 +292,6 @@ def report(cfg: Config, seed: int, n: int | None = None,
 
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "backend": _kernels.active_backend(),
         "seed": seed,
         "n": n,
         "sigma_unstrained_calibrated": sigma,
@@ -412,7 +412,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = load_config(getattr(args, "config", None))
         return _COMMANDS[args.command](args, cfg)
-    except StrainforgeError as exc:
+    except (StrainforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,13 @@ function of (inputs, seed): results are bit-identical for any thread
 count or chunking. Calibration inverts the monotone map from model scale
 (intrinsic sigma, or film stress) to ensemble mean under common random
 numbers.
+
+The splitting sees strain only through the two linear couplings (alpha,
+beta). Intrinsic strain is sigma times unit normals and film strain is the
+axial strain e_yy(depth) times a fixed tensor, so every sample is
+``sqrt(lam^2 + 4 |e_yy F[o] + sigma W[o] z|^2)`` with per-orientation
+coupling tables W and F built once from ``core``. A calibration therefore
+draws its ensemble once and only re-evaluates that expression per step.
 """
 
 from __future__ import annotations
@@ -26,9 +33,18 @@ from .core import (
     Frame,
     SivParameters,
     StrainTensor,
+    defect_frame_strain,
+    eg_couplings,
+    rotate_strain,
 )
 from .errors import DegenerateGeometry, EmptyRequest, Infeasible
-from .mechanics import CRYSTAL_FROM_BEAM, LayerStack, StrainField, solve_beam_state
+from .mechanics import (
+    LayerStack,
+    StrainField,
+    beam_to_crystal,
+    solve_beam_state,
+    strain_at,
+)
 
 __all__ = [
     "IntrinsicStrainModel",
@@ -43,8 +59,6 @@ __all__ = [
     "calibrate_film_stress",
     "summarize",
 ]
-
-_ROTS = np.ascontiguousarray(np.stack([o.rotation for o in ORIENTATIONS]))
 
 
 @dataclass(frozen=True)
@@ -169,15 +183,96 @@ def summarize(values, bins="fd") -> EnsembleSummary:
     )
 
 
-def _alloc(n: int):
-    return (
-        np.empty(n),                 # gss
-        np.empty((n, 6)),            # eps crystal
-        np.empty(n, dtype=np.int64),  # orientation id
-        np.zeros(n),                 # x
-        np.zeros(n),                 # y
-        np.zeros(n),                 # depth
-    )
+# Strain scale of the basis tensors the coupling tables are built from: a
+# power of two, so scaling a tensor by it and the result back is exact, and
+# small enough for StrainTensor's small-strain guard.
+_UNIT = 2.0 ** -10
+
+
+def _basis(frame: Frame) -> list[StrainTensor]:
+    return [StrainTensor(*(_UNIT * np.eye(6)[k]), frame=frame) for k in range(6)]
+
+
+# defect-frame 6-vector -> crystal-frame 6-vector, one 6x6 map per
+# orientation, built column by column with core.rotate_strain
+_DEFECT_TO_CRYSTAL = np.stack([
+    np.stack([rotate_strain(e, o.rotation.T, Frame.CRYSTAL).components
+              for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
+    for o in ORIENTATIONS
+])
+_IDENTITY = np.broadcast_to(np.eye(6), (len(ORIENTATIONS), 6, 6))
+
+
+def _couplings(eps: StrainTensor, orientation: DefectOrientation,
+               params: SivParameters) -> np.ndarray:
+    """(alpha, beta) of a tensor given in the crystal or the defect frame."""
+    if eps.frame is Frame.CRYSTAL:
+        eps = defect_frame_strain(eps, orientation)
+    c = eg_couplings(eps, params)
+    return np.array([c.alpha_ghz, c.beta_ghz])
+
+
+def _coupling_rows(params: SivParameters, frame: Frame) -> np.ndarray:
+    """(4, 2, 6): per orientation, the (alpha, beta) rows acting on the
+    6-vector of a tensor given in ``frame``."""
+    return np.stack([
+        np.stack([_couplings(e, o, params) for e in _basis(frame)], axis=1) / _UNIT
+        for o in ORIENTATIONS
+    ])
+
+
+def _intrinsic_maps(params: SivParameters, sample_frame: str):
+    """Coupling rows and crystal-frame maps for intrinsic unit normals
+    drawn in ``sample_frame``."""
+    if sample_frame == "crystal":
+        return _coupling_rows(params, Frame.CRYSTAL), _IDENTITY
+    return _coupling_rows(params, Frame.DEFECT), _DEFECT_TO_CRYSTAL
+
+
+def _film_response(field: StrainField, params: SivParameters):
+    """Film strain per unit axial strain e_yy: its crystal-frame 6-vector
+    and its (alpha, beta) for each orientation, shape (2, 4)."""
+    unit_field = replace(field, membrane_strain=_UNIT, curvature_per_nm=0.0)
+    eps = beam_to_crystal(strain_at(unit_field, 0.0))
+    rows = np.stack([_couplings(eps, o, params) for o in ORIENTATIONS], axis=1)
+    return eps.components / _UNIT, rows / _UNIT
+
+
+def _check_pre(n, sample_frame):
+    if n < 1:
+        raise EmptyRequest("n must be >= 1")
+    if sample_frame not in ("defect", "crystal"):
+        raise ValueError("sample_frame must be 'defect' or 'crystal'")
+
+
+def _check_post(n, include_intrinsic, intrinsic):
+    if n < 1:
+        raise EmptyRequest("n must be >= 1")
+    if include_intrinsic and intrinsic is None:
+        raise ValueError("include_intrinsic requires an IntrinsicStrainModel")
+
+
+def _draw_post(root, pos: PositionDistribution, cs, intrinsic: bool):
+    """draw_post_block with the geometry and position model bound."""
+    poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
+    poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
+
+    def draw(lo, hi):
+        return _kernels.draw_post_block(
+            lo, hi, root, poly_y, poly_z, cs.z_top_nm,
+            pos.aperture_x_nm, pos.aperture_y_nm,
+            pos.depth_mean_nm, pos.depth_straggle_nm, intrinsic,
+        )
+
+    return draw
+
+
+def _raise_failures(n_fail: int) -> None:
+    if n_fail:
+        raise DegenerateGeometry(
+            f"{n_fail} samples failed substrate containment after "
+            f"{_kernels.MAX_POSITION_ATTEMPTS} attempts each"
+        )
 
 
 def sample_pre_deposition(
@@ -196,23 +291,21 @@ def sample_pre_deposition(
     frame by default, or the crystal frame via ``sample_frame``) plus a
     uniform orientation, recorded for schema uniformity.
     """
-    if n < 1:
-        raise EmptyRequest("n must be >= 1")
-    if sample_frame not in ("defect", "crystal"):
-        raise ValueError("sample_frame must be 'defect' or 'crystal'")
-    gss, eps, ori, x, y, depth = _alloc(n)
+    _check_pre(n, sample_frame)
+    gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     root = _kernels.seed_root(seed)
-    lam = params.lambda_so_ghz
-    d, f = params.d_ghz_per_strain, params.f_ghz_per_strain
-    crystal = sample_frame == "crystal"
+    rows, to_crystal = _intrinsic_maps(params, sample_frame)
+    sigma = model.sigma
 
     def block(lo, hi):
-        _kernels.sample_pre_block(
-            gss, eps, ori, lo, hi, root, model.sigma, d, f, lam, _ROTS, crystal
-        )
+        z, o = _kernels.draw_pre_block(lo, hi, root)
+        unit = _kernels.apply_maps(rows, o, z)
+        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit)
+        eps[lo:hi] = (sigma * _kernels.apply_maps(to_crystal, o, z)).T
+        ori[lo:hi] = o
 
     _kernels.run_blocks(n, block, threads)
-    samples = EmitterSamples(x, y, depth, ori, eps, gss)
+    samples = EmitterSamples(np.zeros(n), np.zeros(n), np.zeros(n), ori, eps, gss)
     return EnsembleResult(samples=samples, summary=summarize(samples, bins=bins))
 
 
@@ -233,42 +326,112 @@ def sample_post_deposition(
     Each sample draws an implantation position (rejected until it lands
     inside the substrate), evaluates the depth-dependent beam strain, maps
     it through a uniformly drawn <111> orientation, optionally adds an
-    intrinsic random tensor, and computes the splitting.
+    intrinsic random tensor (drawn in the defect frame), and computes the
+    splitting.
     """
-    if n < 1:
-        raise EmptyRequest("n must be >= 1")
-    if include_intrinsic and intrinsic is None:
-        raise ValueError("include_intrinsic requires an IntrinsicStrainModel")
-    gss, eps, ori, x, y, depth = _alloc(n)
-    root = _kernels.seed_root(seed)
-    cs = field.cross_section
-    poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
-    poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
+    _check_post(n, include_intrinsic, intrinsic)
+    gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
+    x, y, depth = np.empty(n), np.empty(n), np.empty(n)
+    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
+                      include_intrinsic)
+    film_crystal, film_rows = _film_response(field, params)
+    rows, to_crystal = _intrinsic_maps(params, "defect")
     sigma_i = intrinsic.sigma if include_intrinsic else 0.0
 
     def block(lo, hi):
-        return _kernels.sample_post_block(
-            gss, eps, ori, x, y, depth, lo, hi, root,
-            poly_y, poly_z, cs.z_top_nm,
-            field.membrane_strain, field.curvature_per_nm,
-            field.neutral_axis_depth_nm, field.biaxiality_factor,
-            field.nu_substrate,
-            pos.aperture_x_nm, pos.aperture_y_nm,
-            pos.depth_mean_nm, pos.depth_straggle_nm,
-            CRYSTAL_FROM_BEAM, _ROTS,
-            include_intrinsic, sigma_i,
-            params.d_ghz_per_strain, params.f_ghz_per_strain,
-            params.lambda_so_ghz,
+        x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
+        eyy = field.axial_strain(dep)
+        unit = None if z is None else _kernels.apply_maps(rows, o, z)
+        gss[lo:hi] = _kernels.splitting(
+            params.lambda_so_ghz, sigma_i, unit, eyy * film_rows[:, o]
         )
+        ec = eyy[:, None] * film_crystal
+        if z is not None:
+            ec += (sigma_i * _kernels.apply_maps(to_crystal, o, z)).T
+        eps[lo:hi] = ec
+        ori[lo:hi] = o
+        depth[lo:hi] = dep
+        return n_fail
 
-    n_fail = _kernels.run_blocks(n, block, threads)
-    if n_fail:
-        raise DegenerateGeometry(
-            f"{n_fail} samples failed substrate containment after "
-            f"{_kernels.MAX_POSITION_ATTEMPTS} attempts each"
-        )
+    _raise_failures(_kernels.run_blocks(n, block, threads))
     samples = EmitterSamples(x, y, depth, ori, eps, gss)
     return EnsembleResult(samples=samples, summary=summarize(samples, bins=bins))
+
+
+def _pre_means(n, seed, params, sample_frame, threads):
+    """sigma -> summary mean of ``sample_pre_deposition`` at that sigma.
+
+    The ensemble is drawn once and kept as per-emitter couplings per unit
+    sigma; each call only rescales them and evaluates the splitting, chunk
+    by chunk with the sampler's own formula, so the mean is the sampler's
+    to the last bit.
+    """
+    _check_pre(n, sample_frame)
+    root = _kernels.seed_root(seed)
+    rows, _ = _intrinsic_maps(params, sample_frame)
+    unit, gss = np.empty((2, n)), np.empty(n)
+
+    def draw(lo, hi):
+        z, o = _kernels.draw_pre_block(lo, hi, root)
+        unit[:, lo:hi] = _kernels.apply_maps(rows, o, z)
+
+    _kernels.run_blocks(n, draw, threads)
+
+    def mean_at(sigma):
+        def evaluate(lo, hi):
+            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit[:, lo:hi])
+
+        _kernels.run_blocks(n, evaluate, threads)
+        return float(np.mean(gss))
+
+    return mean_at
+
+
+def _post_means(stack, pos, params, n, seed, include_intrinsic, intrinsic, threads):
+    """Film stress (MPa) -> summary mean of ``sample_post_deposition`` in
+    the field of ``stack`` at that stress.
+
+    Depths, orientations and intrinsic couplings are drawn once; each call
+    solves the beam and evaluates the splitting as the sampler does.
+    """
+    def field_at(stress_mpa):
+        trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress_mpa))
+        return solve_beam_state(trial)
+
+    field = field_at(0.0)
+    _check_post(n, include_intrinsic, intrinsic)
+    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
+                            include_intrinsic)
+    rows, _ = _intrinsic_maps(params, "defect")
+    _, film_rows = _film_response(field, params)
+    depth, gss = np.empty(n), np.empty(n)
+    ori = np.empty(n, dtype=np.int8)
+    unit = np.empty((2, n)) if include_intrinsic else None
+    sigma_i = intrinsic.sigma if include_intrinsic else 0.0
+
+    def draw(lo, hi):
+        _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
+        if z is not None:
+            unit[:, lo:hi] = _kernels.apply_maps(rows, ori[lo:hi], z)
+        return n_fail
+
+    _raise_failures(_kernels.run_blocks(n, draw, threads))
+
+    def mean_at(stress_mpa):
+        field = field_at(stress_mpa)
+
+        def evaluate(lo, hi):
+            eyy = field.axial_strain(depth[lo:hi])
+            gss[lo:hi] = _kernels.splitting(
+                params.lambda_so_ghz, sigma_i,
+                None if unit is None else unit[:, lo:hi],
+                eyy * film_rows[:, ori[lo:hi]],
+            )
+
+        _kernels.run_blocks(n, evaluate, threads)
+        return float(np.mean(gss))
+
+    return mean_at
 
 
 def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
@@ -316,7 +479,8 @@ def calibrate_sigma(
     """Intrinsic sigma whose fixed-seed ensemble mean hits the target.
 
     The mean is continuous and strictly increasing in sigma under common
-    random numbers, so a bracketing root find converges cleanly. Raises
+    random numbers, so a bracketing root find converges cleanly; the
+    ensemble is drawn once and each step rescales its couplings. Raises
     Infeasible for targets below the spin-orbit floor.
     """
     params = params or SivParameters()
@@ -327,14 +491,7 @@ def calibrate_sigma(
         )
     if target_mean_ghz <= lam * (1.0 + 1e-12):
         return 0.0
-
-    def mean_at(sigma):
-        res = sample_pre_deposition(
-            n, IntrinsicStrainModel(sigma), params, seed,
-            sample_frame=sample_frame, threads=threads,
-        )
-        return res.summary.mean_ghz
-
+    mean_at = _pre_means(n, seed, params, sample_frame, threads)
     lo, f_lo = 0.0, lam
     hi = 1e-5
     f_hi = mean_at(hi)
@@ -361,7 +518,10 @@ def calibrate_film_stress(
     threads: int | None = None,
 ) -> float:
     """Equivalent film stress (MPa) whose post-deposition ensemble mean
-    hits the target, by the same monotone root find as calibrate_sigma."""
+    hits the target, by the same monotone root find as calibrate_sigma.
+
+    The film strain is linear in the stress, so the ensemble is drawn once
+    and each root-finder step re-evaluates it in the trial field."""
     params = params or SivParameters()
     lam = params.lambda_so_ghz
     if target_mean_ghz < lam:
@@ -369,16 +529,8 @@ def calibrate_film_stress(
             f"target mean {target_mean_ghz} GHz is below the floor {lam} GHz"
         )
 
-    def mean_at(stress_mpa):
-        trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress_mpa))
-        field = solve_beam_state(trial)
-        res = sample_post_deposition(
-            n, pos, field, params,
-            include_intrinsic=include_intrinsic, intrinsic=intrinsic,
-            seed=seed, threads=threads,
-        )
-        return res.summary.mean_ghz
-
+    mean_at = _post_means(stack, pos, params, n, seed, include_intrinsic,
+                          intrinsic, threads)
     lo = 0.0
     f_lo = mean_at(0.0)
     if target_mean_ghz <= f_lo + tol_ghz:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import (
     DuplicateAbscissa,
@@ -227,6 +226,9 @@ def detect_peaks(
         raise InvalidParameter("smoothing_window must be shorter than the spectrum")
     if not 0 < min_prominence <= 1:
         raise InvalidParameter("min_prominence must be a fraction in (0, 1]")
+    # imported here: scipy.signal is most of the package's import time and
+    # only peak detection needs it
+    from scipy.signal import find_peaks, peak_widths
 
     kernel = np.full(smoothing_window, 1.0 / smoothing_window)
     # edge padding keeps a constant trace exactly constant

@@ -77,6 +77,17 @@ class TestMechanicsCommand:
         assert out.exists()
         assert out.read_text().startswith("depth_nm,")
 
+    def test_output_onto_directory_is_one_line_error(self, tmp_path, capsys):
+        # an OS error while writing is a diagnostic, not a traceback
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run(["mechanics", "--depth-profile", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("*.tmp*")) == []
+
 
 class TestSampleCommand:
     @pytest.mark.parametrize("phase", ["pre", "post"])
@@ -143,7 +154,8 @@ class TestReportCommand:
             assert (d1 / name).exists()
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         summary = json.loads((d1 / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
+        assert "backend" not in summary
         assert abs(summary["pre_mean_ghz"] - 119.0) < 1.0
         assert abs(summary["post_mean_ghz"] - 608.0) < 1.0
         assert summary["p_top_ge_1p5k"] > 0.5

@@ -1,31 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import strainforge
 import strainforge._kernels as kernels
-
-
-def _child_env(backend: str) -> dict[str, str]:
-    """Environment for a fresh interpreter that selects ``backend``.
-
-    Inherited from this process rather than built from scratch: the child
-    must import the same ``strainforge`` package under test, whether it is
-    reachable through ``PYTHONPATH`` (bare checkout) or an editable install.
-    Only ``STRAINFORGE_BACKEND`` is overridden, and the directory holding
-    the imported package goes first on ``PYTHONPATH``.
-    """
-    env = dict(os.environ)
-    env["STRAINFORGE_BACKEND"] = backend
-    pkg_root = str(Path(strainforge.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 class TestCounterRng:
@@ -74,58 +50,20 @@ class TestRunBlocks:
         assert calls == [(0, 10)]
 
 
-class TestBackend:
-    def test_active_backend_valid(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-    def test_env_flag_selects_numpy(self):
-        code = (
-            "import strainforge._kernels as k; print(k.active_backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=_child_env("numpy"),
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_bad_env_flag_rejected(self):
-        code = "import strainforge._kernels"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=_child_env("fortran"),
-            capture_output=True, text=True,
-        )
-        assert out.returncode != 0
-        assert "ValueError" in out.stderr
-        assert "STRAINFORGE_BACKEND" in out.stderr
-
-
 class TestChunkIndependence:
-    def test_pre_block_values_do_not_depend_on_chunking(self):
-        from strainforge.core import SivParameters
-        import strainforge.population as pop
-
-        params = SivParameters()
-        root = kernels.seed_root(5)
+    @given(
+        cuts=st.lists(st.integers(1, 999), max_size=6, unique=True),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pre_block_values_do_not_depend_on_chunking(self, cuts, seed):
+        root = kernels.seed_root(seed)
         n = 1000
-
-        def run(split):
-            gss = np.empty(n)
-            eps = np.empty((n, 6))
-            ori = np.empty(n, dtype=np.int64)
-            for lo, hi in split:
-                kernels._pre_block_numpy(
-                    gss, eps, ori, lo, hi, root, 1e-5,
-                    params.d_ghz_per_strain, params.f_ghz_per_strain,
-                    params.lambda_so_ghz, pop._ROTS, False,
-                )
-            return gss, eps, ori
-
-        a = run([(0, n)])
-        b = run([(0, 137), (137, 612), (612, n)])
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        edges = [0, *sorted(cuts), n]
+        z, o = kernels.draw_pre_block(0, n, root)
+        parts = [kernels.draw_pre_block(lo, hi, root) for lo, hi in zip(edges, edges[1:])]
+        assert np.array_equal(z, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(o, np.concatenate([p[1] for p in parts]))
 
     @given(
         cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
@@ -133,45 +71,29 @@ class TestChunkIndependence:
         seed=st.integers(0, 2 ** 32),
     )
     @settings(max_examples=25, deadline=None)
-    def test_post_block_values_do_not_depend_on_chunking(
-        self, cuts, include_intr, seed
-    ):
+    def test_post_block_values_do_not_depend_on_chunking(self, cuts, include_intr, seed):
         from strainforge.config import default_config
-        from strainforge.mechanics import solve_beam_state
-        import strainforge.population as pop
 
         cfg = default_config()
-        params = cfg.siv_parameters()
         pos = cfg.position_distribution()
-        field = solve_beam_state(cfg.layer_stack())
-        cs = field.cross_section
+        cs = cfg.layer_stack().cross_section
         root = kernels.seed_root(seed)
         n = 600
 
-        def run(split):
-            out = (np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64),
-                   np.empty(n), np.empty(n), np.empty(n))
-            fails = 0
-            for lo, hi in split:
-                fails += kernels._post_block_numpy(
-                    *out, lo, hi, root,
-                    np.ascontiguousarray(cs.vertices_nm[:, 0]),
-                    np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
-                    field.membrane_strain, field.curvature_per_nm,
-                    field.neutral_axis_depth_nm, field.biaxiality_factor,
-                    field.nu_substrate,
-                    pos.aperture_x_nm, pos.aperture_y_nm,
-                    pos.depth_mean_nm, pos.depth_straggle_nm,
-                    pop.CRYSTAL_FROM_BEAM, pop._ROTS,
-                    include_intr, 1.5e-5 if include_intr else 0.0,
-                    params.d_ghz_per_strain, params.f_ghz_per_strain,
-                    params.lambda_so_ghz,
-                )
-            return out, fails
+        def run(lo, hi):
+            return kernels.draw_post_block(
+                lo, hi, root,
+                np.ascontiguousarray(cs.vertices_nm[:, 0]),
+                np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
+                pos.aperture_x_nm, pos.aperture_y_nm,
+                pos.depth_mean_nm, pos.depth_straggle_nm, include_intr,
+            )
 
         edges = [0, *sorted(cuts), n]
-        a, fails_a = run([(0, n)])
-        b, fails_b = run(list(zip(edges, edges[1:])))
-        assert fails_a == fails_b
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y, equal_nan=True)
+        whole = run(0, n)
+        parts = [run(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert whole[-1] == sum(p[-1] for p in parts)
+        assert (whole[4] is None) == (not include_intr)
+        for i in range(5 if include_intr else 4):
+            joined = np.concatenate([p[i] for p in parts])
+            assert np.array_equal(whole[i], joined, equal_nan=True)

@@ -3,11 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
-from strainforge.core import SivParameters
+import strainforge.population as pop
+from strainforge.core import (
+    ORIENTATIONS,
+    Frame,
+    SivParameters,
+    StrainTensor,
+    defect_frame_strain,
+    eg_couplings,
+    rotate_strain,
+    splitting_from_strain,
+)
 from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible
-from strainforge.mechanics import solve_beam_state
+from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
 from strainforge.population import (
     EmitterSample,
     IntrinsicStrainModel,
@@ -326,30 +337,145 @@ class TestMonotoneCalibration:
             assert p_post >= p_pre
 
 
-class TestKernelParity:
-    def test_backends_agree(self, cfg, field):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        n = 4096
-        root = kernels.seed_root(99)
-        import strainforge.population as pop
+# six strain components at the scale of the calibrated ensembles
+COMPONENTS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
+    lambda c: 1e-4 * np.array(c)
+)
+ORIENTATION_IDS = st.integers(0, len(ORIENTATIONS) - 1)
 
-        gss_a = np.empty(n)
-        eps_a = np.empty((n, 6))
-        ori_a = np.empty(n, dtype=np.int64)
-        kernels._pre_block_nb(
-            gss_a, eps_a, ori_a, 0, n, root, 1.5e-5,
-            PARAMS.d_ghz_per_strain, PARAMS.f_ghz_per_strain,
-            PARAMS.lambda_so_ghz, pop._ROTS, False,
+
+def _ab(eps):
+    c = eg_couplings(eps, PARAMS)
+    return np.array([c.alpha_ghz, c.beta_ghz])
+
+
+def _coupling_atol(eps):
+    """Cancellation floor for 1e-12 relative agreement of (alpha, beta)."""
+    scale = abs(PARAMS.d_ghz_per_strain) + abs(PARAMS.f_ghz_per_strain)
+    return 1e-12 * 2.0 * scale * np.abs(eps).sum()
+
+
+class TestCouplingTables:
+    """The per-orientation tables the samplers evaluate, against core."""
+
+    @given(e=COMPONENTS, o=ORIENTATION_IDS, frame=st.sampled_from(["defect", "crystal"]))
+    @settings(max_examples=60, deadline=None)
+    def test_intrinsic_rows_match_core(self, e, o, frame):
+        rows, _ = pop._intrinsic_maps(PARAMS, frame)
+        if frame == "crystal":
+            tensor = StrainTensor(*e, frame=Frame.CRYSTAL)
+            want = _ab(defect_frame_strain(tensor, ORIENTATIONS[o]))
+        else:
+            want = _ab(StrainTensor(*e, frame=Frame.DEFECT))
+        np.testing.assert_allclose(rows[o] @ e, want, rtol=1e-12,
+                                   atol=_coupling_atol(e))
+
+    @given(
+        # film stresses of either sign, away from the subnormal range
+        stress=st.floats(1e-3, 2000.0) | st.floats(-2000.0, -1e-3),
+        depth_fraction=st.floats(0.0, 1.0),
+        o=ORIENTATION_IDS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_film_rows_match_core(self, cfg, stress, depth_fraction, o):
+        stack = cfg.layer_stack()
+        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
+        field = solve_beam_state(stack)
+        depth = depth_fraction * field.depth_max_nm
+        eyy = float(field.axial_strain(depth))
+        film_crystal, film_rows = pop._film_response(field, PARAMS)
+        eps = beam_to_crystal(strain_at(field, depth))
+        np.testing.assert_allclose(eyy * film_crystal, eps.components,
+                                   rtol=1e-12, atol=1e-12 * abs(eyy))
+        want = _ab(defect_frame_strain(eps, ORIENTATIONS[o]))
+        np.testing.assert_allclose(eyy * film_rows[:, o], want, rtol=1e-12,
+                                   atol=_coupling_atol(eps.components))
+
+    @given(e=COMPONENTS, o=ORIENTATION_IDS)
+    @settings(max_examples=60, deadline=None)
+    def test_defect_to_crystal_maps_match_rotate_strain(self, e, o):
+        want = rotate_strain(StrainTensor(*e, frame=Frame.DEFECT),
+                             ORIENTATIONS[o].rotation.T, Frame.CRYSTAL)
+        got = pop._DEFECT_TO_CRYSTAL[o] @ e
+        assert np.max(np.abs(got - want.components)) <= 1e-18
+
+    def test_stored_tensors_reproduce_the_splitting(self, cfg, field):
+        # crystal-frame tensors written by the samplers give back each
+        # sample's splitting through the scalar core chain
+        ensembles = [
+            sample_pre_deposition(64, SIGMA, PARAMS, seed=31, sample_frame=frame)
+            for frame in ("defect", "crystal")
+        ] + [
+            sample_post_deposition(64, cfg.position_distribution(), field, PARAMS,
+                                   seed=31, include_intrinsic=intr, intrinsic=SIGMA)
+            for intr in (False, True)
+        ]
+        for res in ensembles:
+            for s in res.samples:
+                gss = splitting_from_strain(s.strain, s.orientation, PARAMS)
+                assert gss == pytest.approx(s.gss_ghz, rel=1e-12)
+
+
+class TestCachedCalibrationMeans:
+    """Calibration steps evaluate cached couplings instead of re-sampling;
+    their means are the samplers' means."""
+
+    N = 4096
+
+    @given(
+        sigma=st.floats(1e-6, 5e-5),
+        frame=st.sampled_from(["defect", "crystal"]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_pre_mean_matches_sampler(self, sigma, frame, seed):
+        mean_at = pop._pre_means(self.N, seed, PARAMS, frame, None)
+        want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS,
+                                     seed, sample_frame=frame).summary.mean_ghz
+        assert mean_at(sigma) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @given(
+        stress=st.floats(0.0, 2000.0),
+        sigma=st.floats(1e-6, 5e-5),
+        include_intrinsic=st.booleans(),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_post_mean_matches_sampler(self, cfg, stress, sigma, include_intrinsic, seed):
+        stack, pos = cfg.layer_stack(), cfg.position_distribution()
+        intrinsic = IntrinsicStrainModel(sigma)
+        mean_at = pop._post_means(stack, pos, PARAMS, self.N, seed,
+                                  include_intrinsic, intrinsic, None)
+        trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
+        want = sample_post_deposition(
+            self.N, pos, solve_beam_state(trial), PARAMS, seed=seed,
+            include_intrinsic=include_intrinsic, intrinsic=intrinsic,
+        ).summary.mean_ghz
+        assert mean_at(stress) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_calibrations_draw_once_and_never_resample(self, cfg, monkeypatch):
+        def resampled(*args, **kwargs):
+            raise AssertionError("a calibration step re-sampled the ensemble")
+
+        calls = {"pre": 0, "post": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pop, "sample_pre_deposition", resampled)
+        monkeypatch.setattr(pop, "sample_post_deposition", resampled)
+        monkeypatch.setattr(kernels, "draw_pre_block",
+                            counted("pre", kernels.draw_pre_block))
+        monkeypatch.setattr(kernels, "draw_post_block",
+                            counted("post", kernels.draw_post_block))
+        sigma = calibrate_sigma(119.0, self.N, seed=32)
+        calibrate_film_stress(
+            608.0, cfg.layer_stack(), cfg.position_distribution(), PARAMS,
+            self.N, seed=32, include_intrinsic=True,
+            intrinsic=IntrinsicStrainModel(sigma),
         )
-        gss_b = np.empty(n)
-        eps_b = np.empty((n, 6))
-        ori_b = np.empty(n, dtype=np.int64)
-        kernels._pre_block_numpy(
-            gss_b, eps_b, ori_b, 0, n, root, 1.5e-5,
-            PARAMS.d_ghz_per_strain, PARAMS.f_ghz_per_strain,
-            PARAMS.lambda_so_ghz, pop._ROTS, False,
-        )
-        assert np.array_equal(ori_a, ori_b)
-        assert np.allclose(gss_a, gss_b, rtol=1e-9, atol=0)
-        assert np.allclose(eps_a, eps_b, rtol=1e-9, atol=1e-24)
+        # n fits in one chunk: one draw call per calibration
+        assert calls == {"pre": 1, "post": 1}

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import strainforge
 from conftest import synth_spectrum
 from strainforge.errors import (
     DuplicateAbscissa,
@@ -312,3 +317,22 @@ class TestSpectrumValidation:
     def test_min_points(self):
         with pytest.raises(ValueError):
             Spectrum(np.linspace(0, 10, 8), np.ones(8))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """scipy.signal is most of the import time; only detect_peaks needs it.
+
+    The child inherits this process's environment, with the directory of
+    the ``strainforge`` package under test first on PYTHONPATH, so it
+    imports the same package whether that is reached through PYTHONPATH
+    or an editable install.
+    """
+    env = dict(os.environ)
+    pkg_root = str(Path(strainforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, strainforge; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
