@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,13 @@ from .errors import NoSingleEmitters, StrainforgeError
 from .mechanics import solve_beam_state, strain_at
 from .population import (
     IntrinsicStrainModel,
+    _fit_sigma,
+    _fit_stress,
     calibrate_film_stress,
     calibrate_sigma,
     sample_post_deposition,
     sample_pre_deposition,
+    summarize,
 )
 from .thermal import operability_curve, operational_temperature, operational_temperature_batch
 
@@ -45,23 +48,36 @@ DEPTH_PROFILE_POINTS = 201
 GSS_PDF_BINS = 250
 TOP_CURVE_GSS_GHZ = np.linspace(46.0, 1500.0, 200)
 OPERABILITY_TEMPS_K = np.linspace(0.25, 4.0, 151)
+# rows formatted per chunk of a streamed CSV table
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to a temp
+    file beside ``path`` and rename it into place; on failure the temp
+    file is removed and the error re-raised."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _csv_chunks(header: str, columns, row_format: str):
+    """A CSV table as text chunks: the header line, then one chunk per
+    block of CSV_BLOCK_ROWS rows, each row ``row_format % row``. Only one
+    block is ever held as Python objects."""
+    yield header + "\n"
+    columns = [np.asarray(c) for c in columns]
+    row_format += "\n"
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        rows = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns))
+        yield "".join(row_format % row for row in rows)
 
 
 def _json_text(obj) -> str:
@@ -118,74 +134,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mechanics(args, cfg: Config) -> int:
-    stack = cfg.layer_stack()
-    field = solve_beam_state(stack)
-    depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
-    lines = ["depth_nm,eps_xx,eps_yy,eps_zz"]
-    for depth in depths:
-        eps = strain_at(field, float(depth))
-        lines.append(
-            f"{_fmt(depth)},{_fmt(eps.eps_xx)},{_fmt(eps.eps_yy)},{_fmt(eps.eps_zz)}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _ensemble_for_phase(args, cfg: Config, n: int, seed: int):
-    params = cfg.siv_parameters()
-    if args.phase == "pre":
-        return sample_pre_deposition(
-            n, cfg.intrinsic_model(), params, seed,
-            sample_frame=cfg.sample_frame, threads=args.threads,
-        )
     field = solve_beam_state(cfg.layer_stack())
-    return sample_post_deposition(
-        n, cfg.position_distribution(), field, params,
-        include_intrinsic=cfg.include_intrinsic_post,
-        intrinsic=cfg.intrinsic_model(),
-        seed=seed, threads=args.threads,
+    depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
+    eps = [strain_at(field, float(depth)) for depth in depths]
+    chunks = _csv_chunks(
+        "depth_nm,eps_xx,eps_yy,eps_zz",
+        [depths, *np.array([(e.eps_xx, e.eps_yy, e.eps_zz) for e in eps]).T],
+        "%r,%r,%r,%r",
     )
+    if args.out:
+        _write_atomic(Path(args.out), chunks)
+    else:
+        sys.stdout.writelines(chunks)
+    return 0
 
 
 def _cmd_sample(args, cfg: Config) -> int:
     n = args.n if args.n is not None else cfg.default_n
     seed = args.seed if args.seed is not None else cfg.default_seed
-    result = _ensemble_for_phase(args, cfg, n, seed)
-    s = result.samples
-    table = np.column_stack(
-        [
-            np.arange(len(s), dtype=float),
-            s.x_nm, s.y_nm, s.depth_nm,
-            s.orientation_id.astype(float),
-            s.eps_crystal,
-            s.gss_ghz,
-        ]
-    )
-    header = ("index,x_nm,y_nm,depth_nm,orientation_id,"
-              "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
-    buf = []
-    fmt = ["%d", "%.17g", "%.17g", "%.17g", "%d"] + ["%.17g"] * 7
-    for row in table:
-        buf.append(",".join(f % v for f, v in zip(fmt, row)))
-    _write_atomic(Path(args.out), header + "\n" + "\n".join(buf) + "\n")
-    summary = result.summary
-    sys.stdout.write(
-        _json_text(
-            {
-                "phase": args.phase,
-                "n": summary.n,
-                "seed": seed,
-                "mean_ghz": summary.mean_ghz,
-                "std_ghz": summary.std_ghz,
-                "sem_ghz": summary.sem_ghz,
-                "out": str(args.out),
-            }
+    params = cfg.siv_parameters()
+    if args.phase == "pre":
+        result = sample_pre_deposition(
+            n, cfg.intrinsic_model(), params, seed,
+            sample_frame=cfg.sample_frame, threads=args.threads,
         )
+    else:
+        result = sample_post_deposition(
+            n, cfg.position_distribution(), solve_beam_state(cfg.layer_stack()),
+            params, include_intrinsic=cfg.include_intrinsic_post,
+            intrinsic=cfg.intrinsic_model(), seed=seed, threads=args.threads,
+        )
+    s = result.samples
+    chunks = _csv_chunks(
+        "index,x_nm,y_nm,depth_nm,orientation_id,"
+        "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz",
+        [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
+         *s.eps_crystal.T, s.gss_ghz],
+        "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
     )
+    _write_atomic(Path(args.out), chunks)
+    summary = result.summary
+    sys.stdout.write(_json_text({
+        "phase": args.phase, "n": summary.n, "seed": seed,
+        "mean_ghz": summary.mean_ghz, "std_ghz": summary.std_ghz,
+        "sem_ghz": summary.sem_ghz, "out": str(args.out),
+    }))
     return 0
 
 
@@ -194,23 +187,20 @@ def _cmd_calibrate(args, cfg: Config) -> int:
     seed = args.seed if args.seed is not None else cfg.default_seed
     params = cfg.siv_parameters()
     if args.what == "sigma":
-        sigma = calibrate_sigma(
+        key, value = "sigma_unstrained", calibrate_sigma(
             args.target_ghz, n, seed, params,
             sample_frame=cfg.sample_frame, threads=args.threads,
         )
-        payload = {"what": "sigma", "target_ghz": args.target_ghz,
-                   "n": n, "seed": seed, "sigma_unstrained": sigma}
     else:
-        stress = calibrate_film_stress(
+        key, value = "film_stress_mpa", calibrate_film_stress(
             args.target_ghz, cfg.layer_stack(), cfg.position_distribution(),
             params, n, seed,
             include_intrinsic=cfg.include_intrinsic_post,
             intrinsic=cfg.intrinsic_model(),
             threads=args.threads,
         )
-        payload = {"what": "stress", "target_ghz": args.target_ghz,
-                   "n": n, "seed": seed, "film_stress_mpa": stress}
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
+                                 "n": n, "seed": seed, key: value}))
     return 0
 
 
@@ -227,9 +217,10 @@ def report(cfg: Config, seed: int, n: int | None = None,
     """Run the full calibrated-model pipeline and write the figure data.
 
     Calibrates the intrinsic strain spread to the pre-deposition measured
-    mean and the film stress to the post-deposition one, draws both
-    ensembles, solves per-emitter operating temperatures, and emits
-    gss_pdf.csv, top_vs_gss.csv, operability.csv, and summary.json.
+    mean and the film stress to the post-deposition one, reports the two
+    ensembles the calibrations end on (each drawn once), solves
+    per-emitter operating temperatures, and emits gss_pdf.csv,
+    top_vs_gss.csv, operability.csv, and summary.json.
     """
     n = n if n is not None else cfg.default_n
     params = cfg.siv_parameters()
@@ -237,58 +228,41 @@ def report(cfg: Config, seed: int, n: int | None = None,
     model = cfg.occupation_model
     out_dir = Path(out_dir)
 
-    sigma = calibrate_sigma(
-        PRE_TARGET_MEAN_GHZ, n, seed, params,
-        sample_frame=cfg.sample_frame, threads=threads,
+    sigma, pre_gss = _fit_sigma(
+        PRE_TARGET_MEAN_GHZ, n, seed, params, cfg.sample_frame, threads
     )
-    intrinsic = IntrinsicStrainModel(sigma)
-    pre = sample_pre_deposition(
-        n, intrinsic, params, seed, sample_frame=cfg.sample_frame, threads=threads
+    stress, post_gss = _fit_stress(
+        POST_TARGET_MEAN_GHZ, cfg.layer_stack(), cfg.position_distribution(),
+        params, n, seed, cfg.include_intrinsic_post, IntrinsicStrainModel(sigma),
+        threads,
     )
+    pre, post = summarize(pre_gss), summarize(post_gss)
 
-    stack = cfg.layer_stack()
-    pos = cfg.position_distribution()
-    stress = calibrate_film_stress(
-        POST_TARGET_MEAN_GHZ, stack, pos, params, n, seed,
-        include_intrinsic=cfg.include_intrinsic_post, intrinsic=intrinsic,
-        threads=threads,
-    )
-    stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-    field = solve_beam_state(stack)
-    post = sample_post_deposition(
-        n, pos, field, params,
-        include_intrinsic=cfg.include_intrinsic_post, intrinsic=intrinsic,
-        seed=seed, threads=threads,
-    )
-
-    top_pre = operational_temperature_batch(pre.samples.gss_ghz, ref, model, threads)
-    top_post = operational_temperature_batch(post.samples.gss_ghz, ref, model, threads)
+    top_pre = operational_temperature_batch(pre_gss, ref, model, threads)
+    top_post = operational_temperature_batch(post_gss, ref, model, threads)
 
     # shared-grid densities
-    hi = 50.0 * math.ceil(max(pre.samples.gss_ghz.max(), post.samples.gss_ghz.max()) / 50.0)
+    hi = 50.0 * math.ceil(max(pre_gss.max(), post_gss.max()) / 50.0)
     edges = np.linspace(0.0, hi, GSS_PDF_BINS + 1)
-    pre_density, _ = np.histogram(pre.samples.gss_ghz, bins=edges, density=True)
-    post_density, _ = np.histogram(post.samples.gss_ghz, bins=edges, density=True)
-    lines = ["bin_left_ghz,bin_right_ghz,pre_density,post_density"]
-    for i in range(GSS_PDF_BINS):
-        lines.append(
-            f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
-            f"{_fmt(pre_density[i])},{_fmt(post_density[i])}"
-        )
-    _write_atomic(out_dir / "gss_pdf.csv", "\n".join(lines) + "\n")
+    densities = [np.histogram(gss, bins=edges, density=True)[0]
+                 for gss in (pre_gss, post_gss)]
+    _write_atomic(out_dir / "gss_pdf.csv", _csv_chunks(
+        "bin_left_ghz,bin_right_ghz,pre_density,post_density",
+        [edges[:-1], edges[1:], *densities], "%r,%r,%r,%r",
+    ))
 
     top_curve = operational_temperature_batch(TOP_CURVE_GSS_GHZ, ref, model, threads)
-    lines = ["gss_ghz,t_op_k"]
-    for g, t in zip(TOP_CURVE_GSS_GHZ, top_curve):
-        lines.append(f"{_fmt(g)},{_fmt(t)}")
-    _write_atomic(out_dir / "top_vs_gss.csv", "\n".join(lines) + "\n")
+    _write_atomic(out_dir / "top_vs_gss.csv", _csv_chunks(
+        "gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve], "%r,%r",
+    ))
 
-    curve_pre = operability_curve(pre, OPERABILITY_TEMPS_K, ref, model, threads)
-    curve_post = operability_curve(post, OPERABILITY_TEMPS_K, ref, model, threads)
-    lines = ["temp_k,p_pre,p_post"]
-    for (t, p_pre), (_, p_post) in zip(curve_pre, curve_post):
-        lines.append(f"{_fmt(t)},{_fmt(p_pre)},{_fmt(p_post)}")
-    _write_atomic(out_dir / "operability.csv", "\n".join(lines) + "\n")
+    p_pre, p_post = (
+        [p for _, p in operability_curve(gss, OPERABILITY_TEMPS_K, ref, model, threads)]
+        for gss in (pre_gss, post_gss)
+    )
+    _write_atomic(out_dir / "operability.csv", _csv_chunks(
+        "temp_k,p_pre,p_post", [OPERABILITY_TEMPS_K, p_pre, p_post], "%r,%r,%r",
+    ))
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -296,12 +270,12 @@ def report(cfg: Config, seed: int, n: int | None = None,
         "n": n,
         "sigma_unstrained_calibrated": sigma,
         "film_stress_mpa_calibrated": stress,
-        "pre_mean_ghz": pre.summary.mean_ghz,
-        "pre_std_ghz": pre.summary.std_ghz,
-        "pre_sem_ghz": pre.summary.sem_ghz,
-        "post_mean_ghz": post.summary.mean_ghz,
-        "post_std_ghz": post.summary.std_ghz,
-        "post_sem_ghz": post.summary.sem_ghz,
+        "pre_mean_ghz": pre.mean_ghz,
+        "pre_std_ghz": pre.std_ghz,
+        "pre_sem_ghz": pre.sem_ghz,
+        "post_mean_ghz": post.mean_ghz,
+        "post_std_ghz": post.std_ghz,
+        "post_sem_ghz": post.sem_ghz,
         "p_top_ge_1p5k": float(np.mean(top_post >= 1.5)),
         "p_top_ge_2p0k": float(np.mean(top_post >= 2.0)),
         "pre_p_top_ge_1p5k": float(np.mean(top_pre >= 1.5)),
@@ -318,6 +292,8 @@ def _cmd_report(args, cfg: Config) -> int:
 
 
 def _cmd_spectra(args, cfg: Config) -> int:
+    if any(c in args.batch_tag for c in ',"\r\n'):  # written unquoted to the pooled CSV
+        raise StrainforgeError(f"batch tag {args.batch_tag!r} has a comma, quote or line break")
     directory = Path(args.dir)
     if not directory.is_dir():
         raise StrainforgeError(f"not a directory: {directory}")
@@ -343,15 +319,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
                 "n_peaks": len(assignment.peaks),
                 "is_single_emitter": assignment.is_single_emitter,
                 "gss_ghz": assignment.gss_ghz,
-                "peaks": [
-                    {
-                        "center_ghz": p.center_ghz,
-                        "height": p.height,
-                        "prominence": p.prominence,
-                        "width_ghz": p.width_ghz,
-                    }
-                    for p in assignment.peaks
-                ],
+                "peaks": [asdict(p) for p in assignment.peaks],
             }
         )
 
@@ -378,16 +346,17 @@ def _cmd_spectra(args, cfg: Config) -> int:
     _write_atomic(out_path, _json_text(payload))
 
     pooled = spectra.pool_transitions(batch, window, prominence)
-    lines = ["batch_tag,bin_left_ghz,bin_right_ghz,density"]
-    for tag in sorted(pooled):
-        hist = pooled[tag]
-        for i in range(len(hist.density)):
-            lines.append(
-                f"{tag},{_fmt(hist.edges_ghz[i])},"
-                f"{_fmt(hist.edges_ghz[i + 1])},{_fmt(hist.density[i])}"
-            )
+    hists = [pooled[tag] for tag in sorted(pooled)]
+    chunks = _csv_chunks(
+        "batch_tag,bin_left_ghz,bin_right_ghz,density",
+        [[h.batch_tag for h in hists for _ in h.density],
+         np.concatenate([h.edges_ghz[:-1] for h in hists]),
+         np.concatenate([h.edges_ghz[1:] for h in hists]),
+         np.concatenate([h.density for h in hists])],
+        "%s,%r,%r,%r",
+    )
     pooled_path = out_path.with_name(out_path.stem + "_pooled.csv")
-    _write_atomic(pooled_path, "\n".join(lines) + "\n")
+    _write_atomic(pooled_path, chunks)
     sys.stdout.write(_json_text({"out": str(out_path), "pooled": str(pooled_path)}))
     return 0
 

@@ -16,7 +16,8 @@ beta). Intrinsic strain is sigma times unit normals and film strain is the
 axial strain e_yy(depth) times a fixed tensor, so every sample is
 ``sqrt(lam^2 + 4 |e_yy F[o] + sigma W[o] z|^2)`` with per-orientation
 coupling tables W and F built once from ``core``. A calibration therefore
-draws its ensemble once and only re-evaluates that expression per step.
+draws its ensemble once and only re-evaluates that expression per step;
+its ensemble at the fitted scale equals the sampler's there, bit for bit.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class EnsembleResult:
     summary: EnsembleSummary
 
 
-def summarize(values, bins="fd") -> EnsembleSummary:
+def summarize(values) -> EnsembleSummary:
     """Mean, sample std (n-1), SEM, density histogram, and empirical CDF."""
     if isinstance(values, EmitterSamples):
         data = np.asarray(values.gss_ghz, dtype=float)
@@ -167,7 +168,10 @@ def summarize(values, bins="fd") -> EnsembleSummary:
     mean = float(np.mean(data))
     std = float(np.std(data, ddof=1)) if n > 1 else 0.0
     sem = std / math.sqrt(n)
-    edges = np.histogram_bin_edges(data, bins=bins)
+    try:
+        edges = np.histogram_bin_edges(data, bins="fd")
+    except ValueError:  # spread of a few ulps: no finite-width FD bins
+        edges = np.histogram_bin_edges(data, bins=1)
     density, edges = np.histogram(data, bins=edges, density=True)
     sorted_vals = np.sort(data)
     fractions = np.arange(1, n + 1, dtype=float) / n
@@ -283,7 +287,6 @@ def sample_pre_deposition(
     *,
     sample_frame: str = "defect",
     threads: int | None = None,
-    bins="fd",
 ) -> EnsembleResult:
     """Ensemble of emitters carrying only random intrinsic strain.
 
@@ -306,7 +309,7 @@ def sample_pre_deposition(
 
     _kernels.run_blocks(n, block, threads)
     samples = EmitterSamples(np.zeros(n), np.zeros(n), np.zeros(n), ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(samples, bins=bins))
+    return EnsembleResult(samples=samples, summary=summarize(samples))
 
 
 def sample_post_deposition(
@@ -319,7 +322,6 @@ def sample_post_deposition(
     intrinsic: IntrinsicStrainModel | None = None,
     seed: int,
     threads: int | None = None,
-    bins="fd",
 ) -> EnsembleResult:
     """Ensemble of emitters in the film-induced strain field.
 
@@ -355,21 +357,21 @@ def sample_post_deposition(
 
     _raise_failures(_kernels.run_blocks(n, block, threads))
     samples = EmitterSamples(x, y, depth, ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(samples, bins=bins))
+    return EnsembleResult(samples=samples, summary=summarize(samples))
 
 
-def _pre_means(n, seed, params, sample_frame, threads):
-    """sigma -> summary mean of ``sample_pre_deposition`` at that sigma.
+def _pre_gss(n, seed, params, sample_frame, threads):
+    """sigma -> gss of ``sample_pre_deposition`` at that sigma.
 
     The ensemble is drawn once and kept as per-emitter couplings per unit
     sigma; each call only rescales them and evaluates the splitting, chunk
-    by chunk with the sampler's own formula, so the mean is the sampler's
-    to the last bit.
+    by chunk with the sampler's own formula, into a fresh array equal to
+    the sampler's to the last bit.
     """
     _check_pre(n, sample_frame)
     root = _kernels.seed_root(seed)
     rows, _ = _intrinsic_maps(params, sample_frame)
-    unit, gss = np.empty((2, n)), np.empty(n)
+    unit = np.empty((2, n))
 
     def draw(lo, hi):
         z, o = _kernels.draw_pre_block(lo, hi, root)
@@ -377,19 +379,21 @@ def _pre_means(n, seed, params, sample_frame, threads):
 
     _kernels.run_blocks(n, draw, threads)
 
-    def mean_at(sigma):
+    def gss_at(sigma):
+        gss = np.empty(n)
+
         def evaluate(lo, hi):
             gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit[:, lo:hi])
 
         _kernels.run_blocks(n, evaluate, threads)
-        return float(np.mean(gss))
+        return gss
 
-    return mean_at
+    return gss_at
 
 
-def _post_means(stack, pos, params, n, seed, include_intrinsic, intrinsic, threads):
-    """Film stress (MPa) -> summary mean of ``sample_post_deposition`` in
-    the field of ``stack`` at that stress.
+def _post_gss(stack, pos, params, n, seed, include_intrinsic, intrinsic, threads):
+    """Film stress (MPa) -> gss of ``sample_post_deposition`` in the field
+    of ``stack`` at that stress.
 
     Depths, orientations and intrinsic couplings are drawn once; each call
     solves the beam and evaluates the splitting as the sampler does.
@@ -404,7 +408,7 @@ def _post_means(stack, pos, params, n, seed, include_intrinsic, intrinsic, threa
                             include_intrinsic)
     rows, _ = _intrinsic_maps(params, "defect")
     _, film_rows = _film_response(field, params)
-    depth, gss = np.empty(n), np.empty(n)
+    depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n)) if include_intrinsic else None
     sigma_i = intrinsic.sigma if include_intrinsic else 0.0
@@ -417,8 +421,9 @@ def _post_means(stack, pos, params, n, seed, include_intrinsic, intrinsic, threa
 
     _raise_failures(_kernels.run_blocks(n, draw, threads))
 
-    def mean_at(stress_mpa):
+    def gss_at(stress_mpa):
         field = field_at(stress_mpa)
+        gss = np.empty(n)
 
         def evaluate(lo, hi):
             eyy = field.axial_strain(depth[lo:hi])
@@ -429,9 +434,9 @@ def _post_means(stack, pos, params, n, seed, include_intrinsic, intrinsic, threa
             )
 
         _kernels.run_blocks(n, evaluate, threads)
-        return float(np.mean(gss))
+        return gss
 
-    return mean_at
+    return gss_at
 
 
 def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
@@ -466,13 +471,79 @@ def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
     return x
 
 
+# default tolerance of a calibration on the ensemble mean
+_TOL_GHZ = 0.05
+
+
+def _check_target(target_mean_ghz, lam):
+    if target_mean_ghz < lam:
+        raise Infeasible(
+            f"target mean {target_mean_ghz} GHz is below the floor {lam} GHz"
+        )
+    if not math.isfinite(target_mean_ghz):
+        raise Infeasible(f"target mean {target_mean_ghz} GHz is not finite")
+
+
+def _fit(gss_at, target, lo, f_lo, hi, cap, tol, unreachable):
+    """Scale whose ensemble mean hits ``target``, and the ensemble there.
+
+    Doubles ``hi`` until its mean reaches the target (Infeasible with
+    ``unreachable`` past ``cap``), then runs ``_monotone_root`` on the
+    bracket. Returns (scale, gss at scale).
+    """
+    last = [None, None]
+
+    def mean_at(scale):
+        last[:] = scale, gss_at(scale)
+        return float(np.mean(last[1]))
+
+    f_hi = mean_at(hi)
+    while f_hi < target:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi > cap:
+            raise Infeasible(unreachable)
+        f_hi = mean_at(hi)
+    scale = _monotone_root(mean_at, target, lo, hi, f_lo, f_hi, tol)
+    return scale, last[1] if last[0] == scale else gss_at(scale)
+
+
+def _fit_sigma(target_mean_ghz, n, seed, params, sample_frame, threads,
+               tol_ghz=_TOL_GHZ):
+    """(sigma, gss): ``calibrate_sigma`` and its pre-deposition ensemble."""
+    lam = params.lambda_so_ghz
+    _check_target(target_mean_ghz, lam)
+    if target_mean_ghz <= lam * (1.0 + 1e-12):
+        return 0.0, np.full(n, lam)
+    return _fit(_pre_gss(n, seed, params, sample_frame, threads), target_mean_ghz,
+                0.0, lam, 1e-5, 1e-2, tol_ghz,
+                "target mean unreachable within the small-strain regime")
+
+
+def _fit_stress(target_mean_ghz, stack, pos, params, n, seed, include_intrinsic,
+                intrinsic, threads, tol_ghz=_TOL_GHZ):
+    """(stress, gss): ``calibrate_film_stress`` and its post-deposition
+    ensemble."""
+    _check_target(target_mean_ghz, params.lambda_so_ghz)
+    gss_at = _post_gss(stack, pos, params, n, seed, include_intrinsic,
+                       intrinsic, threads)
+    gss = gss_at(0.0)
+    f_lo = float(np.mean(gss))
+    if target_mean_ghz <= f_lo + tol_ghz:
+        if target_mean_ghz >= f_lo - tol_ghz:
+            return 0.0, gss
+        raise Infeasible("target mean lies below the zero-stress ensemble mean")
+    return _fit(gss_at, target_mean_ghz, 0.0, f_lo, 500.0, 1e6, tol_ghz,
+                "target mean unreachable at physical film stresses")
+
+
 def calibrate_sigma(
     target_mean_ghz: float,
     n: int,
     seed: int,
     params: SivParameters | None = None,
     *,
-    tol_ghz: float = 0.05,
+    tol_ghz: float = _TOL_GHZ,
     sample_frame: str = "defect",
     threads: int | None = None,
 ) -> float:
@@ -483,25 +554,8 @@ def calibrate_sigma(
     ensemble is drawn once and each step rescales its couplings. Raises
     Infeasible for targets below the spin-orbit floor.
     """
-    params = params or SivParameters()
-    lam = params.lambda_so_ghz
-    if target_mean_ghz < lam:
-        raise Infeasible(
-            f"target mean {target_mean_ghz} GHz is below the floor {lam} GHz"
-        )
-    if target_mean_ghz <= lam * (1.0 + 1e-12):
-        return 0.0
-    mean_at = _pre_means(n, seed, params, sample_frame, threads)
-    lo, f_lo = 0.0, lam
-    hi = 1e-5
-    f_hi = mean_at(hi)
-    while f_hi < target_mean_ghz:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > 1e-2:
-            raise Infeasible("target mean unreachable within the small-strain regime")
-        f_hi = mean_at(hi)
-    return _monotone_root(mean_at, target_mean_ghz, lo, hi, f_lo, f_hi, tol_ghz)
+    return _fit_sigma(target_mean_ghz, n, seed, params or SivParameters(),
+                      sample_frame, threads, tol_ghz)[0]
 
 
 def calibrate_film_stress(
@@ -514,7 +568,7 @@ def calibrate_film_stress(
     *,
     include_intrinsic: bool = False,
     intrinsic: IntrinsicStrainModel | None = None,
-    tol_ghz: float = 0.05,
+    tol_ghz: float = _TOL_GHZ,
     threads: int | None = None,
 ) -> float:
     """Equivalent film stress (MPa) whose post-deposition ensemble mean
@@ -522,29 +576,5 @@ def calibrate_film_stress(
 
     The film strain is linear in the stress, so the ensemble is drawn once
     and each root-finder step re-evaluates it in the trial field."""
-    params = params or SivParameters()
-    lam = params.lambda_so_ghz
-    if target_mean_ghz < lam:
-        raise Infeasible(
-            f"target mean {target_mean_ghz} GHz is below the floor {lam} GHz"
-        )
-
-    mean_at = _post_means(stack, pos, params, n, seed, include_intrinsic,
-                          intrinsic, threads)
-    lo = 0.0
-    f_lo = mean_at(0.0)
-    if target_mean_ghz <= f_lo + tol_ghz:
-        if target_mean_ghz >= f_lo - tol_ghz:
-            return 0.0
-        raise Infeasible(
-            "target mean lies below the zero-stress ensemble mean"
-        )
-    hi = 500.0
-    f_hi = mean_at(hi)
-    while f_hi < target_mean_ghz:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise Infeasible("target mean unreachable at physical film stresses")
-        f_hi = mean_at(hi)
-    return _monotone_root(mean_at, target_mean_ghz, lo, hi, f_lo, f_hi, tol_ghz)
+    return _fit_stress(target_mean_ghz, stack, pos, params or SivParameters(),
+                       n, seed, include_intrinsic, intrinsic, threads, tol_ghz)[0]

@@ -288,7 +288,6 @@ def pool_transitions(
     batch: list[Spectrum],
     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
-    bins="fd",
 ) -> dict[str, PooledHistogram]:
     """All detected peak centers pooled into one normalized histogram per
     batch tag, with no attempt to tell the four optical lines apart."""
@@ -302,7 +301,7 @@ def pool_transitions(
     for tag, vals in centers.items():
         if vals:
             arr = np.asarray(vals)
-            edges = np.histogram_bin_edges(arr, bins=bins)
+            edges = np.histogram_bin_edges(arr, bins="fd")
             density, edges = np.histogram(arr, bins=edges, density=True)
         else:
             edges = np.array([])

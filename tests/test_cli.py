@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import strainforge._kernels as kernels
+import strainforge.cli as cli
+import strainforge.population as pop
 from conftest import synth_spectrum
 from strainforge.cli import _write_atomic, run
+from strainforge.config import load_config
+from strainforge.mechanics import solve_beam_state
 from strainforge.spectra import write_spectrum
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
@@ -43,6 +48,10 @@ class TestExitCodes:
         assert run(["top", "--gss-ghz", "554", "--config", str(bad)]) == 1
 
 
+def _one_line_error(err: str) -> bool:
+    return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestWriteAtomic:
     def test_failed_replace_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
@@ -57,6 +66,20 @@ class TestWriteAtomic:
         target = tmp_path / "out.txt"
         with pytest.raises(UnicodeEncodeError):
             _write_atomic(target, "unpaired surrogate \ud800\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_chunks_are_joined(self, tmp_path):
+        target = tmp_path / "out.txt"
+        _write_atomic(target, iter(["a,b\n", "", "1,2\n"]))
+        assert target.read_text() == "a,b\n1,2\n"
+
+    def test_failing_chunk_stream_leaves_no_temp_file(self, tmp_path):
+        def chunks():
+            yield "header\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError):
+            _write_atomic(tmp_path / "out.txt", chunks())
         assert list(tmp_path.iterdir()) == []
 
 
@@ -76,6 +99,13 @@ class TestMechanicsCommand:
         assert run(["mechanics", "--depth-profile", "--out", str(out)]) == 0
         assert out.exists()
         assert out.read_text().startswith("depth_nm,")
+
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsysbinary):
+        out = tmp_path / "profile.csv"
+        assert run(["mechanics", "--depth-profile", "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert run(["mechanics", "--depth-profile"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_output_onto_directory_is_one_line_error(self, tmp_path, capsys):
         # an OS error while writing is a diagnostic, not a traceback
@@ -111,6 +141,35 @@ class TestSampleCommand:
         assert summary["n"] == 500
         assert summary["mean_ghz"] >= 46.0
 
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_sample_csv_matches_per_value_formatting(self, tmp_path, capsys,
+                                                     phase, fast_config):
+        out = tmp_path / "samples.csv"
+        assert run(["sample", "--phase", phase, "--n", "500", "--seed", "3",
+                    "--out", str(out), "--config", fast_config]) == 0
+        cfg = load_config(fast_config)
+        params = cfg.siv_parameters()
+        if phase == "pre":
+            res = pop.sample_pre_deposition(500, cfg.intrinsic_model(), params, 3,
+                                            sample_frame=cfg.sample_frame)
+        else:
+            res = pop.sample_post_deposition(
+                500, cfg.position_distribution(), solve_beam_state(cfg.layer_stack()),
+                params, include_intrinsic=cfg.include_intrinsic_post,
+                intrinsic=cfg.intrinsic_model(), seed=3,
+            )
+        s = res.samples
+        table = np.column_stack([
+            np.arange(len(s), dtype=float), s.x_nm, s.y_nm, s.depth_nm,
+            s.orientation_id.astype(float), s.eps_crystal, s.gss_ghz,
+        ])
+        fmt = ["%d", "%.17g", "%.17g", "%.17g", "%d"] + ["%.17g"] * 7
+        rows = [",".join(f % v for f, v in zip(fmt, row)) for row in table]
+        header = ("index,x_nm,y_nm,depth_nm,orientation_id,"
+                  "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
+        want = header + "\n" + "\n".join(rows) + "\n"
+        assert out.read_bytes() == want.encode()
+
     def test_sample_deterministic_bytes(self, tmp_path, capsys, fast_config):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -133,6 +192,18 @@ class TestCalibrateCommand:
         code = run(["calibrate", "--what", "sigma", "--target-ghz", "10",
                     "--config", fast_config])
         assert code == 1
+
+    @pytest.mark.parametrize("what", ["sigma", "stress"])
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_is_one_line_error(self, capsys, fast_config,
+                                                 what, target):
+        code = run(["calibrate", "--what", what, "--target-ghz", target,
+                    "--config", fast_config])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err)
+        assert "not finite" in captured.err
 
     def test_stress_target(self, capsys, fast_config):
         code = run(["calibrate", "--what", "stress", "--target-ghz", "608",
@@ -160,6 +231,34 @@ class TestReportCommand:
         assert abs(summary["post_mean_ghz"] - 608.0) < 1.0
         assert summary["p_top_ge_1p5k"] > 0.5
         assert summary["seed"] == 5
+
+    def test_report_draws_each_ensemble_once(self, tmp_path, capsys,
+                                             fast_config, monkeypatch):
+        # the report reuses the calibrations' ensembles: no sampler call,
+        # and n = 4096 fits one chunk, so one draw call per phase
+        def resampled(*args, **kwargs):
+            raise AssertionError("report re-sampled an ensemble")
+
+        calls = {"pre": 0, "post": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (pop, cli):
+            for name in ("sample_pre_deposition", "sample_post_deposition"):
+                monkeypatch.setattr(module, name, resampled)
+        monkeypatch.setattr(kernels, "draw_pre_block",
+                            counted("pre", kernels.draw_pre_block))
+        monkeypatch.setattr(kernels, "draw_post_block",
+                            counted("post", kernels.draw_post_block))
+        assert run(["report", "--config", fast_config, "--n", "4096",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert calls == {"pre": 1, "post": 1}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n"] == 4096
 
     def test_report_seed_flag_changes_output(self, tmp_path, fast_config):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"
@@ -198,6 +297,21 @@ class TestSpectraCommand:
         pooled = out.with_name("stats_pooled.csv")
         assert pooled.exists()
         assert pooled.read_text().startswith("batch_tag,")
+
+    @pytest.mark.parametrize("tag", ["run,7", 'say "hi"', "a\rb", "a\nb"])
+    def test_unsafe_batch_tag_rejected_before_writing(self, tmp_path, capsys, tag):
+        rng = np.random.default_rng(23)
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        s = synth_spectrum(rng, [406600.0, 406900.0], fwhm_ghz=15.0, snr=30.0,
+                           f_lo=406300.0, f_hi=407400.0, n_points=2200)
+        write_spectrum(s, spec_dir / "s0.csv")
+        out = tmp_path / "out" / "stats.json"
+        code = run(["spectra", "--dir", str(spec_dir), "--batch-tag", tag,
+                    "--out", str(out)])
+        assert code == 1
+        assert _one_line_error(capsys.readouterr().err)
+        assert not out.parent.exists()
 
     def test_missing_dir_is_domain_error(self, tmp_path, capsys):
         code = run(["spectra", "--dir", str(tmp_path / "nope"),

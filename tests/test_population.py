@@ -76,6 +76,14 @@ class TestSummarize:
             mass = np.sum(s.hist_density * np.diff(s.hist_edges_ghz))
             assert mass == pytest.approx(1.0, abs=1e-9)
 
+    def test_spread_of_a_few_ulps(self):
+        # Freedman-Diaconis bins would be narrower than one ulp
+        data = 46.0 + np.spacing(46.0) * (np.arange(4096) % 4)
+        s = summarize(data)
+        mass = np.sum(s.hist_density * np.diff(s.hist_edges_ghz))
+        assert mass == pytest.approx(1.0, abs=1e-9)
+        assert s.mean_ghz == pytest.approx(46.0, rel=1e-15)
+
     def test_ecdf(self):
         s = summarize([3.0, 1.0, 2.0])
         assert np.array_equal(s.ecdf_values_ghz, [1.0, 2.0, 3.0])
@@ -230,6 +238,10 @@ class TestPostDeposition:
         assert split > 5 * spread_within
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the ensemble was drawn")
+
+
 class TestMonotoneCalibration:
     def test_mean_monotone_in_sigma(self):
         means = [
@@ -288,6 +300,22 @@ class TestMonotoneCalibration:
         with pytest.raises(Infeasible):
             calibrate_film_stress(
                 10.0, cfg.layer_stack(), cfg.position_distribution(),
+                PARAMS, 1000, seed=19,
+            )
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_calibrate_sigma_non_finite_target(self, target, monkeypatch):
+        # rejected before the ensemble is drawn
+        monkeypatch.setattr(kernels, "draw_pre_block", _no_draw)
+        with pytest.raises(Infeasible, match="not finite"):
+            calibrate_sigma(target, 1000, seed=15)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_calibrate_stress_non_finite_target(self, cfg, target, monkeypatch):
+        monkeypatch.setattr(kernels, "draw_post_block", _no_draw)
+        with pytest.raises(Infeasible, match="not finite"):
+            calibrate_film_stress(
+                target, cfg.layer_stack(), cfg.position_distribution(),
                 PARAMS, 1000, seed=19,
             )
 
@@ -418,7 +446,8 @@ class TestCouplingTables:
 
 class TestCachedCalibrationMeans:
     """Calibration steps evaluate cached couplings instead of re-sampling;
-    their means are the samplers' means."""
+    each step's ensemble is the sampler's, bit for bit, so its mean is
+    the sampler's mean."""
 
     N = 4096
 
@@ -429,10 +458,10 @@ class TestCachedCalibrationMeans:
     )
     @settings(max_examples=15, deadline=None)
     def test_pre_mean_matches_sampler(self, sigma, frame, seed):
-        mean_at = pop._pre_means(self.N, seed, PARAMS, frame, None)
+        gss_at = pop._pre_gss(self.N, seed, PARAMS, frame, None)
         want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS,
-                                     seed, sample_frame=frame).summary.mean_ghz
-        assert mean_at(sigma) == pytest.approx(want, rel=1e-12, abs=0.0)
+                                     seed, sample_frame=frame).samples.gss_ghz
+        assert np.array_equal(gss_at(sigma), want)
 
     @given(
         stress=st.floats(0.0, 2000.0),
@@ -444,14 +473,14 @@ class TestCachedCalibrationMeans:
     def test_post_mean_matches_sampler(self, cfg, stress, sigma, include_intrinsic, seed):
         stack, pos = cfg.layer_stack(), cfg.position_distribution()
         intrinsic = IntrinsicStrainModel(sigma)
-        mean_at = pop._post_means(stack, pos, PARAMS, self.N, seed,
-                                  include_intrinsic, intrinsic, None)
+        gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed,
+                               include_intrinsic, intrinsic, None)
         trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         want = sample_post_deposition(
             self.N, pos, solve_beam_state(trial), PARAMS, seed=seed,
             include_intrinsic=include_intrinsic, intrinsic=intrinsic,
-        ).summary.mean_ghz
-        assert mean_at(stress) == pytest.approx(want, rel=1e-12, abs=0.0)
+        ).samples.gss_ghz
+        assert np.array_equal(gss_at(stress), want)
 
     def test_calibrations_draw_once_and_never_resample(self, cfg, monkeypatch):
         def resampled(*args, **kwargs):
@@ -479,3 +508,27 @@ class TestCachedCalibrationMeans:
         )
         # n fits in one chunk: one draw call per calibration
         assert calls == {"pre": 1, "post": 1}
+
+    @pytest.mark.parametrize("target", [46.0, 119.0])
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_sigma_fit_returns_the_sampled_ensemble(self, target, threads):
+        sigma, gss = pop._fit_sigma(target, self.N, 33, PARAMS, "defect", threads)
+        assert sigma == calibrate_sigma(target, self.N, seed=33, threads=threads)
+        want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS, 33)
+        assert np.array_equal(gss, want.samples.gss_ghz)
+
+    @pytest.mark.parametrize("target,include_intrinsic", [(46.0, False), (608.0, True)])
+    def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, include_intrinsic):
+        stack, pos = cfg.layer_stack(), cfg.position_distribution()
+        stress, gss = pop._fit_stress(target, stack, pos, PARAMS, self.N, 34,
+                                      include_intrinsic, SIGMA, None)
+        assert stress == calibrate_film_stress(
+            target, stack, pos, PARAMS, self.N, seed=34,
+            include_intrinsic=include_intrinsic, intrinsic=SIGMA,
+        )
+        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
+        want = sample_post_deposition(
+            self.N, pos, solve_beam_state(stack), PARAMS, seed=34,
+            include_intrinsic=include_intrinsic, intrinsic=SIGMA,
+        )
+        assert np.array_equal(gss, want.samples.gss_ghz)
