@@ -29,7 +29,6 @@ from .mechanics import (
     strain_at,
 )
 from .population import (
-    EmitterSample,
     EnsembleResult,
     IntrinsicStrainModel,
     PositionDistribution,

@@ -256,12 +256,11 @@ def report(cfg: Config, seed: int, n: int | None = None,
         "gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve], "%r,%r",
     ))
 
-    p_pre, p_post = (
-        [p for _, p in operability_curve(gss, OPERABILITY_TEMPS_K, ref, model, threads)]
-        for gss in (pre_gss, post_gss)
-    )
     _write_atomic(out_dir / "operability.csv", _csv_chunks(
-        "temp_k,p_pre,p_post", [OPERABILITY_TEMPS_K, p_pre, p_post], "%r,%r,%r",
+        "temp_k,p_pre,p_post",
+        [OPERABILITY_TEMPS_K, operability_curve(top_pre, OPERABILITY_TEMPS_K),
+         operability_curve(top_post, OPERABILITY_TEMPS_K)],
+        "%r,%r,%r",
     ))
 
     summary = {
@@ -304,27 +303,26 @@ def _cmd_spectra(args, cfg: Config) -> int:
         spectra.load_spectrum(f, label=f.name, batch_tag=args.batch_tag)
         for f in files
     ]
-    window = cfg.smoothing_window
-    prominence = cfg.min_prominence
-
-    records = []
-    for spec in batch:
-        assignment = spectra.classify_and_extract(
-            spectra.detect_peaks(spec, window, prominence)
+    assignments = [
+        spectra.classify_and_extract(
+            spectra.detect_peaks(spec, cfg.smoothing_window, cfg.min_prominence)
         )
-        records.append(
-            {
-                "file": spec.label,
-                "batch_tag": spec.batch_tag,
-                "n_peaks": len(assignment.peaks),
-                "is_single_emitter": assignment.is_single_emitter,
-                "gss_ghz": assignment.gss_ghz,
-                "peaks": [asdict(p) for p in assignment.peaks],
-            }
-        )
+        for spec in batch
+    ]
+    records = [
+        {
+            "file": spec.label,
+            "batch_tag": spec.batch_tag,
+            "n_peaks": len(assignment.peaks),
+            "is_single_emitter": assignment.is_single_emitter,
+            "gss_ghz": assignment.gss_ghz,
+            "peaks": [asdict(p) for p in assignment.peaks],
+        }
+        for spec, assignment in zip(batch, assignments)
+    ]
 
     try:
-        stats = spectra.batch_gss_stats(batch, window, prominence)
+        stats = spectra.batch_gss_stats(assignments)
         gss_stats = {
             "n_spectra": stats.n_spectra,
             "n_single_emitters": stats.n_single_emitters,
@@ -345,7 +343,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
     }
     _write_atomic(out_path, _json_text(payload))
 
-    pooled = spectra.pool_transitions(batch, window, prominence)
+    pooled = spectra.pool_transitions(batch, assignments)
     hists = [pooled[tag] for tag in sorted(pooled)]
     chunks = _csv_chunks(
         "batch_tag,bin_left_ghz,bin_right_ghz,density",

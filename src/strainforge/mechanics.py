@@ -149,21 +149,6 @@ class CrossSection:
         a, b = self.film_edge
         return float(abs(b[0] - a[0]))
 
-    def contains(self, y_nm: float, depth_nm: float) -> bool:
-        """Crossing-number test for the point at lateral y and given depth."""
-        z = self.z_top_nm - depth_nm
-        verts = self.vertices_nm
-        inside = False
-        n = len(verts)
-        for i in range(n):
-            y0, z0 = verts[i]
-            y1, z1 = verts[(i + 1) % n]
-            if (z0 > z) != (z1 > z):
-                y_cross = y0 + (z - z0) * (y1 - y0) / (z1 - z0)
-                if y_nm < y_cross:
-                    inside = not inside
-        return inside
-
 
 @dataclass(frozen=True)
 class LayerStack:

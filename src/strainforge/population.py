@@ -50,7 +50,6 @@ from .mechanics import (
 __all__ = [
     "IntrinsicStrainModel",
     "PositionDistribution",
-    "EmitterSample",
     "EmitterSamples",
     "EnsembleSummary",
     "EnsembleResult",
@@ -92,21 +91,8 @@ class PositionDistribution:
             raise ValueError("depth_straggle_nm must be >= 0")
 
 
-@dataclass(frozen=True)
-class EmitterSample:
-    """One Monte Carlo draw."""
-
-    x_nm: float
-    y_nm: float
-    depth_nm: float
-    orientation: DefectOrientation
-    strain: StrainTensor
-    gss_ghz: float
-
-
 class EmitterSamples:
-    """Columnar store of emitter draws; behaves like a sequence of
-    EmitterSample. Arrays are the authoritative representation."""
+    """Columnar store of emitter draws, one array per quantity."""
 
     def __init__(self, x_nm, y_nm, depth_nm, orientation_id, eps_crystal, gss_ghz):
         self.x_nm = x_nm
@@ -119,24 +105,6 @@ class EmitterSamples:
     def __len__(self) -> int:
         return len(self.gss_ghz)
 
-    def __getitem__(self, i: int) -> EmitterSample:
-        e = self.eps_crystal[i]
-        return EmitterSample(
-            x_nm=float(self.x_nm[i]),
-            y_nm=float(self.y_nm[i]),
-            depth_nm=float(self.depth_nm[i]),
-            orientation=ORIENTATIONS[int(self.orientation_id[i])],
-            strain=StrainTensor(
-                eps_xx=e[0], eps_yy=e[1], eps_zz=e[2],
-                eps_xy=e[3], eps_yz=e[4], eps_zx=e[5],
-                frame=Frame.CRYSTAL,
-            ),
-            gss_ghz=float(self.gss_ghz[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class EnsembleSummary:
@@ -144,10 +112,6 @@ class EnsembleSummary:
     std_ghz: float
     sem_ghz: float
     n: int
-    hist_edges_ghz: np.ndarray
-    hist_density: np.ndarray
-    ecdf_values_ghz: np.ndarray
-    ecdf_fractions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,34 +121,15 @@ class EnsembleResult:
 
 
 def summarize(values) -> EnsembleSummary:
-    """Mean, sample std (n-1), SEM, density histogram, and empirical CDF."""
-    if isinstance(values, EmitterSamples):
-        data = np.asarray(values.gss_ghz, dtype=float)
-    else:
-        data = np.asarray(values, dtype=float).ravel()
+    """Mean, sample std (n-1) and SEM."""
+    data = np.asarray(values, dtype=float).ravel()
     n = data.size
     if n == 0:
         raise EmptyRequest("cannot summarize an empty sample set")
     mean = float(np.mean(data))
     std = float(np.std(data, ddof=1)) if n > 1 else 0.0
     sem = std / math.sqrt(n)
-    try:
-        edges = np.histogram_bin_edges(data, bins="fd")
-    except ValueError:  # spread of a few ulps: no finite-width FD bins
-        edges = np.histogram_bin_edges(data, bins=1)
-    density, edges = np.histogram(data, bins=edges, density=True)
-    sorted_vals = np.sort(data)
-    fractions = np.arange(1, n + 1, dtype=float) / n
-    return EnsembleSummary(
-        mean_ghz=mean,
-        std_ghz=std,
-        sem_ghz=sem,
-        n=n,
-        hist_edges_ghz=edges,
-        hist_density=density,
-        ecdf_values_ghz=sorted_vals,
-        ecdf_fractions=fractions,
-    )
+    return EnsembleSummary(mean_ghz=mean, std_ghz=std, sem_ghz=sem, n=n)
 
 
 # Strain scale of the basis tensors the coupling tables are built from: a
@@ -309,7 +254,7 @@ def sample_pre_deposition(
 
     _kernels.run_blocks(n, block, threads)
     samples = EmitterSamples(np.zeros(n), np.zeros(n), np.zeros(n), ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(samples))
+    return EnsembleResult(samples=samples, summary=summarize(gss))
 
 
 def sample_post_deposition(
@@ -357,7 +302,7 @@ def sample_post_deposition(
 
     _raise_failures(_kernels.run_blocks(n, block, threads))
     samples = EmitterSamples(x, y, depth, ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(samples))
+    return EnsembleResult(samples=samples, summary=summarize(gss))
 
 
 def _pre_gss(n, seed, params, sample_frame, threads):
@@ -513,6 +458,7 @@ def _fit_sigma(target_mean_ghz, n, seed, params, sample_frame, threads,
     """(sigma, gss): ``calibrate_sigma`` and its pre-deposition ensemble."""
     lam = params.lambda_so_ghz
     _check_target(target_mean_ghz, lam)
+    _check_pre(n, sample_frame)
     if target_mean_ghz <= lam * (1.0 + 1e-12):
         return 0.0, np.full(n, lam)
     return _fit(_pre_gss(n, seed, params, sample_frame, threads), target_mean_ghz,

@@ -285,18 +285,16 @@ class PooledHistogram:
 
 
 def pool_transitions(
-    batch: list[Spectrum],
-    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
-    min_prominence: float = DEFAULT_MIN_PROMINENCE,
+    batch: list[Spectrum], assignments: list[EmitterAssignment]
 ) -> dict[str, PooledHistogram]:
     """All detected peak centers pooled into one normalized histogram per
-    batch tag, with no attempt to tell the four optical lines apart."""
+    batch tag, with no attempt to tell the four optical lines apart.
+    ``assignments`` holds each spectrum's classified lines, in batch order."""
     if not batch:
         raise EmptyRequest("empty spectrum batch")
     centers: dict[str, list[float]] = {}
-    for spec in batch:
-        found = detect_peaks(spec, smoothing_window, min_prominence)
-        centers.setdefault(spec.batch_tag, []).extend(p.center_ghz for p in found)
+    for spec, assignment in zip(batch, assignments, strict=True):
+        centers.setdefault(spec.batch_tag, []).extend(p.center_ghz for p in assignment.peaks)
     out = {}
     for tag, vals in centers.items():
         if vals:
@@ -320,24 +318,13 @@ class BatchGssStats:
     n_single_emitters: int
 
 
-def batch_gss_stats(
-    batch: list[Spectrum],
-    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
-    min_prominence: float = DEFAULT_MIN_PROMINENCE,
-) -> BatchGssStats:
-    """Splitting statistics over the single-emitter subset of a batch."""
-    if not batch:
+def batch_gss_stats(assignments: list[EmitterAssignment]) -> BatchGssStats:
+    """Splitting statistics over the single-emitter subset of a batch,
+    given each spectrum's classified lines."""
+    if not assignments:
         raise EmptyRequest("empty spectrum batch")
-    values = []
-    n_single = 0
-    for spec in batch:
-        assignment = classify_and_extract(
-            detect_peaks(spec, smoothing_window, min_prominence)
-        )
-        if assignment.is_single_emitter:
-            n_single += 1
-            if assignment.gss_ghz is not None:
-                values.append(assignment.gss_ghz)
+    single = [a for a in assignments if a.is_single_emitter]
+    values = [a.gss_ghz for a in single if a.gss_ghz is not None]
     if not values:
         raise NoSingleEmitters(
             "no spectrum in the batch yielded a single-emitter splitting"
@@ -346,6 +333,6 @@ def batch_gss_stats(
     return BatchGssStats(
         summary=summarize(arr),
         gss_values_ghz=arr,
-        n_spectra=len(batch),
-        n_single_emitters=n_single,
+        n_spectra=len(assignments),
+        n_single_emitters=len(single),
     )

@@ -158,28 +158,16 @@ def operational_temperature_batch(
     return out.reshape(gss.shape)
 
 
-def operability_curve(
-    ensemble,
-    temps_k,
-    ref: ThermalReference | None = None,
-    model: str = "bose_einstein",
-    threads: int | None = None,
-) -> list[tuple[float, float]]:
+def operability_curve(top_k, temps_k) -> np.ndarray:
     """For each temperature, the fraction of emitters whose operating
-    temperature is at least that temperature. Nonincreasing by
-    construction; ties within 1e-9 K count as operable."""
-    gss = np.asarray(
-        ensemble.samples.gss_ghz if hasattr(ensemble, "samples") else ensemble,
-        dtype=float,
-    )
-    if gss.size == 0:
+    temperature (``top_k``, already solved) is at least that temperature.
+    Nonincreasing by construction; ties within 1e-9 K count as operable."""
+    top = np.sort(np.asarray(top_k, dtype=float))
+    if top.size == 0:
         raise EmptyRequest("empty ensemble")
     temps = np.asarray(temps_k, dtype=float)
     if temps.ndim != 1 or temps.size == 0:
         raise ValueError("temps must be a nonempty 1-d grid")
     if np.any(np.diff(temps) < 0):
         raise ValueError("temps must be sorted ascending")
-    top = np.sort(operational_temperature_batch(gss, ref, model, threads))
-    n = top.size
-    fractions = (n - np.searchsorted(top, temps - 1e-9, side="left")) / n
-    return [(float(t), float(p)) for t, p in zip(temps, fractions)]
+    return (top.size - np.searchsorted(top, temps - 1e-9, side="left")) / top.size

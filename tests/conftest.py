@@ -10,6 +10,24 @@ def cfg():
     return default_config()
 
 
+def point_in_section(cs, y_nm, depth_nm):
+    """Scalar crossing-number test: is the point at lateral y and given
+    depth inside cross-section ``cs``? Oracle for the sampler's vectorized
+    containment kernel."""
+    z = cs.z_top_nm - depth_nm
+    verts = cs.vertices_nm
+    inside = False
+    n = len(verts)
+    for i in range(n):
+        y0, z0 = verts[i]
+        y1, z1 = verts[(i + 1) % n]
+        if (z0 > z) != (z1 > z):
+            y_cross = y0 + (z - z0) * (y1 - y0) / (z1 - z0)
+            if y_nm < y_cross:
+                inside = not inside
+    return inside
+
+
 def lorentzian(freqs, center, fwhm):
     half = 0.5 * fwhm
     return half * half / ((freqs - center) ** 2 + half * half)

@@ -277,10 +277,10 @@ def test_c09_spectra_pipeline():
     z = (z - z.mean()) / z.std(ddof=1)
     values = 608.0 + 295.0 * z
     sem_batch = batch_gss_stats([
-        synth_spectrum(
+        classify_and_extract(detect_peaks(synth_spectrum(
             rng2, [406600.0, 406600.0 + g], fwhm_ghz=10.0, snr=30.0,
             f_lo=406300.0, f_hi=408300.0, n_points=4000,
-        )
+        )))
         for g in values
     ])
     sem = sem_batch.summary.sem_ghz

@@ -6,6 +6,8 @@ import pytest
 import strainforge._kernels as kernels
 import strainforge.cli as cli
 import strainforge.population as pop
+import strainforge.spectra as spectra
+import strainforge.thermal as thermal
 from conftest import synth_spectrum
 from strainforge.cli import _write_atomic, run
 from strainforge.config import load_config
@@ -188,6 +190,15 @@ class TestCalibrateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma_unstrained"] == 0.0
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_sigma_floor_with_bad_n_is_one_line_error(self, capsys, fast_config, n):
+        code = run(["calibrate", "--what", "sigma", "--target-ghz", "46",
+                    "--n", n, "--config", fast_config])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err)
+
     def test_sigma_infeasible(self, capsys, fast_config):
         code = run(["calibrate", "--what", "sigma", "--target-ghz", "10",
                     "--config", fast_config])
@@ -260,6 +271,22 @@ class TestReportCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n"] == 4096
 
+    def test_report_solves_each_operating_temperature_once(self, tmp_path, capsys,
+                                                          fast_config, monkeypatch):
+        # one T_op per emitter of each ensemble, plus the top_vs_gss curve;
+        # the operability curves reuse the emitters' values
+        solved = []
+        solve = thermal._solve_top
+
+        def counted(gss, *args):
+            solved.append(np.size(gss))
+            return solve(gss, *args)
+
+        monkeypatch.setattr(thermal, "_solve_top", counted)
+        assert run(["report", "--config", fast_config, "--n", "4096",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert sum(solved) == 2 * 4096 + len(cli.TOP_CURVE_GSS_GHZ)
+
     def test_report_seed_flag_changes_output(self, tmp_path, fast_config):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"
         run(["report", "--config", fast_config, "--out-dir", str(d1),
@@ -297,6 +324,30 @@ class TestSpectraCommand:
         pooled = out.with_name("stats_pooled.csv")
         assert pooled.exists()
         assert pooled.read_text().startswith("batch_tag,")
+
+    def test_detects_each_spectrum_once(self, tmp_path, capsys, monkeypatch):
+        # records, batch statistics and the pooled histogram share one
+        # detection pass
+        rng = np.random.default_rng(29)
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        for i in range(3):
+            s = synth_spectrum(rng, [406600.0, 406800.0 + 50.0 * i], fwhm_ghz=15.0,
+                               snr=30.0, f_lo=406300.0, f_hi=407400.0, n_points=2200)
+            write_spectrum(s, spec_dir / f"s{i}.csv")
+        detected = []
+        detect = spectra.detect_peaks
+
+        def counted(spec, *args):
+            detected.append(spec.label)
+            return detect(spec, *args)
+
+        monkeypatch.setattr(spectra, "detect_peaks", counted)
+        out = tmp_path / "stats.json"
+        assert run(["spectra", "--dir", str(spec_dir), "--batch-tag", "post",
+                    "--out", str(out)]) == 0
+        assert detected == ["s0.csv", "s1.csv", "s2.csv"]
+        assert json.loads(out.read_text())["gss_stats"]["n_gss_values"] == 3
 
     @pytest.mark.parametrize("tag", ["run,7", 'say "hi"', "a\rb", "a\nb"])
     def test_unsafe_batch_tag_rejected_before_writing(self, tmp_path, capsys, tag):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import strainforge._kernels as kernels
+from conftest import point_in_section
 from strainforge.core import Frame, StrainTensor
 from strainforge.errors import FrameMismatch, InvalidGeometry, OutOfDomain
 from strainforge.mechanics import (
@@ -114,11 +116,23 @@ class TestSectionProperties:
         with pytest.raises(InvalidGeometry):
             CrossSection(diamond)
 
-    def test_contains(self):
+    def test_contains(self, cfg):
+        # the scalar oracle, then the sampler's vectorized kernel against it
         cs = triangle(100.0, 100.0)
-        assert cs.contains(0.0, 50.0)
-        assert not cs.contains(40.0, 90.0)  # outside the sloped wall
-        assert not cs.contains(0.0, 150.0)  # below the apex
+        assert point_in_section(cs, 0.0, 50.0)
+        assert not point_in_section(cs, 40.0, 90.0)  # outside the sloped wall
+        assert not point_in_section(cs, 0.0, 150.0)  # below the apex
+        rng = np.random.default_rng(3)
+        for cs in (cs, rectangle(80.0, 40.0), cfg.layer_stack().cross_section):
+            y = rng.uniform(-60.0, 60.0, 500)
+            depth = rng.uniform(-10.0, 1.2 * cs.depth_extent_nm, 500)
+            got = kernels._point_in_poly_np(
+                np.ascontiguousarray(cs.vertices_nm[:, 0]),
+                np.ascontiguousarray(cs.vertices_nm[:, 1]), y, cs.z_top_nm - depth,
+            )
+            want = [point_in_section(cs, yi, di) for yi, di in zip(y, depth)]
+            assert got.tolist() == want
+            assert 0 < sum(want) < len(want)
 
 
 class TestSolveBeamState:

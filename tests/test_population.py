@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
 import strainforge.population as pop
+from conftest import point_in_section
 from strainforge.core import (
     ORIENTATIONS,
     Frame,
@@ -20,7 +21,6 @@ from strainforge.core import (
 from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible
 from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
 from strainforge.population import (
-    EmitterSample,
     IntrinsicStrainModel,
     PositionDistribution,
     calibrate_film_stress,
@@ -69,25 +69,10 @@ class TestSummarize:
         assert abs(s.mean_ghz) < 0.1
         assert abs(s.std_ghz - 1.0) < 0.1
 
-    def test_histogram_integrates_to_one(self):
-        rng = np.random.default_rng(5)
-        for data in (rng.normal(100, 20, 5000), np.full(40, 46.0)):
-            s = summarize(data)
-            mass = np.sum(s.hist_density * np.diff(s.hist_edges_ghz))
-            assert mass == pytest.approx(1.0, abs=1e-9)
-
     def test_spread_of_a_few_ulps(self):
-        # Freedman-Diaconis bins would be narrower than one ulp
         data = 46.0 + np.spacing(46.0) * (np.arange(4096) % 4)
         s = summarize(data)
-        mass = np.sum(s.hist_density * np.diff(s.hist_edges_ghz))
-        assert mass == pytest.approx(1.0, abs=1e-9)
         assert s.mean_ghz == pytest.approx(46.0, rel=1e-15)
-
-    def test_ecdf(self):
-        s = summarize([3.0, 1.0, 2.0])
-        assert np.array_equal(s.ecdf_values_ghz, [1.0, 2.0, 3.0])
-        assert np.allclose(s.ecdf_fractions, [1 / 3, 2 / 3, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRequest):
@@ -95,12 +80,7 @@ class TestSummarize:
 
     def test_summary_recomputable_from_samples(self):
         res = sample_pre_deposition(5_000, SIGMA, PARAMS, seed=99)
-        again = summarize(res.samples)
-        assert again.mean_ghz == res.summary.mean_ghz
-        assert again.std_ghz == res.summary.std_ghz
-        assert again.sem_ghz == res.summary.sem_ghz
-        assert np.array_equal(again.hist_edges_ghz, res.summary.hist_edges_ghz)
-        assert np.array_equal(again.hist_density, res.summary.hist_density)
+        assert summarize(res.samples.gss_ghz) == res.summary
 
 
 class TestPreDeposition:
@@ -153,13 +133,6 @@ class TestPreDeposition:
         assert np.all(res.samples.x_nm == 0.0)
         assert np.all(res.samples.depth_nm == 0.0)
 
-    def test_sample_access(self):
-        res = sample_pre_deposition(10, SIGMA, PARAMS, seed=10)
-        s = res.samples[3]
-        assert isinstance(s, EmitterSample)
-        assert s.gss_ghz == res.samples.gss_ghz[3]
-        assert s.strain.frame.value == "crystal"
-
     def test_n_zero_rejected(self):
         with pytest.raises(EmptyRequest):
             sample_pre_deposition(0, SIGMA, PARAMS, seed=1)
@@ -192,7 +165,7 @@ class TestPostDeposition:
         assert np.all(s.depth_nm <= field.depth_max_nm)
         cs = field.cross_section
         for i in range(0, 20_000, 997):
-            assert cs.contains(s.y_nm[i], s.depth_nm[i])
+            assert point_in_section(cs, s.y_nm[i], s.depth_nm[i])
 
     def test_depth_distribution_matches_straggle(self, cfg, field):
         pos = cfg.position_distribution()
@@ -272,6 +245,12 @@ class TestMonotoneCalibration:
 
     def test_calibrate_sigma_floor_target(self):
         assert calibrate_sigma(46.0, 1000, seed=14) == 0.0
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_calibrate_sigma_floor_target_checks_n(self, n):
+        # the floor shortcut draws nothing but still validates the request
+        with pytest.raises(EmptyRequest):
+            calibrate_sigma(46.0, n, seed=14)
 
     def test_calibrate_sigma_below_floor(self):
         with pytest.raises(Infeasible):
@@ -439,9 +418,11 @@ class TestCouplingTables:
             for intr in (False, True)
         ]
         for res in ensembles:
-            for s in res.samples:
-                gss = splitting_from_strain(s.strain, s.orientation, PARAMS)
-                assert gss == pytest.approx(s.gss_ghz, rel=1e-12)
+            s = res.samples
+            for i in range(len(s)):
+                eps = StrainTensor(*s.eps_crystal[i], frame=Frame.CRYSTAL)
+                gss = splitting_from_strain(eps, ORIENTATIONS[s.orientation_id[i]], PARAMS)
+                assert gss == pytest.approx(s.gss_ghz[i], rel=1e-12)
 
 
 class TestCachedCalibrationMeans:

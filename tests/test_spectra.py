@@ -30,6 +30,11 @@ from strainforge.spectra import (
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 
+def assign(batch):
+    """Each spectrum's classified lines, as the spectra command builds them."""
+    return [classify_and_extract(detect_peaks(spec)) for spec in batch]
+
+
 def csv_of(rows, header=None):
     lines = ([header] if header else []) + [f"{x},{y}" for x, y in rows]
     return io.StringIO("\n".join(lines) + "\n")
@@ -233,7 +238,7 @@ class TestPoolTransitions:
         one = synth_spectrum(rng, [406700.0], fwhm_ghz=20.0, snr=30.0,
                              batch_tag="pre")
         batch = [one] * 8
-        pooled = pool_transitions(batch)
+        pooled = pool_transitions(batch, assign(batch))
         hist = pooled["pre"]
         assert hist.n_peaks == 8
         mass = hist.density * np.diff(hist.edges_ghz)
@@ -247,7 +252,7 @@ class TestPoolTransitions:
             tight.append(synth_spectrum(rng, [c], batch_tag="a", snr=30.0))
             c = 406700.0 + 50.0 * rng.standard_normal()
             spread.append(synth_spectrum(rng, [c], batch_tag="b", snr=30.0))
-        pooled = pool_transitions(tight + spread)
+        pooled = pool_transitions(tight + spread, assign(tight + spread))
 
         def hist_std(h):
             mids = 0.5 * (h.edges_ghz[:-1] + h.edges_ghz[1:])
@@ -259,7 +264,13 @@ class TestPoolTransitions:
 
     def test_empty_batch(self):
         with pytest.raises(EmptyRequest):
-            pool_transitions([])
+            pool_transitions([], [])
+
+    def test_assignments_must_pair_with_spectra(self):
+        rng = np.random.default_rng(61)
+        batch = [synth_spectrum(rng, [406700.0], snr=30.0) for _ in range(3)]
+        with pytest.raises(ValueError):
+            pool_transitions(batch, assign(batch)[:2])
 
 
 class TestBatchGssStats:
@@ -274,7 +285,7 @@ class TestBatchGssStats:
             )
             for i, g in enumerate(truth)
         ]
-        stats = batch_gss_stats(batch)
+        stats = batch_gss_stats(assign(batch))
         assert stats.n_spectra == 11
         assert stats.n_single_emitters == 11
         vals = stats.gss_values_ghz
@@ -294,7 +305,7 @@ class TestBatchGssStats:
             for _ in range(3)
         ]
         with pytest.raises(NoSingleEmitters):
-            batch_gss_stats(batch)
+            batch_gss_stats(assign(batch))
 
     def test_empty_batch(self):
         with pytest.raises(EmptyRequest):

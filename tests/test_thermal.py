@@ -217,22 +217,39 @@ class TestBatch:
 
 class TestOperabilityCurve:
     def test_all_at_reference(self):
-        curve = operability_curve(np.full(50, 554.0), [1.5], REF)
-        assert curve == [(1.5, 1.0)]
+        top = operational_temperature_batch(np.full(50, 554.0), REF)
+        assert operability_curve(top, [1.5]).tolist() == [1.0]
 
     def test_nonincreasing_and_bounded(self):
         rng = np.random.default_rng(1)
-        gss = rng.uniform(100.0, 1200.0, 5000)
-        temps = np.linspace(0.25, 4.0, 31)
-        curve = operability_curve(gss, temps, REF)
-        probs = [p for _, p in curve]
-        assert all(0.0 <= p <= 1.0 for p in probs)
-        assert all(b <= a for a, b in zip(probs, probs[1:]))
+        top = operational_temperature_batch(rng.uniform(100.0, 1200.0, 5000), REF)
+        probs = operability_curve(top, np.linspace(0.25, 4.0, 31))
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert np.all(np.diff(probs) <= 0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fractions_match_direct_count(self, data):
+        temps = np.sort(data.draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=12)))
+        # values far from the grid, and values within 1e-10 K of grid points
+        far = data.draw(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=40))
+        near = data.draw(st.lists(
+            st.tuples(st.sampled_from(temps.tolist()), st.floats(-1e-10, 1e-10)),
+            max_size=20,
+        ))
+        top = np.array(far + [t + dt for t, dt in near])
+        want = [np.mean(top >= t - 1e-9) for t in temps]
+        assert operability_curve(data.draw(st.permutations(top)), temps).tolist() == want
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRequest):
-            operability_curve(np.array([]), [1.5], REF)
+            operability_curve(np.array([]), [1.5])
 
     def test_unsorted_temps_rejected(self):
         with pytest.raises(ValueError):
-            operability_curve(np.full(5, 554.0), [2.0, 1.0], REF)
+            operability_curve(np.full(5, 1.5), [2.0, 1.0])
+
+    @pytest.mark.parametrize("temps", [[], [[1.0, 2.0]]])
+    def test_grid_not_nonempty_1d_rejected(self, temps):
+        with pytest.raises(ValueError):
+            operability_curve(np.full(5, 1.5), temps)
