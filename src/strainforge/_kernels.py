@@ -47,8 +47,11 @@ def run_blocks(n: int, fn, threads: int | None) -> int:
     """Apply fn(lo, hi) over fixed-size chunks; sum integer returns.
 
     Output is identical for any thread count: chunk boundaries are fixed
-    and every kernel writes disjoint per-index slices.
+    and every kernel writes disjoint per-index slices. ``threads`` None
+    runs serially; otherwise it must be at least 1.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     if threads is None or threads <= 1 or len(bounds) == 1:
         return sum(int(fn(lo, hi) or 0) for lo, hi in bounds)

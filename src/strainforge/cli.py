@@ -84,6 +84,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strainforge",
@@ -95,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config path (or $STRAINFORGE_CONFIG)")
         p.add_argument("--seed", type=int,
                        help="Monte Carlo seed override (ignored by deterministic commands)")
-        p.add_argument("--threads", type=int, help="worker threads (results identical)")
+        p.add_argument("--threads", type=_positive_int,
+                       help="worker threads, at least 1 (results identical)")
 
     p = sub.add_parser("mechanics", help="beam strain model outputs")
     common(p)

@@ -117,65 +117,93 @@ def _to_ghz(values: np.ndarray, axis: str) -> np.ndarray:
     return SPEED_OF_LIGHT_M_S / values
 
 
+def _parse_lines(text: str) -> tuple[str, np.ndarray, np.ndarray]:
+    """Row-by-row CSV parse: (axis, x, y) in file order. Names the line of
+    the first bad row in its ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    axis = "frequency_ghz"
+    raw_x: list[float] = []
+    raw_y: list[float] = []
+    for lineno, row in enumerate(reader, start=1):
+        cells = [c.strip() for c in row if c.strip() != ""]
+        if not cells:
+            continue
+        if len(cells) != 2:
+            raise ParseError(f"line {lineno}: expected 2 columns, got {len(cells)}")
+        try:
+            x = float(cells[0])
+            y = float(cells[1])
+        except ValueError:
+            if lineno == 1 and not raw_x:
+                key = cells[0].lower()
+                if key in _HEADER_AXES:
+                    axis = _HEADER_AXES[key]
+                    continue
+                raise ParseError(
+                    f"line 1: unrecognized header column {cells[0]!r}"
+                ) from None
+            raise ParseError(f"line {lineno}: non-numeric row {row!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        if axis == "wavelength_nm" and x <= 0:
+            raise ParseError(f"line {lineno}: nonpositive wavelength")
+        if y < 0:
+            raise ParseError(f"line {lineno}: negative intensity")
+        raw_x.append(x)
+        raw_y.append(y)
+    return axis, np.asarray(raw_x, dtype=float), np.asarray(raw_y, dtype=float)
+
+
+def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
+    """The same parse as ``_parse_lines`` with the body in one np.loadtxt
+    call, or None where it cannot vouch for the result: loadtxt fails, the
+    table is not two columns, or a value is one ``_parse_lines`` rejects.
+    Every row loadtxt accepts reads as the same two floats there."""
+    lines = text.split("\n")
+    first = lines[0].removesuffix("\r")
+    if '"' in first or "\r" in first:  # csv quoting or a bare-CR line break
+        return None
+    axis = "frequency_ghz"
+    cells = [c.strip() for c in first.split(",") if c.strip() != ""]
+    if len(cells) == 2 and cells[0].lower() in _HEADER_AXES:
+        axis = _HEADER_AXES[cells[0].lower()]
+        lines = lines[1:]
+    if not any(line.strip() for line in lines):  # loadtxt warns on no rows
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 2 or not np.isfinite(table).all():
+        return None
+    x, y = table[:, 0], table[:, 1]
+    if (y < 0).any() or (axis == "wavelength_nm" and (x <= 0).any()):
+        return None
+    return axis, x, y
+
+
 def load_spectrum(source, label: str = "", batch_tag: str = "") -> Spectrum:
     """Read a two-column CSV (frequency/wavelength, intensity).
 
     The header row is optional; when present, its first column name picks
     the axis (frequency_ghz, frequency_thz, or wavelength_nm). Without a
     header the axis is frequency in GHz. Rows are sorted into ascending
-    frequency; exact duplicates are rejected.
+    frequency; exact duplicates are rejected. CR, LF and CRLF all end a
+    line.
     """
-    close = False
     if isinstance(source, (str, Path)):
         if not label:
             label = Path(source).name
-        fh = open(source, "r", newline="")
-        close = True
-    elif isinstance(source, io.TextIOBase):
-        fh = source
+        with open(source, "r", newline="") as fh:
+            text = fh.read()
     else:
-        fh = io.StringIO(source.read() if hasattr(source, "read") else str(source))
-    try:
-        reader = csv.reader(fh)
-        axis = "frequency_ghz"
-        raw_x: list[float] = []
-        raw_y: list[float] = []
-        for lineno, row in enumerate(reader, start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise ParseError(f"line {lineno}: expected 2 columns, got {len(cells)}")
-            try:
-                x = float(cells[0])
-                y = float(cells[1])
-            except ValueError:
-                if lineno == 1 and not raw_x:
-                    key = cells[0].lower()
-                    if key in _HEADER_AXES:
-                        axis = _HEADER_AXES[key]
-                        continue
-                    raise ParseError(
-                        f"line 1: unrecognized header column {cells[0]!r}"
-                    ) from None
-                raise ParseError(f"line {lineno}: non-numeric row {row!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"line {lineno}: non-finite value")
-            if axis == "wavelength_nm" and x <= 0:
-                raise ParseError(f"line {lineno}: nonpositive wavelength")
-            if y < 0:
-                raise ParseError(f"line {lineno}: negative intensity")
-            raw_x.append(x)
-            raw_y.append(y)
-    finally:
-        if close:
-            fh.close()
+        text = source.read() if hasattr(source, "read") else str(source)
+    axis, raw_x, raw_y = _parse_fast(text) or _parse_lines(text)
 
-    freqs = _to_ghz(np.asarray(raw_x, dtype=float), axis)
-    intens = np.asarray(raw_y, dtype=float)
+    freqs = _to_ghz(raw_x, axis)
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
-    intens = intens[order]
+    intens = raw_y[order]
     if np.any(np.diff(freqs) == 0):
         raise DuplicateAbscissa("spectrum contains duplicate frequencies")
     meta = {"axis": axis}
@@ -208,6 +236,57 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
     return float(min(max(vertex, x0), x2))
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``x``. A flat top counts once, at the
+    midpoint ``(left + right) // 2`` of its run of equal values; a run that
+    touches either end of the trace is no maximum."""
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    v = x[starts]
+    k = np.flatnonzero((v[:-2] < v[1:-1]) & (v[1:-1] > v[2:])) + 1
+    return (starts[k] + ends[k]) // 2
+
+
+def _find_peaks(x: np.ndarray, threshold: float):
+    """Local maxima of ``x`` with topographic prominence >= ``threshold``,
+    as (indices, prominences, half-prominence widths in samples).
+
+    The definitions, and the float arithmetic, are those of
+    ``scipy.signal.find_peaks(x, prominence=threshold)`` and
+    ``peak_widths(x, peaks, rel_height=0.5)``: each side's base is the
+    lowest sample between the peak and the nearest strictly higher sample
+    (or the trace end), and the width is measured at half the prominence
+    below the peak, interpolated linearly between samples.
+    """
+    peaks = _local_maxima(x)
+    # prominence <= x[p] - min(x), so these maxima cannot reach threshold
+    peaks = peaks[x[peaks] - x.min() >= threshold]
+    kept, proms, widths = [], [], []
+    for p in peaks.tolist():
+        h = x[p]
+        higher = np.flatnonzero(h < x[:p])
+        lo = higher[-1] + 1 if higher.size else 0
+        higher = np.flatnonzero(h < x[p + 1:])
+        hi = p + 1 + higher[0] if higher.size else x.size
+        prom = h - max(x[lo:p + 1].min(), x[p:hi].min())
+        if not prom >= threshold:
+            continue
+        half = h - prom * 0.5
+        # each base lies at or below half, so both crossings exist
+        i = lo + np.flatnonzero(x[lo:p + 1] <= half)[-1]
+        left = float(i)
+        if x[i] < half:
+            left += (half - x[i]) / (x[i + 1] - x[i])
+        i = p + np.flatnonzero(x[p:hi] <= half)[0]
+        right = float(i)
+        if x[i] < half:
+            right -= (half - x[i]) / (x[i - 1] - x[i])
+        kept.append(p)
+        proms.append(prom)
+        widths.append(right - left)
+    return kept, proms, widths
+
+
 def detect_peaks(
     s: Spectrum,
     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
@@ -226,10 +305,6 @@ def detect_peaks(
         raise InvalidParameter("smoothing_window must be shorter than the spectrum")
     if not 0 < min_prominence <= 1:
         raise InvalidParameter("min_prominence must be a fraction in (0, 1]")
-    # imported here: scipy.signal is most of the package's import time and
-    # only peak detection needs it
-    from scipy.signal import find_peaks, peak_widths
-
     kernel = np.full(smoothing_window, 1.0 / smoothing_window)
     # edge padding keeps a constant trace exactly constant
     pad = smoothing_window // 2
@@ -238,23 +313,19 @@ def detect_peaks(
     top = smoothed.max()
     if top <= 0:
         return []
-    threshold = min_prominence * top
-    idx, props = find_peaks(smoothed, prominence=threshold)
-    if idx.size == 0:
-        return []
-    widths_samples = peak_widths(smoothed, idx, rel_height=0.5)[0]
+    idx, prominences, widths_samples = _find_peaks(smoothed, min_prominence * top)
 
     freqs = s.frequencies_ghz
     peaks = []
-    for j, i in enumerate(idx):
+    for i, prominence, width in zip(idx, prominences, widths_samples):
         center = _parabolic_vertex(freqs[i - 1:i + 2], smoothed[i - 1:i + 2])
         local_step = 0.5 * (freqs[i + 1] - freqs[i - 1])
         peaks.append(
             Peak(
                 center_ghz=center,
                 height=float(smoothed[i]),
-                prominence=float(props["prominences"][j]),
-                width_ghz=float(widths_samples[j] * local_step),
+                prominence=float(prominence),
+                width_ghz=float(width * local_step),
             )
         )
     peaks.sort(key=lambda p: p.center_ghz)

@@ -49,6 +49,22 @@ class TestExitCodes:
         bad.write_text(json.dumps({"unknown_section": {}}))
         assert run(["top", "--gss-ghz", "554", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--phase", "pre", "--n", "10", "--out", "{out}"],
+        ["calibrate", "--what", "sigma", "--target-ghz", "119", "--n", "10"],
+        ["report", "--n", "10", "--out-dir", "{out}"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_not_positive_int_is_usage_error(self, tmp_path, capsys,
+                                                      command, threads):
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + ["--threads", threads]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threads" in captured.err
+        assert not out.exists()
+
 
 def _one_line_error(err: str) -> bool:
     return err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
@@ -48,6 +49,13 @@ class TestRunBlocks:
         calls = []
         kernels.run_blocks(10, lambda lo, hi: calls.append((lo, hi)), threads=None)
         assert calls == [(0, 10)]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        calls = []
+        with pytest.raises(ValueError, match="threads"):
+            kernels.run_blocks(200_001, lambda lo, hi: calls.append(lo), threads=threads)
+        assert calls == []
 
 
 class TestChunkIndependence:

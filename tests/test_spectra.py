@@ -3,11 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks, peak_widths
 
 import strainforge
+import strainforge.spectra as spectra
 from conftest import synth_spectrum
 from strainforge.errors import (
     DuplicateAbscissa,
@@ -19,6 +23,9 @@ from strainforge.errors import (
 from strainforge.spectra import (
     Peak,
     Spectrum,
+    _find_peaks,
+    _parse_fast,
+    _parse_lines,
     batch_gss_stats,
     classify_and_extract,
     detect_peaks,
@@ -126,6 +133,140 @@ class TestLoadSpectrum:
         assert np.array_equal(back.intensities, s.intensities)
 
 
+def _load_outcome(text):
+    """What load_spectrum makes of ``text``: the arrays and metadata, or
+    the exception type and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge THz values
+            s = load_spectrum(io.StringIO(text))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return s.frequencies_ghz, s.intensities, s.metadata
+
+
+def assert_paths_agree(text):
+    """The vectorized parse and the line loop give the same Spectrum, or
+    the same exception and message."""
+    fast = _load_outcome(text)
+    with mock.patch.object(spectra, "_parse_fast", return_value=None):
+        slow = _load_outcome(text)
+    if isinstance(slow[0], type):
+        assert fast == slow
+    else:
+        assert not isinstance(fast[0], type), fast
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1], slow[1])
+        assert fast[2] == slow[2]
+
+
+AXIS_HEADERS = [None, "frequency_ghz", "frequency_thz", "wavelength_nm"]
+
+
+def spectrum_text(rows, header=None, newline="\n"):
+    lines = ([header] if header else []) + rows
+    return newline.join(lines) + newline
+
+
+def valid_rows(n=20):
+    return [f"{736.0 + 0.01 * i!r},{5.0 + i % 3!r}" for i in range(n)]
+
+
+# each case is an otherwise valid 20-row spectrum
+PARSE_CASES = {
+    "crlf": spectrum_text(valid_rows(), "frequency_ghz,intensity", "\r\n"),
+    "bare cr": spectrum_text(valid_rows(), "frequency_ghz,intensity", "\r"),
+    "bare cr inside the header line": "frequency_ghz,intensity\r5\n"
+                                      + spectrum_text(valid_rows()),
+    "blank lines": spectrum_text(valid_rows()[:5] + ["", ""] + valid_rows()[5:]),
+    "whitespace-only line": spectrum_text(valid_rows()[:5] + ["  \t "] + valid_rows()[5:]),
+    "comma-only row": spectrum_text(valid_rows()[:5] + [",,"] + valid_rows()[5:]),
+    "spaces and tabs": spectrum_text(
+        [" " + r.replace(",", " ,\t") + "\t" for r in valid_rows()]),
+    "trailing comma": spectrum_text([r + "," for r in valid_rows()]),
+    "empty middle cell": spectrum_text(valid_rows()[:3] + ["736.5, ,7.0"] + valid_rows()[3:]),
+    "nan": spectrum_text(valid_rows()[:4] + ["NaN,1.0"] + valid_rows()[4:]),
+    "infinity": spectrum_text(valid_rows()[:4] + ["737.5,Infinity"] + valid_rows()[4:]),
+    "overflow": spectrum_text(valid_rows()[:4] + ["1e500,1.0"] + valid_rows()[4:]),
+    "plus sign": spectrum_text(valid_rows()[:4] + ["+2,3.0"] + valid_rows()[4:]),
+    "hex": spectrum_text(valid_rows()[:4] + ["0x2,3.0"] + valid_rows()[4:]),
+    "underscore": spectrum_text(valid_rows()[:4] + ["406_001.5,3.0"] + valid_rows()[4:]),
+    "bom headerless": "\ufeff" + spectrum_text(valid_rows()),
+    "bom header": "\ufeff" + spectrum_text(valid_rows(), "frequency_ghz,intensity"),
+    "header with spaces": spectrum_text(valid_rows(), "  Wavelength_NM , intensity "),
+    "header after blank line": spectrum_text(["", "frequency_ghz,intensity"] + valid_rows()),
+    "header only": spectrum_text([], "frequency_ghz,intensity"),
+    "empty": "",
+    "extra column": spectrum_text(valid_rows()[:6] + ["737.5,1.0,2.0"] + valid_rows()[6:]),
+    "one column": spectrum_text([r.split(",")[0] for r in valid_rows()]),
+    "negative intensity": spectrum_text(valid_rows()[:9] + ["737.5,-1.0"] + valid_rows()[9:]),
+    "zero wavelength": spectrum_text(valid_rows()[:2] + ["0.0,1.0"] + valid_rows()[2:],
+                                     "wavelength_nm,intensity"),
+    "negative frequency": spectrum_text(["-3.0,1.0"] + valid_rows()),
+    "quoted header": spectrum_text(valid_rows(), '"frequency_thz",intensity'),
+    "quote opening the header": spectrum_text(valid_rows(), 'frequency_thz,"intensity'),
+    "quoted cell": spectrum_text(valid_rows()[:3] + ['"737.5",1.0'] + valid_rows()[3:]),
+    "unknown header": spectrum_text(valid_rows(), "energy_ev,intensity"),
+    "numeric then text first row": spectrum_text(valid_rows(), "736.0,intensity"),
+    "duplicate rows": spectrum_text(valid_rows() + valid_rows()[:1]),
+    "too few rows": spectrum_text(valid_rows(10)),
+    "form feed in cell": spectrum_text([r.replace(",", "\x0c,") for r in valid_rows()]),
+    "form feed between rows": spectrum_text(
+        valid_rows()[:5] + ["\x0c".join(valid_rows()[5:7])] + valid_rows()[7:]),
+}
+
+
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-3, 9).map(str))
+odd_cells = st.sampled_from(["", " ", "nan", "-inf", "1e500", "1_0", '"1"', "+.5",
+                             "5.", "0x1", "1d1", "\x0c2", "\xa03", "\ufeff1", "\u0661"])
+pads = st.sampled_from(["", " ", "\t"])
+# mostly well-formed rows, so that the fast path often accepts
+csv_rows = st.one_of(
+    st.tuples(pads, numbers, pads, numbers, pads).map(
+        lambda t: f"{t[0]}{t[1]},{t[2]}{t[3]}{t[4]}"),
+    st.lists(st.one_of(numbers, numbers, odd_cells), max_size=3).map(",".join),
+)
+csv_bodies = st.tuples(
+    st.lists(csv_rows, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+class TestParsePaths:
+    @pytest.mark.parametrize("name", PARSE_CASES)
+    def test_fixed_cases_agree(self, name):
+        assert_paths_agree(PARSE_CASES[name])
+
+    @given(
+        xs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=16, max_size=40),
+        ys=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=40,
+                    max_size=40),
+        header=st.sampled_from(AXIS_HEADERS),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_repr_floats_agree(self, xs, ys, header, newline):
+        rows = [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+        text = spectrum_text(rows, header and header + ",intensity", newline)
+        if header != "wavelength_nm" or min(xs) > 0:
+            assert _parse_fast(text) is not None
+        assert_paths_agree(text)
+
+    @given(body=csv_bodies, header=st.sampled_from(
+        ["", "frequency_ghz,intensity\n", "wavelength_nm,intensity\r\n",
+         "frequency_thz,x\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_parse_only_vouches_for_what_the_loop_reads(self, body, header):
+        text = header + body
+        fast = _parse_fast(text)
+        if fast is None:
+            return
+        axis, x, y = _parse_lines(text)
+        assert fast[0] == axis
+        assert np.array_equal(fast[1], x) and np.array_equal(fast[2], y)
+
+
 class TestDetectPeaks:
     def test_single_gaussian_line(self):
         rng = np.random.default_rng(11)
@@ -195,6 +336,52 @@ class TestDetectPeaks:
         assert centers == sorted(centers)
         assert all(p.prominence > 0 for p in peaks)
         assert all(p.width_ghz > 0 for p in peaks)
+
+
+levels = st.one_of(st.integers(0, 4).map(float),
+                   st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+# runs of repeated values make exact plateaus; few distinct levels make
+# ties between maxima and between bases
+traces = st.one_of(
+    st.lists(st.tuples(levels, st.integers(1, 4)), min_size=1, max_size=25).map(
+        lambda runs: np.repeat([v for v, _ in runs], [k for _, k in runs])),
+    st.builds(np.full, st.integers(1, 12), levels),
+)
+
+
+class TestFindPeaksMatchesScipy:
+    @given(x=traces, pick=st.integers(0, 2 ** 16), mode=st.integers(0, 2),
+           t=st.floats(1e-9, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_indices_prominences_and_widths(self, x, pick, mode, t):
+        # threshold: any positive value, a prominence that occurs, or a
+        # maximum's height above the global minimum (ties at the cut)
+        every, props = find_peaks(x, prominence=0)
+        if every.size and mode == 1:
+            t = float(props["prominences"][pick % every.size])
+        elif every.size and mode == 2:
+            t = float(x[every[pick % every.size]] - x.min())
+        want, props = find_peaks(x, prominence=t)
+        idx, proms, widths = _find_peaks(x, t)
+        assert list(idx) == want.tolist()
+        if want.size:
+            np.testing.assert_allclose(proms, props["prominences"], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                widths, peak_widths(x, want, rel_height=0.5)[0], rtol=1e-12, atol=0)
+
+    def test_smoothed_synthetic_spectra(self):
+        rng = np.random.default_rng(5)
+        for n_lines in range(1, 8):
+            s = synth_spectrum(rng, 406200.0 + 150.0 * np.arange(n_lines),
+                               fwhm_ghz=18.0, snr=40.0)
+            x = np.convolve(np.pad(s.intensities, 2, mode="edge"),
+                            np.full(5, 0.2), mode="valid")
+            t = 0.1 * x.max()
+            want, props = find_peaks(x, prominence=t)
+            idx, proms, widths = _find_peaks(x, t)
+            assert list(idx) == want.tolist()
+            assert np.array_equal(proms, props["prominences"])
+            assert np.array_equal(widths, peak_widths(x, want, rel_height=0.5)[0])
 
 
 class TestClassifyAndExtract:
@@ -330,20 +517,36 @@ class TestSpectrumValidation:
             Spectrum(np.linspace(0, 10, 8), np.ones(8))
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    """scipy.signal is most of the import time; only detect_peaks needs it.
+def test_spectra_command_never_imports_scipy(tmp_path):
+    """scipy is a test dependency only: the spectra command runs on numpy.
 
     The child inherits this process's environment, with the directory of
     the ``strainforge`` package under test first on PYTHONPATH, so it
     imports the same package whether that is reached through PYTHONPATH
     or an editable install.
     """
+    rng = np.random.default_rng(13)
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    for i in range(3):
+        s = synth_spectrum(rng, [406600.0, 406800.0 + 50.0 * i], fwhm_ghz=15.0,
+                           snr=30.0, f_lo=406300.0, f_hi=407400.0, n_points=2200)
+        write_spectrum(s, spec_dir / f"s{i}.csv")
     env = dict(os.environ)
     pkg_root = str(Path(strainforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, strainforge; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = (
+        "import sys\n"
+        "from strainforge.cli import run\n"
+        "status = run(['spectra', '--dir', sys.argv[1], '--batch-tag', 'post',\n"
+        "              '--out', sys.argv[2]])\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(spec_dir), str(tmp_path / "stats.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "stats_pooled.csv").exists()
