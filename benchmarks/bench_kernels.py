@@ -40,9 +40,9 @@ def main():
     n, repeats = args.n, args.repeats
 
     cfg = default_config()
-    params = cfg.siv_parameters()
-    pos = cfg.position_distribution()
-    field = solve_beam_state(cfg.layer_stack())
+    params = cfg.siv
+    pos = cfg.position
+    field = solve_beam_state(cfg.stack)
     root = kernels.seed_root(12345)
     lam, sigma = params.lambda_so_ghz, 1.5e-5
     rows, to_crystal = pop._intrinsic_maps(params, "defect")

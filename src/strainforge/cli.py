@@ -103,8 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config path (or $STRAINFORGE_CONFIG)")
-        p.add_argument("--seed", type=int,
-                       help="Monte Carlo seed override (ignored by deterministic commands)")
+
+    def monte_carlo(p):
+        common(p)
+        p.add_argument("--n", type=int, help="sample count (default from config)")
+        p.add_argument("--seed", type=int, help="seed (default from config)")
         p.add_argument("--threads", type=_positive_int,
                        help="worker threads, at least 1 (results identical)")
 
@@ -115,24 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV (default: stdout)")
 
     p = sub.add_parser("sample", help="draw a Monte Carlo ensemble")
-    common(p)
+    monte_carlo(p)
     p.add_argument("--phase", choices=("pre", "post"), required=True)
-    p.add_argument("--n", type=int, help="sample count (default from config)")
     p.add_argument("--out", required=True, help="samples CSV path")
 
     p = sub.add_parser("calibrate", help="fit sigma or film stress to a mean")
-    common(p)
+    monte_carlo(p)
     p.add_argument("--what", choices=("sigma", "stress"), required=True)
     p.add_argument("--target-ghz", type=float, required=True)
-    p.add_argument("--n", type=int, help="sample count (default from config)")
 
     p = sub.add_parser("top", help="operating temperature of a splitting")
     common(p)
     p.add_argument("--gss-ghz", type=float, required=True)
 
     p = sub.add_parser("report", help="calibrated ensembles and figure data")
-    common(p)
-    p.add_argument("--n", type=int, help="sample count (default from config)")
+    monte_carlo(p)
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
     p = sub.add_parser("spectra", help="batch spectrum analysis")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mechanics(args, cfg: Config) -> int:
-    field = solve_beam_state(cfg.layer_stack())
+    field = solve_beam_state(cfg.stack)
     depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
     eps = [strain_at(field, float(depth)) for depth in depths]
     chunks = _csv_chunks(
@@ -161,19 +161,16 @@ def _cmd_mechanics(args, cfg: Config) -> int:
 
 
 def _cmd_sample(args, cfg: Config) -> int:
-    n = args.n if args.n is not None else cfg.default_n
-    seed = args.seed if args.seed is not None else cfg.default_seed
-    params = cfg.siv_parameters()
     if args.phase == "pre":
         result = sample_pre_deposition(
-            n, cfg.intrinsic_model(), params, seed,
+            args.n, cfg.intrinsic, cfg.siv, args.seed,
             sample_frame=cfg.sample_frame, threads=args.threads,
         )
     else:
         result = sample_post_deposition(
-            n, cfg.position_distribution(), solve_beam_state(cfg.layer_stack()),
-            params, include_intrinsic=cfg.include_intrinsic_post,
-            intrinsic=cfg.intrinsic_model(), seed=seed, threads=args.threads,
+            args.n, cfg.position, solve_beam_state(cfg.stack),
+            cfg.siv, include_intrinsic=cfg.include_intrinsic_post,
+            intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
         )
     s = result.samples
     chunks = _csv_chunks(
@@ -186,7 +183,7 @@ def _cmd_sample(args, cfg: Config) -> int:
     _write_atomic(Path(args.out), chunks)
     summary = result.summary
     sys.stdout.write(_json_text({
-        "phase": args.phase, "n": summary.n, "seed": seed,
+        "phase": args.phase, "n": summary.n, "seed": args.seed,
         "mean_ghz": summary.mean_ghz, "std_ghz": summary.std_ghz,
         "sem_ghz": summary.sem_ghz, "out": str(args.out),
     }))
@@ -194,31 +191,25 @@ def _cmd_sample(args, cfg: Config) -> int:
 
 
 def _cmd_calibrate(args, cfg: Config) -> int:
-    n = args.n if args.n is not None else cfg.default_n
-    seed = args.seed if args.seed is not None else cfg.default_seed
-    params = cfg.siv_parameters()
     if args.what == "sigma":
         key, value = "sigma_unstrained", calibrate_sigma(
-            args.target_ghz, n, seed, params,
+            args.target_ghz, args.n, args.seed, cfg.siv,
             sample_frame=cfg.sample_frame, threads=args.threads,
         )
     else:
         key, value = "film_stress_mpa", calibrate_film_stress(
-            args.target_ghz, cfg.layer_stack(), cfg.position_distribution(),
-            params, n, seed,
+            args.target_ghz, cfg.stack, cfg.position, cfg.siv, args.n, args.seed,
             include_intrinsic=cfg.include_intrinsic_post,
-            intrinsic=cfg.intrinsic_model(),
+            intrinsic=cfg.intrinsic,
             threads=args.threads,
         )
     sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
-                                 "n": n, "seed": seed, key: value}))
+                                 "n": args.n, "seed": args.seed, key: value}))
     return 0
 
 
 def _cmd_top(args, cfg: Config) -> int:
-    t_op = operational_temperature(
-        args.gss_ghz, cfg.thermal_reference(), cfg.occupation_model
-    )
+    t_op = operational_temperature(args.gss_ghz, cfg.thermal, cfg.occupation_model)
     sys.stdout.write(f"{t_op:.4f} K\n")
     return 0
 
@@ -234,18 +225,15 @@ def report(cfg: Config, seed: int, n: int | None = None,
     top_vs_gss.csv, operability.csv, and summary.json.
     """
     n = n if n is not None else cfg.default_n
-    params = cfg.siv_parameters()
-    ref = cfg.thermal_reference()
-    model = cfg.occupation_model
+    ref, model = cfg.thermal, cfg.occupation_model
     out_dir = Path(out_dir)
 
     sigma, pre_gss = _fit_sigma(
-        PRE_TARGET_MEAN_GHZ, n, seed, params, cfg.sample_frame, threads
+        PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv, cfg.sample_frame, threads
     )
     stress, post_gss = _fit_stress(
-        POST_TARGET_MEAN_GHZ, cfg.layer_stack(), cfg.position_distribution(),
-        params, n, seed, cfg.include_intrinsic_post, IntrinsicStrainModel(sigma),
-        threads,
+        POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, n, seed,
+        cfg.include_intrinsic_post, IntrinsicStrainModel(sigma), threads,
     )
     pre, post = summarize(pre_gss), summarize(post_gss)
 
@@ -295,8 +283,7 @@ def report(cfg: Config, seed: int, n: int | None = None,
 
 
 def _cmd_report(args, cfg: Config) -> int:
-    seed = args.seed if args.seed is not None else cfg.default_seed
-    summary = report(cfg, seed, args.n, args.threads, args.out_dir)
+    summary = report(cfg, args.seed, args.n, args.threads, args.out_dir)
     sys.stdout.write(_json_text(summary))
     return 0
 
@@ -388,7 +375,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(getattr(args, "config", None))
+        cfg = load_config(args.config)
+        if "seed" in args:  # a Monte Carlo command: unset --n/--seed come from cfg
+            args.n = cfg.default_n if args.n is None else args.n
+            args.seed = cfg.default_seed if args.seed is None else args.seed
         return _COMMANDS[args.command](args, cfg)
     except (StrainforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""JSON configuration: schema validation and typed accessors.
+"""JSON configuration: schema validation and the typed objects it builds.
 
 The shipped ``data/default_config.json`` is both the default configuration
 and the schema reference; user files may override any subset of keys but
@@ -78,99 +78,59 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
 
 @dataclass(frozen=True)
 class Config:
-    """Validated configuration with typed builders for each module."""
+    """Validated configuration: the typed objects each module takes, built
+    once when the file is loaded."""
 
-    data: dict
-    source: str = "<defaults>"
-
-    def siv_parameters(self) -> SivParameters:
-        siv = self.data["siv"]
-        return SivParameters(
-            lambda_so_ghz=siv["lambda_so_ghz"],
-            d_ghz_per_strain=siv["d_ghz_per_strain"],
-            f_ghz_per_strain=siv["f_ghz_per_strain"],
-        )
-
-    def layer_stack(self) -> LayerStack:
-        mech = self.data["mechanics"]
-        try:
-            polygon = np.asarray(mech["cross_section_polygon_nm"], dtype=float)
-            cs = CrossSection(polygon)
-        except (TypeError, ValueError, InvalidGeometry) as exc:
-            raise ConfigError(f"mechanics.cross_section_polygon_nm: {exc}") from exc
-        substrate = Layer(
-            thickness_nm=cs.depth_extent_nm,
-            youngs_modulus_gpa=mech["substrate"]["youngs_modulus_gpa"],
-            poisson_ratio=mech["substrate"]["poisson_ratio"],
-        )
-        film = Layer(
-            thickness_nm=mech["film"]["thickness_nm"],
-            youngs_modulus_gpa=mech["film"]["youngs_modulus_gpa"],
-            poisson_ratio=mech["film"]["poisson_ratio"],
-            intrinsic_stress_mpa=mech["film"]["intrinsic_stress_mpa"],
-        )
-        return LayerStack(
-            substrate=substrate,
-            cross_section=cs,
-            film=film,
-            beam_axis_crystal_direction=tuple(mech["beam_axis_crystal_direction"]),
-            biaxiality_factor=mech["biaxiality_factor"],
-        )
-
-    def position_distribution(self) -> PositionDistribution:
-        pos = self.data["position"]
-        return PositionDistribution(
-            aperture_x_nm=pos["aperture_x_nm"],
-            aperture_y_nm=pos["aperture_y_nm"],
-            depth_mean_nm=pos["depth_mean_nm"],
-            depth_straggle_nm=pos["depth_straggle_nm"],
-        )
-
-    def intrinsic_model(self) -> IntrinsicStrainModel:
-        return IntrinsicStrainModel(sigma=self.data["population"]["sigma_unstrained"])
-
-    def thermal_reference(self) -> ThermalReference:
-        th = self.data["thermal"]
-        return ThermalReference(gss_ref_ghz=th["gss_ref_ghz"], temp_ref_k=th["temp_ref_k"])
-
-    @property
-    def occupation_model(self) -> str:
-        return self.data["thermal"]["occupation_model"]
-
-    @property
-    def sample_frame(self) -> str:
-        return self.data["population"]["sample_frame"]
-
-    @property
-    def include_intrinsic_post(self) -> bool:
-        return self.data["population"]["include_intrinsic_post"]
-
-    @property
-    def smoothing_window(self) -> int:
-        return self.data["spectra"]["smoothing_window"]
-
-    @property
-    def min_prominence(self) -> float:
-        return self.data["spectra"]["min_prominence_fraction"]
-
-    @property
-    def default_n(self) -> int:
-        return self.data["monte_carlo"]["n"]
-
-    @property
-    def default_seed(self) -> int:
-        return self.data["monte_carlo"]["seed"]
+    siv: SivParameters
+    stack: LayerStack
+    position: PositionDistribution
+    intrinsic: IntrinsicStrainModel
+    thermal: ThermalReference
+    occupation_model: str
+    sample_frame: str
+    include_intrinsic_post: bool
+    smoothing_window: int
+    min_prominence: float
+    default_n: int
+    default_seed: int
+    source: str
 
 
-def _check_values(cfg: Config) -> None:
+def _layer_stack(mech: dict) -> LayerStack:
     try:
-        cfg.siv_parameters()
-        cfg.layer_stack()
-        cfg.position_distribution()
-        cfg.intrinsic_model()
-        cfg.thermal_reference()
-    except ConfigError:
-        raise
+        cs = CrossSection(np.asarray(mech["cross_section_polygon_nm"], dtype=float))
+    except (TypeError, ValueError, InvalidGeometry) as exc:
+        raise ConfigError(f"mechanics.cross_section_polygon_nm: {exc}") from exc
+    return LayerStack(
+        substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
+        cross_section=cs,
+        film=Layer(**mech["film"]),
+        beam_axis_crystal_direction=tuple(mech["beam_axis_crystal_direction"]),
+        biaxiality_factor=mech["biaxiality_factor"],
+    )
+
+
+def _build(data: dict, source: str) -> Config:
+    """Construct the typed objects from merged ``_validate`` output, in
+    section order, then check the plain values."""
+    population, thermal = data["population"], data["thermal"]
+    try:
+        cfg = Config(
+            siv=SivParameters(**data["siv"]),
+            stack=_layer_stack(data["mechanics"]),
+            position=PositionDistribution(**data["position"]),
+            intrinsic=IntrinsicStrainModel(sigma=population["sigma_unstrained"]),
+            thermal=ThermalReference(gss_ref_ghz=thermal["gss_ref_ghz"],
+                                     temp_ref_k=thermal["temp_ref_k"]),
+            occupation_model=thermal["occupation_model"],
+            sample_frame=population["sample_frame"],
+            include_intrinsic_post=population["include_intrinsic_post"],
+            smoothing_window=data["spectra"]["smoothing_window"],
+            min_prominence=data["spectra"]["min_prominence_fraction"],
+            default_n=data["monte_carlo"]["n"],
+            default_seed=data["monte_carlo"]["seed"],
+            source=source,
+        )
     except (ValueError, TypeError, InvalidGeometry) as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.occupation_model not in OCCUPATION_MODELS:
@@ -185,12 +145,11 @@ def _check_values(cfg: Config) -> None:
         raise ConfigError("spectra.smoothing_window must be a positive odd integer")
     if not 0 < cfg.min_prominence <= 1:
         raise ConfigError("spectra.min_prominence_fraction must be in (0, 1]")
+    return cfg
 
 
 def default_config() -> Config:
-    cfg = Config(data=_validate({}, _DEFAULTS))
-    _check_values(cfg)
-    return cfg
+    return _build(_validate({}, _DEFAULTS), "<defaults>")
 
 
 def load_config(path: str | Path | None = None) -> Config:
@@ -212,6 +171,4 @@ def load_config(path: str | Path | None = None) -> Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = Config(data=_validate(user, _DEFAULTS), source=str(path))
-    _check_values(cfg)
-    return cfg
+    return _build(_validate(user, _DEFAULTS), str(path))

@@ -200,11 +200,14 @@ def load_spectrum(source, label: str = "", batch_tag: str = "") -> Spectrum:
         text = source.read() if hasattr(source, "read") else str(source)
     axis, raw_x, raw_y = _parse_fast(text) or _parse_lines(text)
 
-    freqs = _to_ghz(raw_x, axis)
-    order = np.argsort(freqs, kind="stable")
-    freqs = freqs[order]
+    # a conversion that overflows leaves inf, which Spectrum rejects as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = _to_ghz(raw_x, axis)
+        order = np.argsort(freqs, kind="stable")
+        freqs = freqs[order]
+        duplicate = np.any(np.diff(freqs) == 0)
     intens = raw_y[order]
-    if np.any(np.diff(freqs) == 0):
+    if duplicate:
         raise DuplicateAbscissa("spectrum contains duplicate frequencies")
     meta = {"axis": axis}
     if axis != "frequency_ghz":

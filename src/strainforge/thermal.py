@@ -32,6 +32,7 @@ __all__ = [
 K_PER_GHZ = 6.62607015e-34 / 1.380649e-23 * 1e9
 
 OCCUPATION_MODELS = ("bose_einstein", "boltzmann")
+_LN2 = math.log(2.0)
 
 # operating temperatures outside this range are a domain error
 T_MIN_K = 1e-3
@@ -68,7 +69,16 @@ def thermal_occupation(gss_ghz: float, temp_k: float, model: str = "bose_einstei
     x = K_PER_GHZ * gss_ghz / temp_k
     if boltzmann:
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # exp(x) > 1.8e308: 1/(exp(x) - 1) is exp(-x) to the last bit
+        return math.exp(-x)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0, accurate on both sides of ln 2 (Maechler,
+    "Accurately computing log(1 - exp(-|a|))", 2012)."""
+    return math.log(-math.expm1(-x)) if x <= _LN2 else math.log1p(-math.exp(-x))
 
 
 def _ln_rate(gss_ghz: float, temp_k: float, boltzmann: bool) -> float:
@@ -77,7 +87,7 @@ def _ln_rate(gss_ghz: float, temp_k: float, boltzmann: bool) -> float:
     base = 3.0 * math.log(gss_ghz) - x
     if boltzmann:
         return base
-    return base - math.log1p(-math.exp(-x))
+    return base - _log1mexp(x)
 
 
 def gamma_up_relative(

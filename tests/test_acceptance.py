@@ -52,9 +52,9 @@ def cfg():
 @pytest.fixture(scope="module")
 def calibrated(cfg):
     """Calibrations and both n=1e6 ensembles, timed once for the suite."""
-    params = cfg.siv_parameters()
-    pos = cfg.position_distribution()
-    stack = cfg.layer_stack()
+    params = cfg.siv
+    pos = cfg.position
+    stack = cfg.stack
 
     # jit warmup so measured times reflect the algorithms, not compilation
     warm_field = solve_beam_state(stack)

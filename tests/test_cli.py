@@ -29,6 +29,12 @@ class TestExitCodes:
         assert run(["top", "--gss-ghz", "554"]) == 0
         assert capsys.readouterr().out == "1.5000 K\n"
 
+    def test_top_tiny_reference_splitting(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"thermal": {"gss_ref_ghz": 1e-15, "temp_ref_k": 300.0}}))
+        assert run(["top", "--gss-ghz", "554", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "0.3353 K\n"
+
     def test_top_domain_error(self, capsys):
         assert run(["top", "--gss-ghz", "-5"]) == 1
         err = capsys.readouterr().err
@@ -63,6 +69,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--threads" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["mechanics", "--depth-profile", "--out", "{out}"],
+        ["top", "--gss-ghz", "554"],
+        ["spectra", "--dir", "{out}", "--batch-tag", "t", "--out", "{out}/stats.json"],
+    ])
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_deterministic_command_rejects_monte_carlo_flag(self, tmp_path, capsys,
+                                                            command, flag):
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + [flag, "1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 1" in captured.err
         assert not out.exists()
 
 
@@ -166,15 +188,15 @@ class TestSampleCommand:
         assert run(["sample", "--phase", phase, "--n", "500", "--seed", "3",
                     "--out", str(out), "--config", fast_config]) == 0
         cfg = load_config(fast_config)
-        params = cfg.siv_parameters()
+        params = cfg.siv
         if phase == "pre":
-            res = pop.sample_pre_deposition(500, cfg.intrinsic_model(), params, 3,
+            res = pop.sample_pre_deposition(500, cfg.intrinsic, params, 3,
                                             sample_frame=cfg.sample_frame)
         else:
             res = pop.sample_post_deposition(
-                500, cfg.position_distribution(), solve_beam_state(cfg.layer_stack()),
+                500, cfg.position, solve_beam_state(cfg.stack),
                 params, include_intrinsic=cfg.include_intrinsic_post,
-                intrinsic=cfg.intrinsic_model(), seed=3,
+                intrinsic=cfg.intrinsic, seed=3,
             )
         s = res.samples
         table = np.column_stack([

@@ -15,10 +15,10 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 class TestDefaults:
     def test_defaults_load_and_validate(self):
         cfg = default_config()
-        assert cfg.siv_parameters().lambda_so_ghz == 46.0
-        assert cfg.thermal_reference().gss_ref_ghz == 554.0
+        assert cfg.siv.lambda_so_ghz == 46.0
+        assert cfg.thermal.gss_ref_ghz == 554.0
         assert cfg.default_n == 1_000_000
-        stack = cfg.layer_stack()
+        stack = cfg.stack
         assert stack.film.thickness_nm == 60.0
         assert stack.cross_section.depth_extent_nm == 700.0
         assert stack.cross_section.film_width_nm == 1000.0
@@ -32,9 +32,9 @@ class TestOverrides:
     def test_partial_override_merges(self, tmp_path):
         path = write_cfg(tmp_path, {"siv": {"lambda_so_ghz": 50.0}})
         cfg = load_config(path)
-        assert cfg.siv_parameters().lambda_so_ghz == 50.0
+        assert cfg.siv.lambda_so_ghz == 50.0
         # untouched keys keep defaults
-        assert cfg.siv_parameters().d_ghz_per_strain == 1.3e6
+        assert cfg.siv.d_ghz_per_strain == 1.3e6
         assert cfg.default_seed == 20260809
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -75,6 +75,25 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("siv", "lambda_so_ghz", 0, "lambda_so_ghz must be positive"),
+        ("mechanics", "film", {"thickness_nm": -1}, "thickness_nm must be positive"),
+        ("position", "aperture_x_nm", 0, "aperture dimensions must be positive"),
+        ("population", "sigma_unstrained", -1, "sigma must be finite and >= 0"),
+        ("thermal", "temp_ref_k", 0,
+         "reference splitting and temperature must be positive"),
+        ("population", "sample_frame", "lab",
+         "population.sample_frame must be 'defect' or 'crystal'"),
+        ("monte_carlo", "n", 0, "monte_carlo.n must be >= 1"),
+        ("spectra", "min_prominence_fraction", 1.5,
+         "spectra.min_prominence_fraction must be in (0, 1]"),
+    ])
+    def test_one_bad_value_per_section(self, tmp_path, section, key, value, message):
+        path = write_cfg(tmp_path, {section: {key: value}})
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -91,11 +110,11 @@ class TestEnvFallback:
         path = write_cfg(tmp_path, {"siv": {"lambda_so_ghz": 47.5}})
         monkeypatch.setenv("STRAINFORGE_CONFIG", str(path))
         cfg = load_config(None)
-        assert cfg.siv_parameters().lambda_so_ghz == 47.5
+        assert cfg.siv.lambda_so_ghz == 47.5
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
         env_path = write_cfg(tmp_path, {"siv": {"lambda_so_ghz": 47.5}}, "env.json")
         arg_path = write_cfg(tmp_path, {"siv": {"lambda_so_ghz": 48.5}}, "arg.json")
         monkeypatch.setenv("STRAINFORGE_CONFIG", str(env_path))
         cfg = load_config(arg_path)
-        assert cfg.siv_parameters().lambda_so_ghz == 48.5
+        assert cfg.siv.lambda_so_ghz == 48.5

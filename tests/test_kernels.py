@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,8 +88,8 @@ class TestChunkIndependence:
         from strainforge.config import default_config
 
         cfg = default_config()
-        pos = cfg.position_distribution()
-        cs = cfg.layer_stack().cross_section
+        pos = cfg.position
+        cs = cfg.stack.cross_section
         root = kernels.seed_root(seed)
         n = 600
 
@@ -105,3 +110,18 @@ class TestChunkIndependence:
         for i in range(5 if include_intr else 4):
             joined = np.concatenate([p[i] for p in parts])
             assert np.array_equal(whole[i], joined, equal_nan=True)
+
+
+def test_kernel_micro_benchmark_runs():
+    # benchmarks/bench_kernels.py reaches into private sampler helpers; keep it runnable
+    bench = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    env = dict(os.environ)
+    pkg_root = str(Path(kernels.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, str(bench), "--n", "1000", "--repeats", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

@@ -123,7 +123,7 @@ class TestSectionProperties:
         assert not point_in_section(cs, 40.0, 90.0)  # outside the sloped wall
         assert not point_in_section(cs, 0.0, 150.0)  # below the apex
         rng = np.random.default_rng(3)
-        for cs in (cs, rectangle(80.0, 40.0), cfg.layer_stack().cross_section):
+        for cs in (cs, rectangle(80.0, 40.0), cfg.stack.cross_section):
             y = rng.uniform(-60.0, 60.0, 500)
             depth = rng.uniform(-10.0, 1.2 * cs.depth_extent_nm, 500)
             got = kernels._point_in_poly_np(

@@ -36,12 +36,12 @@ SIGMA = IntrinsicStrainModel(1.5e-5)
 
 @pytest.fixture(scope="module")
 def field(cfg):
-    return solve_beam_state(cfg.layer_stack())
+    return solve_beam_state(cfg.stack)
 
 
 @pytest.fixture(scope="module")
 def zero_field(cfg):
-    stack = cfg.layer_stack()
+    stack = cfg.stack
     stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=0.0))
     return solve_beam_state(stack)
 
@@ -141,22 +141,22 @@ class TestPreDeposition:
 class TestPostDeposition:
     def test_zero_stress_no_intrinsic_pins_to_floor(self, cfg, zero_field):
         res = sample_post_deposition(
-            400, cfg.position_distribution(), zero_field, PARAMS, seed=1
+            400, cfg.position, zero_field, PARAMS, seed=1
         )
         assert np.all(res.samples.gss_ghz == 46.0)
 
     def test_thread_count_invariance(self, cfg, field):
         kw = dict(include_intrinsic=True, intrinsic=SIGMA, seed=2)
-        a = sample_post_deposition(150_000, cfg.position_distribution(), field,
+        a = sample_post_deposition(150_000, cfg.position, field,
                                    PARAMS, threads=1, **kw)
-        b = sample_post_deposition(150_000, cfg.position_distribution(), field,
+        b = sample_post_deposition(150_000, cfg.position, field,
                                    PARAMS, threads=5, **kw)
         assert np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz)
         assert np.array_equal(a.samples.depth_nm, b.samples.depth_nm)
         assert np.array_equal(a.samples.eps_crystal, b.samples.eps_crystal)
 
     def test_positions_inside_aperture_and_substrate(self, cfg, field):
-        pos = cfg.position_distribution()
+        pos = cfg.position
         res = sample_post_deposition(20_000, pos, field, PARAMS, seed=3)
         s = res.samples
         assert np.all(np.abs(s.x_nm) <= pos.aperture_x_nm / 2)
@@ -168,7 +168,7 @@ class TestPostDeposition:
             assert point_in_section(cs, s.y_nm[i], s.depth_nm[i])
 
     def test_depth_distribution_matches_straggle(self, cfg, field):
-        pos = cfg.position_distribution()
+        pos = cfg.position
         res = sample_post_deposition(100_000, pos, field, PARAMS, seed=4)
         assert res.samples.depth_nm.mean() == pytest.approx(35.0, abs=0.2)
         assert res.samples.depth_nm.std() == pytest.approx(10.0, abs=0.2)
@@ -182,7 +182,7 @@ class TestPostDeposition:
             sample_post_deposition(50, pos, field, PARAMS, seed=5)
 
     def test_intrinsic_widens_distribution(self, cfg, field):
-        pos = cfg.position_distribution()
+        pos = cfg.position
         plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6)
         mixed = sample_post_deposition(
             50_000, pos, field, PARAMS, seed=6,
@@ -193,14 +193,14 @@ class TestPostDeposition:
     def test_include_intrinsic_requires_model(self, cfg, field):
         with pytest.raises(ValueError):
             sample_post_deposition(
-                10, cfg.position_distribution(), field, PARAMS,
+                10, cfg.position, field, PARAMS,
                 seed=7, include_intrinsic=True,
             )
 
     def test_two_orientation_classes_under_beam_strain(self, cfg, field):
         # unequal in-plane strain splits the four <111> axes into two pairs
         res = sample_post_deposition(
-            20_000, cfg.position_distribution(), field, PARAMS, seed=8
+            20_000, cfg.position, field, PARAMS, seed=8
         )
         s = res.samples
         cls_a = np.isin(s.orientation_id, [0, 1])
@@ -226,10 +226,10 @@ class TestMonotoneCalibration:
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_mean_monotone_in_stress(self, cfg):
-        pos = cfg.position_distribution()
+        pos = cfg.position
         means = []
         for stress in np.linspace(0.0, 1200.0, 7):
-            stack = cfg.layer_stack()
+            stack = cfg.stack
             stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
             res = sample_post_deposition(
                 30_000, pos, solve_beam_state(stack), PARAMS, seed=12
@@ -270,7 +270,7 @@ class TestMonotoneCalibration:
 
     def test_calibrate_stress_floor_target(self, cfg):
         stress = calibrate_film_stress(
-            46.0, cfg.layer_stack(), cfg.position_distribution(),
+            46.0, cfg.stack, cfg.position,
             PARAMS, 1000, seed=18,
         )
         assert stress == 0.0
@@ -278,7 +278,7 @@ class TestMonotoneCalibration:
     def test_calibrate_stress_below_floor(self, cfg):
         with pytest.raises(Infeasible):
             calibrate_film_stress(
-                10.0, cfg.layer_stack(), cfg.position_distribution(),
+                10.0, cfg.stack, cfg.position,
                 PARAMS, 1000, seed=19,
             )
 
@@ -294,13 +294,13 @@ class TestMonotoneCalibration:
         monkeypatch.setattr(kernels, "draw_post_block", _no_draw)
         with pytest.raises(Infeasible, match="not finite"):
             calibrate_film_stress(
-                target, cfg.layer_stack(), cfg.position_distribution(),
+                target, cfg.stack, cfg.position,
                 PARAMS, 1000, seed=19,
             )
 
     def test_calibrate_stress_hits_target(self, cfg):
-        pos = cfg.position_distribution()
-        stack = cfg.layer_stack()
+        pos = cfg.position
+        stack = cfg.stack
         stress = calibrate_film_stress(
             608.0, stack, pos, PARAMS, 50_000, seed=20,
             include_intrinsic=True, intrinsic=SIGMA,
@@ -313,8 +313,8 @@ class TestMonotoneCalibration:
         assert abs(res.summary.mean_ghz - 608.0) <= 0.5
 
     def test_thicker_film_needs_less_stress(self, cfg):
-        pos = cfg.position_distribution()
-        base = cfg.layer_stack()
+        pos = cfg.position
+        base = cfg.stack
         thick = replace(base, film=replace(base.film, thickness_nm=120.0))
         s_base = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21)
         s_thick = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21)
@@ -327,8 +327,8 @@ class TestMonotoneCalibration:
         pre = sample_pre_deposition(
             100_000, IntrinsicStrainModel(sigma), PARAMS, seed=22
         )
-        pos = cfg.position_distribution()
-        stack = cfg.layer_stack()
+        pos = cfg.position
+        stack = cfg.stack
         stress = calibrate_film_stress(
             608.0, stack, pos, PARAMS, 100_000, seed=22,
             include_intrinsic=True, intrinsic=IntrinsicStrainModel(sigma),
@@ -385,7 +385,7 @@ class TestCouplingTables:
     )
     @settings(max_examples=60, deadline=None)
     def test_film_rows_match_core(self, cfg, stress, depth_fraction, o):
-        stack = cfg.layer_stack()
+        stack = cfg.stack
         stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         field = solve_beam_state(stack)
         depth = depth_fraction * field.depth_max_nm
@@ -413,7 +413,7 @@ class TestCouplingTables:
             sample_pre_deposition(64, SIGMA, PARAMS, seed=31, sample_frame=frame)
             for frame in ("defect", "crystal")
         ] + [
-            sample_post_deposition(64, cfg.position_distribution(), field, PARAMS,
+            sample_post_deposition(64, cfg.position, field, PARAMS,
                                    seed=31, include_intrinsic=intr, intrinsic=SIGMA)
             for intr in (False, True)
         ]
@@ -452,7 +452,7 @@ class TestCachedCalibrationMeans:
     )
     @settings(max_examples=15, deadline=None)
     def test_post_mean_matches_sampler(self, cfg, stress, sigma, include_intrinsic, seed):
-        stack, pos = cfg.layer_stack(), cfg.position_distribution()
+        stack, pos = cfg.stack, cfg.position
         intrinsic = IntrinsicStrainModel(sigma)
         gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed,
                                include_intrinsic, intrinsic, None)
@@ -483,7 +483,7 @@ class TestCachedCalibrationMeans:
                             counted("post", kernels.draw_post_block))
         sigma = calibrate_sigma(119.0, self.N, seed=32)
         calibrate_film_stress(
-            608.0, cfg.layer_stack(), cfg.position_distribution(), PARAMS,
+            608.0, cfg.stack, cfg.position, PARAMS,
             self.N, seed=32, include_intrinsic=True,
             intrinsic=IntrinsicStrainModel(sigma),
         )
@@ -500,7 +500,7 @@ class TestCachedCalibrationMeans:
 
     @pytest.mark.parametrize("target,include_intrinsic", [(46.0, False), (608.0, True)])
     def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, include_intrinsic):
-        stack, pos = cfg.layer_stack(), cfg.position_distribution()
+        stack, pos = cfg.stack, cfg.position
         stress, gss = pop._fit_stress(target, stack, pos, PARAMS, self.N, 34,
                                       include_intrinsic, SIGMA, None)
         assert stress == calibrate_film_stress(

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -84,6 +85,15 @@ class TestLoadSpectrum:
         # intensity stays paired with its original wavelength
         assert s.intensities[-1] == 5.0
 
+    @pytest.mark.parametrize("axis, value", [("frequency_thz", 1e306),
+                                             ("wavelength_nm", 1e-320)])
+    def test_overflowing_conversion_is_parse_error_not_warning(self, axis, value):
+        rows = [(value * (1 + 0.01 * i), 5.0) for i in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="spectrum values must be finite"):
+                load_spectrum(csv_of(rows, header=f"{axis},intensity"))
+
     def test_descending_input_equals_ascending(self):
         rows = simple_rows()
         up = load_spectrum(csv_of(rows))
@@ -137,8 +147,7 @@ def _load_outcome(text):
     """What load_spectrum makes of ``text``: the arrays and metadata, or
     the exception type and message."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # huge THz values
-            s = load_spectrum(io.StringIO(text))
+        s = load_spectrum(io.StringIO(text))
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
     return s.frequencies_ghz, s.intensities, s.metadata

@@ -9,6 +9,7 @@ from strainforge.errors import EmptyRequest, InvalidDomain
 from strainforge.thermal import (
     K_PER_GHZ,
     ThermalReference,
+    _log1mexp,
     gamma_up_relative,
     operability_curve,
     operational_temperature,
@@ -88,6 +89,32 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(554.0, 1.5, model="fermi")
 
+    def test_no_overflow_where_expm1_would(self):
+        # expm1 overflows past x ~ 709.78; below it the value is 1/expm1(x)
+        assert thermal_occupation(1e6, 0.01) == 0.0
+        for x in (709.9, 720.0, 745.0):
+            gss = x / K_PER_GHZ
+            assert thermal_occupation(gss, 1.0) == math.exp(-K_PER_GHZ * gss)
+        gss = 708.0 / K_PER_GHZ
+        assert thermal_occupation(gss, 1.0) == 1.0 / math.expm1(K_PER_GHZ * gss)
+
+
+class TestLog1mexp:
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-17, 1.1e-16, 1e-12, 1e-8])
+    def test_small_x_matches_series(self, x):
+        assert _log1mexp(x) == pytest.approx(math.log(x) - x / 2 + x * x / 24,
+                                             rel=1e-15, abs=0)
+
+    def test_continuous_across_ln2(self):
+        xs = [math.log(2.0)]
+        for _ in range(8):
+            xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], 1.0)]
+        ys = [_log1mexp(x) for x in xs]
+        assert ys == sorted(ys)
+        # slope 1 at ln 2: 16 ulps of x move the value by about 16 ulps
+        assert ys[-1] - ys[0] < 20 * math.ulp(math.log(2.0))
+        assert ys[8] == pytest.approx(-math.log(2.0), abs=math.ulp(math.log(2.0)))
+
 
 class TestGammaUpRelative:
     def test_normalization_point(self):
@@ -106,6 +133,15 @@ class TestGammaUpRelative:
     def test_invalid_domain(self):
         with pytest.raises(InvalidDomain):
             gamma_up_relative(-5.0, 1.5, REF)
+
+    def test_splitting_far_below_temperature(self):
+        # x ~ 1.6e-18: exp(-x) rounds to 1, so n_th = 1/x to double precision
+        x = K_PER_GHZ * 1e-14 / 300.0
+        x0 = K_PER_GHZ * 554.0 / 1.5
+        ln_rate = 3.0 * math.log(1e-14) - math.log(x)
+        ln_rate0 = 3.0 * math.log(554.0) - x0 - math.log(-math.expm1(-x0))
+        assert gamma_up_relative(1e-14, 300.0) == pytest.approx(
+            math.exp(ln_rate - ln_rate0), rel=1e-12)
 
 
 class TestOperationalTemperature:
