@@ -1,9 +1,11 @@
-"""Time the two sampling stages: the scale-free draws and the evaluation.
+"""Time the two sampling stages and the text of the sample CSV.
 
 The draw stage (counter-based normals, orientations, rejection-sampled
 positions) runs once per ensemble; the evaluation stage (coupling tables
 applied to the draws, then the splitting) is what every calibration step
-repeats. Both run here as single unchunked blocks on one thread.
+repeats. Both run here as single unchunked blocks on one thread. Last,
+one CSV_BLOCK_ROWS block of a post-deposition sample is turned into CSV
+text by the numpy writer and by per-row ``%`` formatting.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
 """
@@ -15,6 +17,8 @@ import numpy as np
 
 import strainforge._kernels as kernels
 import strainforge.population as pop
+from strainforge._csvtext import format_rows
+from strainforge.cli import CSV_BLOCK_ROWS
 from strainforge.config import default_config
 from strainforge.mechanics import solve_beam_state
 
@@ -71,6 +75,22 @@ def main():
          best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
                  + (sigma * kernels.apply_maps(to_crystal, o, z)).T, repeats), n)
     print(f"\nmean gss of the last evaluation: {float(np.mean(evaluate())):.3f} GHz")
+
+    rows = min(n, CSV_BLOCK_ROWS)
+    s = pop.sample_post_deposition(rows, pos, field, params, seed=12345).samples
+    cols = [np.arange(rows), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
+            *s.eps_crystal.T, s.gss_ghz]
+    fmt = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7
+
+    def per_row():
+        line = fmt + "\n"
+        return "".join(line % row for row in zip(*(c.tolist() for c in cols))).encode()
+
+    assert format_rows(cols, fmt) == per_row()
+    print(f"\nsample CSV text ({rows:,} rows x {len(cols)} columns, bytes equal)")
+    for label, fn in (("numpy writer (_csvtext)", lambda: format_rows(cols, fmt)),
+                      ("per-row % formatting", per_row)):
+        print(f"  {label:34s} {best_of(fn, repeats) / (rows * len(cols)) * 1e9:9.1f} ns/value")
 
 
 if __name__ == "__main__":

@@ -53,15 +53,16 @@ CSV_BLOCK_ROWS = 4096
 
 
 def _write_atomic(path: Path, text) -> None:
-    """Write ``text``, a string or an iterable of string chunks, to a temp
-    file beside ``path`` and rename it into place; on failure the temp
-    file is removed and the error re-raised."""
+    """Write ``text``, a string or an iterable of str or bytes chunks (str
+    as UTF-8), to a temp file beside ``path`` and rename it into place; on
+    failure the temp file is removed and the error re-raised."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with open(tmp, "wb") as fh:
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -69,9 +70,9 @@ def _write_atomic(path: Path, text) -> None:
 
 
 def _csv_chunks(header: str, columns, row_format: str):
-    """A CSV table as text chunks: the header line, then one chunk per
-    block of CSV_BLOCK_ROWS rows, each row ``row_format % row``. Only one
-    block is ever held as Python objects."""
+    """A small CSV table as text chunks: the header line, then one chunk
+    per block of CSV_BLOCK_ROWS rows, each row ``row_format % row``. The
+    ``sample`` table goes through ``_csvtext`` instead."""
     yield header + "\n"
     columns = [np.asarray(c) for c in columns]
     row_format += "\n"
@@ -161,6 +162,8 @@ def _cmd_mechanics(args, cfg: Config) -> int:
 
 
 def _cmd_sample(args, cfg: Config) -> int:
+    from . import _csvtext  # imported here so that other commands need not compile it
+
     if args.phase == "pre":
         result = sample_pre_deposition(
             args.n, cfg.intrinsic, cfg.siv, args.seed,
@@ -173,12 +176,12 @@ def _cmd_sample(args, cfg: Config) -> int:
             intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
         )
     s = result.samples
-    chunks = _csv_chunks(
+    chunks = _csvtext.csv_chunks(
         "index,x_nm,y_nm,depth_nm,orientation_id,"
         "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz",
         [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
          *s.eps_crystal.T, s.gss_ghz],
-        "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
+        "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7, CSV_BLOCK_ROWS,
     )
     _write_atomic(Path(args.out), chunks)
     summary = result.summary

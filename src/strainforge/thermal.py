@@ -70,9 +70,14 @@ def thermal_occupation(gss_ghz: float, temp_k: float, model: str = "bose_einstei
     if boltzmann:
         return math.exp(-x)
     try:
-        return 1.0 / math.expm1(x)
+        occupation = 1.0 / math.expm1(x)
     except OverflowError:  # exp(x) > 1.8e308: 1/(exp(x) - 1) is exp(-x) to the last bit
         return math.exp(-x)
+    except ZeroDivisionError:  # x underflowed to 0
+        occupation = math.inf
+    if occupation == math.inf:
+        raise InvalidDomain(f"occupation overflows at h*gss/(kB*T) = {x:g}")
+    return occupation
 
 
 def _log1mexp(x: float) -> float:
@@ -87,6 +92,8 @@ def _ln_rate(gss_ghz: float, temp_k: float, boltzmann: bool) -> float:
     base = 3.0 * math.log(gss_ghz) - x
     if boltzmann:
         return base
+    if x == 0.0:  # K*gss/T underflowed: ln(1 - e^-x) = ln x - x/2, ln x from the logs
+        return base - (math.log(K_PER_GHZ) + math.log(gss_ghz) - math.log(temp_k))
     return base - _log1mexp(x)
 
 

@@ -28,6 +28,15 @@ def point_in_section(cs, y_nm, depth_nm):
     return inside
 
 
+def csv_rows(columns, row_format):
+    """Bytes of one ``row_format % row`` line per row, values taken as
+    Python numbers: the per-row formatting the ``sample`` CSV had before
+    its numpy writer. Oracle for ``_csvtext.format_rows``."""
+    row_format += "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join(row_format % row for row in rows).encode()
+
+
 def lorentzian(freqs, center, fwhm):
     half = 0.5 * fwhm
     return half * half / ((freqs - center) ** 2 + half * half)

@@ -8,7 +8,7 @@ import strainforge.cli as cli
 import strainforge.population as pop
 import strainforge.spectra as spectra
 import strainforge.thermal as thermal
-from conftest import synth_spectrum
+from conftest import csv_rows, synth_spectrum
 from strainforge.cli import _write_atomic, run
 from strainforge.config import load_config
 from strainforge.mechanics import solve_beam_state
@@ -34,6 +34,13 @@ class TestExitCodes:
         path.write_text(json.dumps({"thermal": {"gss_ref_ghz": 1e-15, "temp_ref_k": 300.0}}))
         assert run(["top", "--gss-ghz", "554", "--config", str(path)]) == 0
         assert capsys.readouterr().out == "0.3353 K\n"
+
+    def test_top_underflowing_reference_splitting(self, tmp_path, capsys):
+        # K*gss/T underflows to 0 at the reference: a temperature, no traceback
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"thermal": {"gss_ref_ghz": 1e-322, "temp_ref_k": 300.0}}))
+        assert run(["top", "--gss-ghz", "554", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "0.0178 K\n"
 
     def test_top_domain_error(self, capsys):
         assert run(["top", "--gss-ghz", "-5"]) == 1
@@ -209,6 +216,32 @@ class TestSampleCommand:
                   "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
         want = header + "\n" + "\n".join(rows) + "\n"
         assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    @pytest.mark.parametrize("seed", [3, 20260809])
+    def test_sample_csv_equals_per_row_oracle(self, tmp_path, capsys, phase, seed):
+        out = tmp_path / "samples.csv"
+        assert run(["sample", "--phase", phase, "--n", "5000", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        cfg = load_config(None)
+        if phase == "pre":
+            res = pop.sample_pre_deposition(5000, cfg.intrinsic, cfg.siv, seed,
+                                            sample_frame=cfg.sample_frame)
+        else:
+            res = pop.sample_post_deposition(
+                5000, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
+                include_intrinsic=cfg.include_intrinsic_post,
+                intrinsic=cfg.intrinsic, seed=seed,
+            )
+        s = res.samples
+        header, body = out.read_bytes().split(b"\n", 1)
+        assert header == (b"index,x_nm,y_nm,depth_nm,orientation_id,"
+                          b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
+        assert body == csv_rows(
+            [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
+             *s.eps_crystal.T, s.gss_ghz],
+            "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
+        )
 
     def test_sample_deterministic_bytes(self, tmp_path, capsys, fast_config):
         a = tmp_path / "a.csv"

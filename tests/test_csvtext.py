@@ -1,0 +1,131 @@
+"""The numpy CSV writer against Python's own ``%d``/``%.17g`` formatting."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import csv_rows
+from strainforge._csvtext import K_HI, K_LO, csv_chunks, format_rows
+from strainforge.cli import CSV_BLOCK_ROWS
+
+G = "%.17g"
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+bit_pattern = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+# o * 5**j ends in 5 (o odd), so with 18 digits o * 2**-j lies halfway between two
+# 17-digit decimals: an exact tie
+tie = st.integers(2, 25).flatmap(lambda j: st.integers(
+    -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53) - 1).filter(
+    lambda o: o % 2 == 1 and len(str(o * 5 ** j)) == 18).map(lambda o: o * 2.0 ** -j))
+signed_tie = st.tuples(tie, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+value = st.one_of(any_float, bit_pattern, signed_tie, st.sampled_from([0.0, -0.0]))
+
+
+def _check(columns, row_format):
+    assert format_rows(columns, row_format) == csv_rows(columns, row_format)
+
+
+def _is_tie(x):
+    """Does the 18th significant digit of x end its exact expansion as a 5?"""
+    f = abs(Fraction(x))
+    k = math.floor(math.log10(f))
+    k += (Fraction(10) ** (k + 1) <= f) - (Fraction(10) ** k > f)  # log10 may round
+    scaled = f * Fraction(10) ** (16 - k)
+    return scaled.denominator == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(value, min_size=1, max_size=60))
+def test_float_column_matches_python(xs):
+    _check([np.array(xs)], G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(tie, min_size=1, max_size=20))
+def test_ties_are_exact_and_match_python(xs):
+    assert all(_is_tie(x) for x in xs)
+    _check([np.array(xs), -np.array(xs)], f"{G},{G}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mixed_int_and_float_columns(data):
+    kinds = data.draw(st.lists(st.sampled_from(["%d", G]), min_size=1, max_size=6))
+    rows = data.draw(st.integers(1, 12))
+    columns = [
+        np.array(data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-99, 99),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+        if f == "%d" else
+        np.array(data.draw(st.lists(value, min_size=rows, max_size=rows)))
+        for f in kinds
+    ]
+    _check(columns, ",".join(kinds))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3 * CSV_BLOCK_ROWS // 1024), st.integers(1, 700), st.integers(0, 2 ** 32 - 1))
+def test_blocks_of_any_size_join_to_the_table(block_rows, rows, seed):
+    rng = np.random.default_rng(seed)
+    columns = [np.arange(rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows),
+               rng.integers(0, 12, rows).astype(np.int8)]
+    fmt = f"%d,{G},%d"
+    chunks = list(csv_chunks("a,b,c", columns, fmt, block_rows))
+    assert chunks[0] == b"a,b,c\n"
+    assert len(chunks) == 1 + -(-rows // block_rows)
+    assert b"".join(chunks[1:]) == csv_rows(columns, fmt)
+
+
+def test_table_longer_than_one_cli_block():
+    rng = np.random.default_rng(7)
+    rows = CSV_BLOCK_ROWS + 3  # one full block and a short one
+    columns = [np.arange(rows), rng.standard_normal(rows), rng.random(rows) * 1e-5]
+    fmt = f"%d,{G},{G}"
+    chunks = list(csv_chunks("h", columns, fmt, CSV_BLOCK_ROWS))
+    assert [len(c.splitlines()) for c in chunks[1:]] == [CSV_BLOCK_ROWS, 3]
+    assert b"".join(chunks[1:]) == csv_rows(columns, fmt)
+
+
+def test_powers_of_ten_and_their_neighbours():
+    xs = []
+    for j in range(-320, 309):
+        p = float(f"1e{j}")
+        xs += [math.nextafter(p, math.inf), math.nextafter(p, -math.inf), p]
+    xs = np.array(xs)
+    _check([xs, -xs], f"{G},{G}")
+
+
+def test_exponent_layout_edges():
+    # %g turns to exponent notation below 1e-4 and at 1e17, after rounding
+    xs = np.array([1e-4, 9.99999999999999e-5, 0.000099999999999999999, 1e-5, 1e16,
+                   99999999999999984.0, 1e17, 1.5, 100.0, 120.0, 1e22, 1e23, 2.0 ** 53,
+                   123456789012345678.0, 0.1, 0.5, 1e-100, 1e100, 1e-99, 1e99,
+                   10.0 ** K_LO, 10.0 ** K_HI, 10.0 ** (K_LO - 1), 10.0 ** (K_HI + 1)])
+    _check([xs, -xs], f"{G},{G}")
+
+
+def test_zero_columns_stay_on_the_numpy_path(monkeypatch):
+    # sample --phase pre writes three all-zero columns
+    import strainforge._csvtext as csvtext
+
+    def no_python(*args):
+        raise AssertionError("zero went to the Python fallback")
+
+    monkeypatch.setattr(csvtext, "_ascii", no_python)
+    zeros = np.zeros(5)
+    assert format_rows([np.arange(5), zeros, -zeros, zeros], f"%d,{G},{G},{G}") == \
+        csv_rows([np.arange(5), zeros, -zeros, zeros], f"%d,{G},{G},{G}")
+
+
+@pytest.mark.parametrize("fmt, ncols", [("%r", 1), ("%d,%g", 2), ("%.16g", 1), ("%d", 2)])
+def test_other_formats_rejected(fmt, ncols):
+    with pytest.raises(ValueError):
+        format_rows([np.zeros(2, dtype=np.int64)] * ncols, fmt)
+
+
+def test_float_in_int_column_rejected():
+    with pytest.raises(TypeError):
+        format_rows([np.array([1.5])], "%d")

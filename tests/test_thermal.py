@@ -9,6 +9,7 @@ from strainforge.errors import EmptyRequest, InvalidDomain
 from strainforge.thermal import (
     K_PER_GHZ,
     ThermalReference,
+    _ln_rate,
     _log1mexp,
     gamma_up_relative,
     operability_curve,
@@ -98,6 +99,18 @@ class TestThermalOccupation:
         gss = 708.0 / K_PER_GHZ
         assert thermal_occupation(gss, 1.0) == 1.0 / math.expm1(K_PER_GHZ * gss)
 
+    @pytest.mark.parametrize("gss", [1e-322, 1e-310, 5e-324])
+    def test_occupation_past_the_float_range_is_invalid_domain(self, gss):
+        # x underflows to 0 (1e-322) or 1/x overflows (1e-310): no finite n_th
+        with pytest.raises(InvalidDomain):
+            thermal_occupation(gss, 300.0)
+
+    def test_smallest_finite_occupation_unchanged(self):
+        # x = 2**-1020 is tiny but 1/expm1(x) = 2**1020 is still finite
+        gss = 2.0 ** -1020 * 300.0 / K_PER_GHZ
+        x = K_PER_GHZ * gss / 300.0
+        assert thermal_occupation(gss, 300.0) == 1.0 / math.expm1(x)
+
 
 class TestLog1mexp:
     @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-17, 1.1e-16, 1e-12, 1e-8])
@@ -142,6 +155,22 @@ class TestGammaUpRelative:
         ln_rate0 = 3.0 * math.log(554.0) - x0 - math.log(-math.expm1(-x0))
         assert gamma_up_relative(1e-14, 300.0) == pytest.approx(
             math.exp(ln_rate - ln_rate0), rel=1e-12)
+
+    @pytest.mark.parametrize("gss", [1e-322, 5e-324])
+    def test_rate_where_x_underflows(self, gss):
+        # K*gss/T is 0.0 in floats; ln(gss^3 n_th) = 3 ln gss - ln x, ln x from logs
+        assert K_PER_GHZ * gss / 300.0 == 0.0
+        want = 3.0 * math.log(gss) - (math.log(K_PER_GHZ) + math.log(gss) - math.log(300.0))
+        assert _ln_rate(gss, 300.0, False) == want
+        top = operational_temperature(554.0, ThermalReference(gss, 300.0))
+        assert top == pytest.approx(K_PER_GHZ * 554.0 / (3.0 * math.log(554.0) - want), rel=1e-12)
+
+    def test_rate_just_above_underflow_keeps_its_branch(self):
+        # the smallest normal x still goes through _log1mexp, bit for bit
+        gss = 2.0 ** -1022 * 300.0 / K_PER_GHZ
+        x = K_PER_GHZ * gss / 300.0
+        assert x > 0.0
+        assert _ln_rate(gss, 300.0, False) == 3.0 * math.log(gss) - x - _log1mexp(x)
 
 
 class TestOperationalTemperature:
