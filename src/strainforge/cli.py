@@ -26,8 +26,6 @@ from .errors import NoSingleEmitters, StrainforgeError
 from .mechanics import solve_beam_state, strain_at
 from .population import (
     IntrinsicStrainModel,
-    _fit_sigma,
-    _fit_stress,
     calibrate_film_stress,
     calibrate_sigma,
     sample_post_deposition,
@@ -171,9 +169,9 @@ def _cmd_sample(args, cfg: Config) -> int:
         )
     else:
         result = sample_post_deposition(
-            args.n, cfg.position, solve_beam_state(cfg.stack),
-            cfg.siv, include_intrinsic=cfg.include_intrinsic_post,
-            intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
+            args.n, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
+            intrinsic=cfg.intrinsic if cfg.include_intrinsic_post else None,
+            seed=args.seed, threads=args.threads,
         )
     s = result.samples
     chunks = _csvtext.csv_chunks(
@@ -195,15 +193,14 @@ def _cmd_sample(args, cfg: Config) -> int:
 
 def _cmd_calibrate(args, cfg: Config) -> int:
     if args.what == "sigma":
-        key, value = "sigma_unstrained", calibrate_sigma(
+        key, (value, _) = "sigma_unstrained", calibrate_sigma(
             args.target_ghz, args.n, args.seed, cfg.siv,
             sample_frame=cfg.sample_frame, threads=args.threads,
         )
     else:
-        key, value = "film_stress_mpa", calibrate_film_stress(
+        key, (value, _) = "film_stress_mpa", calibrate_film_stress(
             args.target_ghz, cfg.stack, cfg.position, cfg.siv, args.n, args.seed,
-            include_intrinsic=cfg.include_intrinsic_post,
-            intrinsic=cfg.intrinsic,
+            intrinsic=cfg.intrinsic if cfg.include_intrinsic_post else None,
             threads=args.threads,
         )
     sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
@@ -212,7 +209,7 @@ def _cmd_calibrate(args, cfg: Config) -> int:
 
 
 def _cmd_top(args, cfg: Config) -> int:
-    t_op = operational_temperature(args.gss_ghz, cfg.thermal, cfg.occupation_model)
+    t_op = operational_temperature(args.gss_ghz, cfg.thermal)
     sys.stdout.write(f"{t_op:.4f} K\n")
     return 0
 
@@ -228,20 +225,22 @@ def report(cfg: Config, seed: int, n: int | None = None,
     top_vs_gss.csv, operability.csv, and summary.json.
     """
     n = n if n is not None else cfg.default_n
-    ref, model = cfg.thermal, cfg.occupation_model
+    ref = cfg.thermal
     out_dir = Path(out_dir)
 
-    sigma, pre_gss = _fit_sigma(
-        PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv, cfg.sample_frame, threads
+    sigma, pre_gss = calibrate_sigma(
+        PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv,
+        sample_frame=cfg.sample_frame, threads=threads,
     )
-    stress, post_gss = _fit_stress(
+    stress, post_gss = calibrate_film_stress(
         POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, n, seed,
-        cfg.include_intrinsic_post, IntrinsicStrainModel(sigma), threads,
+        intrinsic=IntrinsicStrainModel(sigma) if cfg.include_intrinsic_post else None,
+        threads=threads,
     )
     pre, post = summarize(pre_gss), summarize(post_gss)
 
-    top_pre = operational_temperature_batch(pre_gss, ref, model, threads)
-    top_post = operational_temperature_batch(post_gss, ref, model, threads)
+    top_pre = operational_temperature_batch(pre_gss, ref)
+    top_post = operational_temperature_batch(post_gss, ref)
 
     # shared-grid densities
     hi = 50.0 * math.ceil(max(pre_gss.max(), post_gss.max()) / 50.0)
@@ -253,7 +252,7 @@ def report(cfg: Config, seed: int, n: int | None = None,
         [edges[:-1], edges[1:], *densities], "%r,%r,%r,%r",
     ))
 
-    top_curve = operational_temperature_batch(TOP_CURVE_GSS_GHZ, ref, model, threads)
+    top_curve = operational_temperature_batch(TOP_CURVE_GSS_GHZ, ref)
     _write_atomic(out_dir / "top_vs_gss.csv", _csv_chunks(
         "gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve], "%r,%r",
     ))

@@ -19,7 +19,7 @@ from .core import SivParameters
 from .errors import ConfigError, InvalidGeometry
 from .mechanics import CrossSection, Layer, LayerStack
 from .population import IntrinsicStrainModel, PositionDistribution
-from .thermal import OCCUPATION_MODELS, ThermalReference
+from .thermal import ThermalReference
 
 __all__ = ["Config", "load_config", "default_config", "ENV_CONFIG_PATH"]
 
@@ -86,7 +86,6 @@ class Config:
     position: PositionDistribution
     intrinsic: IntrinsicStrainModel
     thermal: ThermalReference
-    occupation_model: str
     sample_frame: str
     include_intrinsic_post: bool
     smoothing_window: int
@@ -113,16 +112,14 @@ def _layer_stack(mech: dict) -> LayerStack:
 def _build(data: dict, source: str) -> Config:
     """Construct the typed objects from merged ``_validate`` output, in
     section order, then check the plain values."""
-    population, thermal = data["population"], data["thermal"]
+    population = data["population"]
     try:
         cfg = Config(
             siv=SivParameters(**data["siv"]),
             stack=_layer_stack(data["mechanics"]),
             position=PositionDistribution(**data["position"]),
             intrinsic=IntrinsicStrainModel(sigma=population["sigma_unstrained"]),
-            thermal=ThermalReference(gss_ref_ghz=thermal["gss_ref_ghz"],
-                                     temp_ref_k=thermal["temp_ref_k"]),
-            occupation_model=thermal["occupation_model"],
+            thermal=ThermalReference(**data["thermal"]),
             sample_frame=population["sample_frame"],
             include_intrinsic_post=population["include_intrinsic_post"],
             smoothing_window=data["spectra"]["smoothing_window"],
@@ -133,10 +130,6 @@ def _build(data: dict, source: str) -> Config:
         )
     except (ValueError, TypeError, InvalidGeometry) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.occupation_model not in OCCUPATION_MODELS:
-        raise ConfigError(
-            f"thermal.occupation_model must be one of {OCCUPATION_MODELS}"
-        )
     if cfg.sample_frame not in ("defect", "crystal"):
         raise ConfigError("population.sample_frame must be 'defect' or 'crystal'")
     if cfg.default_n < 1:

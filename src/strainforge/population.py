@@ -187,18 +187,15 @@ def _film_response(field: StrainField, params: SivParameters):
     return eps.components / _UNIT, rows / _UNIT
 
 
-def _check_pre(n, sample_frame):
+def _check_n(n):
     if n < 1:
         raise EmptyRequest("n must be >= 1")
+
+
+def _check_pre(n, sample_frame):
+    _check_n(n)
     if sample_frame not in ("defect", "crystal"):
         raise ValueError("sample_frame must be 'defect' or 'crystal'")
-
-
-def _check_post(n, include_intrinsic, intrinsic):
-    if n < 1:
-        raise EmptyRequest("n must be >= 1")
-    if include_intrinsic and intrinsic is None:
-        raise ValueError("include_intrinsic requires an IntrinsicStrainModel")
 
 
 def _draw_post(root, pos: PositionDistribution, cs, intrinsic: bool):
@@ -263,7 +260,6 @@ def sample_post_deposition(
     field: StrainField,
     params: SivParameters,
     *,
-    include_intrinsic: bool = False,
     intrinsic: IntrinsicStrainModel | None = None,
     seed: int,
     threads: int | None = None,
@@ -272,18 +268,18 @@ def sample_post_deposition(
 
     Each sample draws an implantation position (rejected until it lands
     inside the substrate), evaluates the depth-dependent beam strain, maps
-    it through a uniformly drawn <111> orientation, optionally adds an
-    intrinsic random tensor (drawn in the defect frame), and computes the
-    splitting.
+    it through a uniformly drawn <111> orientation, adds an intrinsic
+    random tensor (drawn in the defect frame) unless ``intrinsic`` is
+    None, and computes the splitting.
     """
-    _check_post(n, include_intrinsic, intrinsic)
+    _check_n(n)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
     draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
-                      include_intrinsic)
+                      intrinsic is not None)
     film_crystal, film_rows = _film_response(field, params)
     rows, to_crystal = _intrinsic_maps(params, "defect")
-    sigma_i = intrinsic.sigma if include_intrinsic else 0.0
+    sigma_i = 0.0 if intrinsic is None else intrinsic.sigma
 
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
@@ -336,27 +332,28 @@ def _pre_gss(n, seed, params, sample_frame, threads):
     return gss_at
 
 
-def _post_gss(stack, pos, params, n, seed, include_intrinsic, intrinsic, threads):
+def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
     """Film stress (MPa) -> gss of ``sample_post_deposition`` in the field
     of ``stack`` at that stress.
 
     Depths, orientations and intrinsic couplings are drawn once; each call
     solves the beam and evaluates the splitting as the sampler does.
     """
+    # one solve per step (~45 us): a scaled unit-stress field is not bit-exact
     def field_at(stress_mpa):
         trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress_mpa))
         return solve_beam_state(trial)
 
     field = field_at(0.0)
-    _check_post(n, include_intrinsic, intrinsic)
+    _check_n(n)
     draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
-                            include_intrinsic)
+                            intrinsic is not None)
     rows, _ = _intrinsic_maps(params, "defect")
     _, film_rows = _film_response(field, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
-    unit = np.empty((2, n)) if include_intrinsic else None
-    sigma_i = intrinsic.sigma if include_intrinsic else 0.0
+    unit = None if intrinsic is None else np.empty((2, n))
+    sigma_i = 0.0 if intrinsic is None else intrinsic.sigma
 
     def draw(lo, hi):
         _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
@@ -384,7 +381,7 @@ def _post_gss(stack, pos, params, n, seed, include_intrinsic, intrinsic, threads
     return gss_at
 
 
-def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
+def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol):
     """Root of monotone f - target on [lo, hi] by Illinois regula falsi."""
     g_lo = f_lo - target
     g_hi = f_hi - target
@@ -394,7 +391,7 @@ def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
         return hi
     side = 0
     x = lo
-    for _ in range(max_iter):
+    for _ in range(80):
         x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -416,7 +413,7 @@ def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
     return x
 
 
-# default tolerance of a calibration on the ensemble mean
+# tolerance of a calibration on the ensemble mean
 _TOL_GHZ = 0.05
 
 
@@ -429,7 +426,7 @@ def _check_target(target_mean_ghz, lam):
         raise Infeasible(f"target mean {target_mean_ghz} GHz is not finite")
 
 
-def _fit(gss_at, target, lo, f_lo, hi, cap, tol, unreachable):
+def _fit(gss_at, target, lo, f_lo, hi, cap, unreachable):
     """Scale whose ensemble mean hits ``target``, and the ensemble there.
 
     Doubles ``hi`` until its mean reaches the target (Infeasible with
@@ -449,38 +446,8 @@ def _fit(gss_at, target, lo, f_lo, hi, cap, tol, unreachable):
         if hi > cap:
             raise Infeasible(unreachable)
         f_hi = mean_at(hi)
-    scale = _monotone_root(mean_at, target, lo, hi, f_lo, f_hi, tol)
+    scale = _monotone_root(mean_at, target, lo, hi, f_lo, f_hi, _TOL_GHZ)
     return scale, last[1] if last[0] == scale else gss_at(scale)
-
-
-def _fit_sigma(target_mean_ghz, n, seed, params, sample_frame, threads,
-               tol_ghz=_TOL_GHZ):
-    """(sigma, gss): ``calibrate_sigma`` and its pre-deposition ensemble."""
-    lam = params.lambda_so_ghz
-    _check_target(target_mean_ghz, lam)
-    _check_pre(n, sample_frame)
-    if target_mean_ghz <= lam * (1.0 + 1e-12):
-        return 0.0, np.full(n, lam)
-    return _fit(_pre_gss(n, seed, params, sample_frame, threads), target_mean_ghz,
-                0.0, lam, 1e-5, 1e-2, tol_ghz,
-                "target mean unreachable within the small-strain regime")
-
-
-def _fit_stress(target_mean_ghz, stack, pos, params, n, seed, include_intrinsic,
-                intrinsic, threads, tol_ghz=_TOL_GHZ):
-    """(stress, gss): ``calibrate_film_stress`` and its post-deposition
-    ensemble."""
-    _check_target(target_mean_ghz, params.lambda_so_ghz)
-    gss_at = _post_gss(stack, pos, params, n, seed, include_intrinsic,
-                       intrinsic, threads)
-    gss = gss_at(0.0)
-    f_lo = float(np.mean(gss))
-    if target_mean_ghz <= f_lo + tol_ghz:
-        if target_mean_ghz >= f_lo - tol_ghz:
-            return 0.0, gss
-        raise Infeasible("target mean lies below the zero-stress ensemble mean")
-    return _fit(gss_at, target_mean_ghz, 0.0, f_lo, 500.0, 1e6, tol_ghz,
-                "target mean unreachable at physical film stresses")
 
 
 def calibrate_sigma(
@@ -489,19 +456,27 @@ def calibrate_sigma(
     seed: int,
     params: SivParameters | None = None,
     *,
-    tol_ghz: float = _TOL_GHZ,
     sample_frame: str = "defect",
     threads: int | None = None,
-) -> float:
-    """Intrinsic sigma whose fixed-seed ensemble mean hits the target.
+) -> tuple[float, np.ndarray]:
+    """Intrinsic sigma whose fixed-seed ensemble mean hits the target, and
+    the gss of that ensemble: (sigma, gss), gss equal to
+    ``sample_pre_deposition``'s at sigma to the last bit.
 
     The mean is continuous and strictly increasing in sigma under common
     random numbers, so a bracketing root find converges cleanly; the
     ensemble is drawn once and each step rescales its couplings. Raises
     Infeasible for targets below the spin-orbit floor.
     """
-    return _fit_sigma(target_mean_ghz, n, seed, params or SivParameters(),
-                      sample_frame, threads, tol_ghz)[0]
+    params = params or SivParameters()
+    lam = params.lambda_so_ghz
+    _check_target(target_mean_ghz, lam)
+    _check_pre(n, sample_frame)
+    if target_mean_ghz <= lam * (1.0 + 1e-12):
+        return 0.0, np.full(n, lam)
+    return _fit(_pre_gss(n, seed, params, sample_frame, threads), target_mean_ghz,
+                0.0, lam, 1e-5, 1e-2,
+                "target mean unreachable within the small-strain regime")
 
 
 def calibrate_film_stress(
@@ -512,15 +487,24 @@ def calibrate_film_stress(
     n: int = 100_000,
     seed: int = 0,
     *,
-    include_intrinsic: bool = False,
     intrinsic: IntrinsicStrainModel | None = None,
-    tol_ghz: float = _TOL_GHZ,
     threads: int | None = None,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Equivalent film stress (MPa) whose post-deposition ensemble mean
-    hits the target, by the same monotone root find as calibrate_sigma.
+    hits the target, by the same monotone root find as calibrate_sigma,
+    and the gss of that ensemble: (stress, gss), gss equal to
+    ``sample_post_deposition``'s in the field at that stress.
 
     The film strain is linear in the stress, so the ensemble is drawn once
     and each root-finder step re-evaluates it in the trial field."""
-    return _fit_stress(target_mean_ghz, stack, pos, params or SivParameters(),
-                       n, seed, include_intrinsic, intrinsic, threads, tol_ghz)[0]
+    params = params or SivParameters()
+    _check_target(target_mean_ghz, params.lambda_so_ghz)
+    gss_at = _post_gss(stack, pos, params, n, seed, intrinsic, threads)
+    gss = gss_at(0.0)
+    f_lo = float(np.mean(gss))
+    if target_mean_ghz <= f_lo + _TOL_GHZ:
+        if target_mean_ghz >= f_lo - _TOL_GHZ:
+            return 0.0, gss
+        raise Infeasible("target mean lies below the zero-stress ensemble mean")
+    return _fit(gss_at, target_mean_ghz, 0.0, f_lo, 500.0, 1e6,
+                "target mean unreachable at physical film stresses")

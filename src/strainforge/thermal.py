@@ -41,14 +41,17 @@ T_MAX_K = 300.0
 
 @dataclass(frozen=True)
 class ThermalReference:
-    """Splitting/temperature pair defining 'operable' suppression."""
+    """Splitting/temperature pair defining 'operable' suppression, and the
+    occupation model of the rate law normalized to it."""
 
     gss_ref_ghz: float = 554.0
     temp_ref_k: float = 1.5
+    occupation_model: str = "bose_einstein"
 
     def __post_init__(self):
         if not (self.gss_ref_ghz > 0 and self.temp_ref_k > 0):
             raise ValueError("reference splitting and temperature must be positive")
+        _check_model(self.occupation_model)
 
 
 def _check_model(model: str) -> bool:
@@ -97,21 +100,30 @@ def _ln_rate(gss_ghz: float, temp_k: float, boltzmann: bool) -> float:
     return base - _log1mexp(x)
 
 
+def _reference(ref: ThermalReference | None):
+    """(log rate at the reference point, Boltzmann?) of ``ref`` or the default."""
+    ref = ref or ThermalReference()
+    boltzmann = ref.occupation_model == "boltzmann"
+    return _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann), boltzmann
+
+
 def gamma_up_relative(
     gss_ghz: float,
     temp_k: float,
     ref: ThermalReference | None = None,
-    model: str = "bose_einstein",
 ) -> float:
-    """Upward phonon rate normalized to 1 at the reference point."""
-    ref = ref or ThermalReference()
-    boltzmann = _check_model(model)
+    """Upward phonon rate normalized to 1 at the reference point; raises
+    InvalidDomain where that is not a finite float."""
+    ln0, boltzmann = _reference(ref)
     if not (gss_ghz > 0 and temp_k > 0):
         raise InvalidDomain("gss and temperature must be positive")
-    return math.exp(
-        _ln_rate(gss_ghz, temp_k, boltzmann)
-        - _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann)
-    )
+    try:
+        rate = math.exp(_ln_rate(gss_ghz, temp_k, boltzmann) - ln0)
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise InvalidDomain("normalized rate is not a finite float")
+    return rate
 
 
 def _solve_top(gss, ln_rate0: float, boltzmann: bool):
@@ -139,39 +151,29 @@ def _solve_top(gss, ln_rate0: float, boltzmann: bool):
 def operational_temperature(
     gss_ghz: float,
     ref: ThermalReference | None = None,
-    model: str = "bose_einstein",
 ) -> float:
     """Temperature where the normalized rate equals 1; unique because the
     rate grows strictly with temperature. Solved in closed form; raises
     InvalidDomain unless gss is finite and positive and the temperature
     lies in [T_MIN_K, T_MAX_K]."""
-    ref = ref or ThermalReference()
-    boltzmann = _check_model(model)
-    ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann)
+    ln0, boltzmann = _reference(ref)
     return float(_solve_top(np.float64(gss_ghz), ln0, boltzmann))
 
 
-def operational_temperature_batch(
-    gss_ghz,
-    ref: ThermalReference | None = None,
-    model: str = "bose_einstein",
-    threads: int | None = None,
-) -> np.ndarray:
+def operational_temperature_batch(gss_ghz, ref: ThermalReference | None = None) -> np.ndarray:
     """Vectorized operating temperatures, chunked to bound working memory.
     Same closed form and domain contract as operational_temperature."""
-    ref = ref or ThermalReference()
-    boltzmann = _check_model(model)
+    ln0, boltzmann = _reference(ref)
     gss = np.ascontiguousarray(gss_ghz, dtype=float)
     if gss.size == 0:
         raise EmptyRequest("no splittings supplied")
-    ln0 = _ln_rate(ref.gss_ref_ghz, ref.temp_ref_k, boltzmann)
     out = np.empty(gss.size)
     flat = gss.ravel()
 
     def block(lo, hi):
         out[lo:hi] = _solve_top(flat[lo:hi], ln0, boltzmann)
 
-    _kernels.run_blocks(flat.size, block, threads)
+    _kernels.run_blocks(flat.size, block, None)
     return out.reshape(gss.shape)
 
 

@@ -60,28 +60,23 @@ def calibrated(cfg):
     warm_field = solve_beam_state(stack)
     sample_pre_deposition(256, IntrinsicStrainModel(1e-5), params, seed=1)
     sample_post_deposition(
-        256, pos, warm_field, params, seed=1,
-        include_intrinsic=True, intrinsic=IntrinsicStrainModel(1e-5),
+        256, pos, warm_field, params, seed=1, intrinsic=IntrinsicStrainModel(1e-5),
     )
     operational_temperature_batch(np.array([554.0]))
 
     t0 = time.perf_counter()
-    sigma = calibrate_sigma(119.0, N, SEED, params)
+    sigma, _ = calibrate_sigma(119.0, N, SEED, params)
     pre = sample_pre_deposition(N, IntrinsicStrainModel(sigma), params, seed=SEED)
     t_pre = time.perf_counter() - t0
 
     intrinsic = IntrinsicStrainModel(sigma)
     t0 = time.perf_counter()
-    stress = calibrate_film_stress(
-        608.0, stack, pos, params, N, SEED,
-        include_intrinsic=True, intrinsic=intrinsic,
+    stress, _ = calibrate_film_stress(
+        608.0, stack, pos, params, N, SEED, intrinsic=intrinsic,
     )
     stack_cal = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
     field = solve_beam_state(stack_cal)
-    post = sample_post_deposition(
-        N, pos, field, params, seed=SEED,
-        include_intrinsic=True, intrinsic=intrinsic,
-    )
+    post = sample_post_deposition(N, pos, field, params, seed=SEED, intrinsic=intrinsic)
     t_post = time.perf_counter() - t0
 
     return {

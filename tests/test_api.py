@@ -35,3 +35,28 @@ def test_package_imports_resolve_and_are_public():
         for alias in node.names:
             assert hasattr(strainforge, alias.asname or alias.name)
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
+
+
+def _relative_imports(path):
+    """(module, name) of each ``from .module import name`` in a source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+SOURCES = sorted(Path(strainforge.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modules_import_only_public_names(path):
+    # a name taken from a sibling is in its __all__, or public if it has none;
+    # ``from . import module`` is a module import and always allowed
+    private = []
+    for modname, name in _relative_imports(path):
+        mod = importlib.import_module(f"strainforge.{modname}")
+        exported = getattr(mod, "__all__", None)
+        public = name in exported if exported is not None else not name.startswith("_")
+        if not public:
+            private.append(f"{modname}.{name}")
+    assert private == []

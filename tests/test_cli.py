@@ -202,8 +202,7 @@ class TestSampleCommand:
         else:
             res = pop.sample_post_deposition(
                 500, cfg.position, solve_beam_state(cfg.stack),
-                params, include_intrinsic=cfg.include_intrinsic_post,
-                intrinsic=cfg.intrinsic, seed=3,
+                params, intrinsic=cfg.intrinsic, seed=3,
             )
         s = res.samples
         table = np.column_stack([
@@ -230,7 +229,6 @@ class TestSampleCommand:
         else:
             res = pop.sample_post_deposition(
                 5000, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
-                include_intrinsic=cfg.include_intrinsic_post,
                 intrinsic=cfg.intrinsic, seed=seed,
             )
         s = res.samples
@@ -464,3 +462,74 @@ class TestEnvConfig:
         monkeypatch.setenv("STRAINFORGE_CONFIG", str(cfg))
         assert run(["top", "--gss-ghz", "608"]) == 0
         assert capsys.readouterr().out == "1.5000 K\n"
+
+
+# the non-default settings the cli maps onto the library: no intrinsic
+# tensor after deposition, and the Boltzmann rate law
+OTHER_SETTINGS = {"monte_carlo": {"n": 20000, "seed": 5},
+                  "population": {"include_intrinsic_post": False},
+                  "thermal": {"occupation_model": "boltzmann"}}
+BOLTZMANN = thermal.ThermalReference(occupation_model="boltzmann")
+
+
+@pytest.fixture
+def other_config(tmp_path):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(OTHER_SETTINGS))
+    return str(path)
+
+
+class TestNonDefaultSettings:
+    def test_sample_post_has_no_intrinsic_tensor(self, tmp_path, capsys, other_config):
+        out = tmp_path / "samples.csv"
+        assert run(["sample", "--phase", "post", "--n", "2000", "--seed", "3",
+                    "--out", str(out), "--config", other_config]) == 0
+        cfg = load_config(other_config)
+        res = pop.sample_post_deposition(2000, cfg.position, solve_beam_state(cfg.stack),
+                                         cfg.siv, intrinsic=None, seed=3)
+        s = res.samples
+        assert out.read_bytes().split(b"\n", 1)[1] == csv_rows(
+            [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
+             *s.eps_crystal.T, s.gss_ghz],
+            "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
+        )
+        assert json.loads(capsys.readouterr().out)["mean_ghz"] == res.summary.mean_ghz
+
+    def test_calibrate_stress_has_no_intrinsic_tensor(self, capsys, other_config):
+        assert run(["calibrate", "--what", "stress", "--target-ghz", "608",
+                    "--n", "4096", "--config", other_config]) == 0
+        cfg = load_config(other_config)
+        stress, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position, cfg.siv,
+                                              4096, 5, intrinsic=None)
+        with_intrinsic, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position,
+                                                      cfg.siv, 4096, 5,
+                                                      intrinsic=cfg.intrinsic)
+        assert stress != with_intrinsic
+        assert json.loads(capsys.readouterr().out)["film_stress_mpa"] == stress
+
+    def test_report_runs_the_library_chain(self, tmp_path, capsys, other_config):
+        assert run(["report", "--n", "4096", "--out-dir", str(tmp_path),
+                    "--config", other_config]) == 0
+        cfg = load_config(other_config)
+        sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, 4096, 5, cfg.siv,
+                                       sample_frame=cfg.sample_frame)
+        stress, post_gss = pop.calibrate_film_stress(
+            cli.POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, 4096, 5,
+            intrinsic=None,
+        )
+        top_post = thermal.operational_temperature_batch(post_gss, BOLTZMANN)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sigma_unstrained_calibrated"] == sigma
+        assert summary["film_stress_mpa_calibrated"] == stress
+        assert summary["post_mean_ghz"] == pop.summarize(post_gss).mean_ghz
+        assert summary["p_top_ge_2p0k"] == float(np.mean(top_post >= 2.0))
+        curve = thermal.operational_temperature_batch(cli.TOP_CURVE_GSS_GHZ, BOLTZMANN)
+        assert (tmp_path / "top_vs_gss.csv").read_bytes() == b"gss_ghz,t_op_k\n" + csv_rows(
+            [cli.TOP_CURVE_GSS_GHZ, curve], "%r,%r")
+
+    def test_top_uses_the_boltzmann_rate(self, capsys, other_config):
+        # at 5 GHz the two rate laws differ in the printed digits
+        assert run(["top", "--gss-ghz", "5", "--config", other_config]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{thermal.operational_temperature(5.0, BOLTZMANN):.4f} K\n"
+        assert out != f"{thermal.operational_temperature(5.0):.4f} K\n"

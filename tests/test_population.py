@@ -146,7 +146,7 @@ class TestPostDeposition:
         assert np.all(res.samples.gss_ghz == 46.0)
 
     def test_thread_count_invariance(self, cfg, field):
-        kw = dict(include_intrinsic=True, intrinsic=SIGMA, seed=2)
+        kw = dict(intrinsic=SIGMA, seed=2)
         a = sample_post_deposition(150_000, cfg.position, field,
                                    PARAMS, threads=1, **kw)
         b = sample_post_deposition(150_000, cfg.position, field,
@@ -184,18 +184,8 @@ class TestPostDeposition:
     def test_intrinsic_widens_distribution(self, cfg, field):
         pos = cfg.position
         plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6)
-        mixed = sample_post_deposition(
-            50_000, pos, field, PARAMS, seed=6,
-            include_intrinsic=True, intrinsic=SIGMA,
-        )
+        mixed = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=SIGMA)
         assert mixed.summary.std_ghz > plain.summary.std_ghz
-
-    def test_include_intrinsic_requires_model(self, cfg, field):
-        with pytest.raises(ValueError):
-            sample_post_deposition(
-                10, cfg.position, field, PARAMS,
-                seed=7, include_intrinsic=True,
-            )
 
     def test_two_orientation_classes_under_beam_strain(self, cfg, field):
         # unequal in-plane strain splits the four <111> axes into two pairs
@@ -244,7 +234,9 @@ class TestMonotoneCalibration:
         assert abs(b.summary.mean_ghz - a.summary.mean_ghz) < bound
 
     def test_calibrate_sigma_floor_target(self):
-        assert calibrate_sigma(46.0, 1000, seed=14) == 0.0
+        sigma, gss = calibrate_sigma(46.0, 1000, seed=14)
+        assert sigma == 0.0
+        assert np.all(gss == 46.0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_calibrate_sigma_floor_target_checks_n(self, n):
@@ -257,23 +249,26 @@ class TestMonotoneCalibration:
             calibrate_sigma(30.0, 1000, seed=15)
 
     def test_calibrate_sigma_hits_target_and_is_deterministic(self):
-        s1 = calibrate_sigma(119.0, 50_000, seed=16)
-        s2 = calibrate_sigma(119.0, 50_000, seed=16)
+        s1, gss1 = calibrate_sigma(119.0, 50_000, seed=16)
+        s2, gss2 = calibrate_sigma(119.0, 50_000, seed=16)
         assert s1 == s2
+        assert np.array_equal(gss1, gss2)
         res = sample_pre_deposition(50_000, IntrinsicStrainModel(s1), PARAMS, seed=16)
         assert abs(res.summary.mean_ghz - 119.0) <= 0.5
 
     def test_calibrate_sigma_thread_invariant(self):
-        s1 = calibrate_sigma(119.0, 50_000, seed=17, threads=1)
-        s2 = calibrate_sigma(119.0, 50_000, seed=17, threads=6)
+        s1, gss1 = calibrate_sigma(119.0, 50_000, seed=17, threads=1)
+        s2, gss2 = calibrate_sigma(119.0, 50_000, seed=17, threads=6)
         assert s1 == s2
+        assert np.array_equal(gss1, gss2)
 
     def test_calibrate_stress_floor_target(self, cfg):
-        stress = calibrate_film_stress(
+        stress, gss = calibrate_film_stress(
             46.0, cfg.stack, cfg.position,
             PARAMS, 1000, seed=18,
         )
         assert stress == 0.0
+        assert np.all(gss == 46.0)
 
     def test_calibrate_stress_below_floor(self, cfg):
         with pytest.raises(Infeasible):
@@ -301,14 +296,12 @@ class TestMonotoneCalibration:
     def test_calibrate_stress_hits_target(self, cfg):
         pos = cfg.position
         stack = cfg.stack
-        stress = calibrate_film_stress(
-            608.0, stack, pos, PARAMS, 50_000, seed=20,
-            include_intrinsic=True, intrinsic=SIGMA,
+        stress, _ = calibrate_film_stress(
+            608.0, stack, pos, PARAMS, 50_000, seed=20, intrinsic=SIGMA,
         )
         stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         res = sample_post_deposition(
-            50_000, pos, solve_beam_state(stack), PARAMS, seed=20,
-            include_intrinsic=True, intrinsic=SIGMA,
+            50_000, pos, solve_beam_state(stack), PARAMS, seed=20, intrinsic=SIGMA,
         )
         assert abs(res.summary.mean_ghz - 608.0) <= 0.5
 
@@ -316,27 +309,27 @@ class TestMonotoneCalibration:
         pos = cfg.position
         base = cfg.stack
         thick = replace(base, film=replace(base.film, thickness_nm=120.0))
-        s_base = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21)
-        s_thick = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21)
+        s_base, _ = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21)
+        s_thick, _ = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21)
         assert s_thick < s_base
 
     def test_cdf_dominance_post_over_pre(self, cfg):
         # calibrated configs: the strained population stochastically
         # dominates above 200 GHz
-        sigma = calibrate_sigma(119.0, 100_000, seed=22)
+        sigma, _ = calibrate_sigma(119.0, 100_000, seed=22)
         pre = sample_pre_deposition(
             100_000, IntrinsicStrainModel(sigma), PARAMS, seed=22
         )
         pos = cfg.position
         stack = cfg.stack
-        stress = calibrate_film_stress(
+        stress, _ = calibrate_film_stress(
             608.0, stack, pos, PARAMS, 100_000, seed=22,
-            include_intrinsic=True, intrinsic=IntrinsicStrainModel(sigma),
+            intrinsic=IntrinsicStrainModel(sigma),
         )
         stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         post = sample_post_deposition(
             100_000, pos, solve_beam_state(stack), PARAMS, seed=22,
-            include_intrinsic=True, intrinsic=IntrinsicStrainModel(sigma),
+            intrinsic=IntrinsicStrainModel(sigma),
         )
         for g in np.linspace(200.0, 1500.0, 27):
             p_pre = np.mean(pre.samples.gss_ghz >= g)
@@ -414,8 +407,8 @@ class TestCouplingTables:
             for frame in ("defect", "crystal")
         ] + [
             sample_post_deposition(64, cfg.position, field, PARAMS,
-                                   seed=31, include_intrinsic=intr, intrinsic=SIGMA)
-            for intr in (False, True)
+                                   seed=31, intrinsic=intrinsic)
+            for intrinsic in (None, SIGMA)
         ]
         for res in ensembles:
             s = res.samples
@@ -453,13 +446,11 @@ class TestCachedCalibrationMeans:
     @settings(max_examples=15, deadline=None)
     def test_post_mean_matches_sampler(self, cfg, stress, sigma, include_intrinsic, seed):
         stack, pos = cfg.stack, cfg.position
-        intrinsic = IntrinsicStrainModel(sigma)
-        gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed,
-                               include_intrinsic, intrinsic, None)
+        intrinsic = IntrinsicStrainModel(sigma) if include_intrinsic else None
+        gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed, intrinsic, None)
         trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         want = sample_post_deposition(
-            self.N, pos, solve_beam_state(trial), PARAMS, seed=seed,
-            include_intrinsic=include_intrinsic, intrinsic=intrinsic,
+            self.N, pos, solve_beam_state(trial), PARAMS, seed=seed, intrinsic=intrinsic,
         ).samples.gss_ghz
         assert np.array_equal(gss_at(stress), want)
 
@@ -481,11 +472,10 @@ class TestCachedCalibrationMeans:
                             counted("pre", kernels.draw_pre_block))
         monkeypatch.setattr(kernels, "draw_post_block",
                             counted("post", kernels.draw_post_block))
-        sigma = calibrate_sigma(119.0, self.N, seed=32)
+        sigma, _ = calibrate_sigma(119.0, self.N, seed=32)
         calibrate_film_stress(
             608.0, cfg.stack, cfg.position, PARAMS,
-            self.N, seed=32, include_intrinsic=True,
-            intrinsic=IntrinsicStrainModel(sigma),
+            self.N, seed=32, intrinsic=IntrinsicStrainModel(sigma),
         )
         # n fits in one chunk: one draw call per calibration
         assert calls == {"pre": 1, "post": 1}
@@ -493,23 +483,18 @@ class TestCachedCalibrationMeans:
     @pytest.mark.parametrize("target", [46.0, 119.0])
     @pytest.mark.parametrize("threads", [None, 2])
     def test_sigma_fit_returns_the_sampled_ensemble(self, target, threads):
-        sigma, gss = pop._fit_sigma(target, self.N, 33, PARAMS, "defect", threads)
-        assert sigma == calibrate_sigma(target, self.N, seed=33, threads=threads)
+        sigma, gss = calibrate_sigma(target, self.N, seed=33, threads=threads)
         want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS, 33)
         assert np.array_equal(gss, want.samples.gss_ghz)
 
     @pytest.mark.parametrize("target,include_intrinsic", [(46.0, False), (608.0, True)])
     def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, include_intrinsic):
         stack, pos = cfg.stack, cfg.position
-        stress, gss = pop._fit_stress(target, stack, pos, PARAMS, self.N, 34,
-                                      include_intrinsic, SIGMA, None)
-        assert stress == calibrate_film_stress(
-            target, stack, pos, PARAMS, self.N, seed=34,
-            include_intrinsic=include_intrinsic, intrinsic=SIGMA,
-        )
+        intrinsic = SIGMA if include_intrinsic else None
+        stress, gss = calibrate_film_stress(target, stack, pos, PARAMS, self.N, seed=34,
+                                            intrinsic=intrinsic)
         stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         want = sample_post_deposition(
-            self.N, pos, solve_beam_state(stack), PARAMS, seed=34,
-            include_intrinsic=include_intrinsic, intrinsic=SIGMA,
+            self.N, pos, solve_beam_state(stack), PARAMS, seed=34, intrinsic=intrinsic,
         )
         assert np.array_equal(gss, want.samples.gss_ghz)
