@@ -49,14 +49,15 @@ def main():
     field = solve_beam_state(cfg.stack)
     root = kernels.seed_root(12345)
     lam, sigma = params.lambda_so_ghz, 1.5e-5
-    rows, to_crystal = pop._intrinsic_maps(params, "defect")
+    rows = pop._intrinsic_rows(params)
+    to_crystal = pop._DEFECT_TO_CRYSTAL
     film_crystal, film_rows = pop._film_response(field, params)
 
     print(f"pre-deposition (n = {n:,})")
     z, o = kernels.draw_pre_block(0, n, root)
     line("draw: normals + orientation", best_of(lambda: kernels.draw_pre_block(0, n, root), repeats), n)
-    line("couplings: W[o] z", best_of(lambda: kernels.apply_maps(rows, o, z), repeats), n)
-    unit = kernels.apply_maps(rows, o, z)
+    line("couplings: W z", best_of(lambda: kernels.apply_rows(rows, z), repeats), n)
+    unit = kernels.apply_rows(rows, z)
     line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma, unit), repeats), n)
     line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
 
@@ -64,7 +65,7 @@ def main():
     draw = pop._draw_post(root, pos, field.cross_section, True)
     line("draw: positions + o + normals", best_of(lambda: draw(0, n), repeats), n)
     _, _, depth, o, z, _ = draw(0, n)
-    unit = kernels.apply_maps(rows, o, z)
+    unit = kernels.apply_rows(rows, z)
 
     def evaluate():
         eyy = field.axial_strain(depth)

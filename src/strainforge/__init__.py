@@ -24,7 +24,6 @@ from .mechanics import (
     LayerStack,
     StrainField,
     beam_to_crystal,
-    section_properties,
     solve_beam_state,
     strain_at,
 )

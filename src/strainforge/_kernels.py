@@ -3,8 +3,8 @@
 Sampling runs in two stages. The draw stage produces everything random
 and nothing else: unit normals, orientation ids and implantation
 positions, none of which depends on the intrinsic sigma or the film
-stress. The evaluation stage maps those draws through per-orientation
-linear couplings and evaluates the splitting. Ensemble samplers run both
+stress. The evaluation stage maps those draws through linear coupling
+tables and evaluates the splitting. Ensemble samplers run both
 stages per chunk; calibrations draw once and repeat only the evaluation.
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
@@ -20,11 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = [
-    "DRAWS_PER_SAMPLE",
     "MAX_POSITION_ATTEMPTS",
     "run_blocks",
     "draw_pre_block",
     "draw_post_block",
+    "apply_rows",
     "apply_maps",
     "splitting",
 ]
@@ -175,6 +175,12 @@ def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag,
 # ---------------------------------------------------------------------------
 # evaluation stage
 # ---------------------------------------------------------------------------
+
+def apply_rows(rows, z):
+    """One linear map for every sample: column i of the (r, m) result is
+    rows @ z[i], for rows of shape (r, 6) and z of shape (m, 6)."""
+    return np.einsum("mk,jk->jm", z, rows)
+
 
 def apply_maps(maps, o, z):
     """Per-sample linear maps: column i of the (r, m) result is

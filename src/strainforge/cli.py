@@ -164,8 +164,7 @@ def _cmd_sample(args, cfg: Config) -> int:
 
     if args.phase == "pre":
         result = sample_pre_deposition(
-            args.n, cfg.intrinsic, cfg.siv, args.seed,
-            sample_frame=cfg.sample_frame, threads=args.threads,
+            args.n, cfg.intrinsic, cfg.siv, args.seed, threads=args.threads,
         )
     else:
         result = sample_post_deposition(
@@ -194,8 +193,7 @@ def _cmd_sample(args, cfg: Config) -> int:
 def _cmd_calibrate(args, cfg: Config) -> int:
     if args.what == "sigma":
         key, (value, _) = "sigma_unstrained", calibrate_sigma(
-            args.target_ghz, args.n, args.seed, cfg.siv,
-            sample_frame=cfg.sample_frame, threads=args.threads,
+            args.target_ghz, args.n, args.seed, cfg.siv, threads=args.threads,
         )
     else:
         key, (value, _) = "film_stress_mpa", calibrate_film_stress(
@@ -228,10 +226,7 @@ def report(cfg: Config, seed: int, n: int | None = None,
     ref = cfg.thermal
     out_dir = Path(out_dir)
 
-    sigma, pre_gss = calibrate_sigma(
-        PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv,
-        sample_frame=cfg.sample_frame, threads=threads,
-    )
+    sigma, pre_gss = calibrate_sigma(PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv, threads=threads)
     stress, post_gss = calibrate_film_stress(
         POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, n, seed,
         intrinsic=IntrinsicStrainModel(sigma) if cfg.include_intrinsic_post else None,

@@ -8,6 +8,7 @@ unknown keys are rejected outright. All units are explicit in key names.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +22,7 @@ from .mechanics import CrossSection, Layer, LayerStack
 from .population import IntrinsicStrainModel, PositionDistribution
 from .thermal import ThermalReference
 
-__all__ = ["Config", "load_config", "default_config", "ENV_CONFIG_PATH"]
+__all__ = ["Config", "load_config", "default_config"]
 
 ENV_CONFIG_PATH = "STRAINFORGE_CONFIG"
 
@@ -37,7 +38,8 @@ _DEFAULTS = _load_defaults()
 def _validate(user: dict, defaults: dict, path: str = "") -> dict:
     """Merge user values over defaults, rejecting unknown keys and type
     mismatches (bools are not numbers; ints pass where floats are
-    expected)."""
+    expected; numbers must be finite, and integral where the default is
+    an int)."""
     merged = {}
     for key, default_value in defaults.items():
         where = f"{path}.{key}" if path else key
@@ -56,9 +58,12 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
         elif isinstance(default_value, (int, float)):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{where}: expected a number")
-            merged[key] = type(default_value)(value) if not isinstance(
-                default_value, float
-            ) else float(value)
+            if isinstance(value, float):  # json reads Infinity and NaN
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}: expected a finite number")
+                if isinstance(default_value, int) and not value.is_integer():
+                    raise ConfigError(f"{where}: expected an integer")
+            merged[key] = type(default_value)(value)
         elif isinstance(default_value, str):
             if not isinstance(value, str):
                 raise ConfigError(f"{where}: expected a string")
@@ -86,7 +91,6 @@ class Config:
     position: PositionDistribution
     intrinsic: IntrinsicStrainModel
     thermal: ThermalReference
-    sample_frame: str
     include_intrinsic_post: bool
     smoothing_window: int
     min_prominence: float
@@ -120,7 +124,6 @@ def _build(data: dict, source: str) -> Config:
             position=PositionDistribution(**data["position"]),
             intrinsic=IntrinsicStrainModel(sigma=population["sigma_unstrained"]),
             thermal=ThermalReference(**data["thermal"]),
-            sample_frame=population["sample_frame"],
             include_intrinsic_post=population["include_intrinsic_post"],
             smoothing_window=data["spectra"]["smoothing_window"],
             min_prominence=data["spectra"]["min_prominence_fraction"],
@@ -130,8 +133,6 @@ def _build(data: dict, source: str) -> Config:
         )
     except (ValueError, TypeError, InvalidGeometry) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.sample_frame not in ("defect", "crystal"):
-        raise ConfigError("population.sample_frame must be 'defect' or 'crystal'")
     if cfg.default_n < 1:
         raise ConfigError("monte_carlo.n must be >= 1")
     if cfg.smoothing_window < 1 or cfg.smoothing_window % 2 == 0:

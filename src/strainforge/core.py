@@ -250,13 +250,3 @@ def ground_state_splitting(c: EgCouplings, params: SivParameters) -> float:
     """
     lam = params.lambda_so_ghz
     return math.sqrt(lam * lam + 4.0 * (c.alpha_ghz ** 2 + c.beta_ghz ** 2))
-
-
-def splitting_from_strain(
-    eps_crystal: StrainTensor,
-    orientation: DefectOrientation,
-    params: SivParameters,
-) -> float:
-    """Convenience chain: crystal-frame strain -> defect frame -> gss (GHz)."""
-    eps_d = defect_frame_strain(eps_crystal, orientation)
-    return ground_state_splitting(eg_couplings(eps_d, params), params)

@@ -28,12 +28,9 @@ __all__ = [
     "CrossSection",
     "LayerStack",
     "StrainField",
-    "section_properties",
     "solve_beam_state",
     "strain_at",
     "beam_to_crystal",
-    "BEAM_FROM_CRYSTAL",
-    "CRYSTAL_FROM_BEAM",
 ]
 
 # Fraction of in-plane transverse strain relative to axial strain at the
@@ -205,21 +202,6 @@ class StrainField:
         return self.membrane_strain + self.curvature_per_nm * (
             np.asarray(depth_nm, dtype=float) - self.neutral_axis_depth_nm
         )
-
-
-def section_properties(cs: CrossSection, youngs_modulus_gpa: float = 1.0):
-    """Area, centroid depth, and bending stiffness E*I about the horizontal
-    centroidal axis, for the substrate polygon alone.
-
-    Units: nm^2, nm, GPa nm^4 (pass E = 1 for the bare second moment).
-    """
-    area, q, i0 = _polygon_integrals(cs.vertices_nm)
-    if area <= 0 or not math.isfinite(area):
-        raise InvalidGeometry("degenerate polygon")
-    z_c = q / area
-    i_centroid = i0 - area * z_c * z_c
-    centroid_depth = cs.z_top_nm - z_c
-    return area, centroid_depth, youngs_modulus_gpa * i_centroid
 
 
 def solve_beam_state(stack: LayerStack) -> StrainField:

@@ -4,6 +4,9 @@ Two ensemble generators mirror the two experimental situations: before
 film deposition the strain is a random intrinsic tensor, after deposition
 it is the deterministic film-induced field sampled over the implantation
 position distribution (optionally combined with the intrinsic tensor).
+Intrinsic strain is iid Normal(0, sigma^2) per component in the defect
+frame, before and after deposition alike, so the sigma calibrated on the
+pre-deposition mean is the one that widens the post-deposition ensemble.
 
 Sampling is counter based per sample index, so an ensemble is a pure
 function of (inputs, seed): results are bit-identical for any thread
@@ -14,10 +17,12 @@ numbers.
 The splitting sees strain only through the two linear couplings (alpha,
 beta). Intrinsic strain is sigma times unit normals and film strain is the
 axial strain e_yy(depth) times a fixed tensor, so every sample is
-``sqrt(lam^2 + 4 |e_yy F[o] + sigma W[o] z|^2)`` with per-orientation
-coupling tables W and F built once from ``core``. A calibration therefore
-draws its ensemble once and only re-evaluates that expression per step;
-its ensemble at the fitted scale equals the sampler's there, bit for bit.
+``sqrt(lam^2 + 4 |e_yy F[o] + sigma W z|^2)`` with the intrinsic coupling
+table W (one for all orientations, since z is drawn in the defect frame)
+and the per-orientation film table F built once from ``core``. A
+calibration therefore draws its ensemble once and only re-evaluates that
+expression per step; its ensemble at the fitted scale equals the
+sampler's there, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import numpy as np
 from . import _kernels
 from .core import (
     ORIENTATIONS,
-    DefectOrientation,
     Frame,
     SivParameters,
     StrainTensor,
@@ -63,7 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntrinsicStrainModel:
-    """IID zero-mean normal distribution for each strain component."""
+    """IID zero-mean normal distribution for each defect-frame strain
+    component."""
 
     sigma: float
 
@@ -149,33 +154,18 @@ _DEFECT_TO_CRYSTAL = np.stack([
               for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
     for o in ORIENTATIONS
 ])
-_IDENTITY = np.broadcast_to(np.eye(6), (len(ORIENTATIONS), 6, 6))
 
 
-def _couplings(eps: StrainTensor, orientation: DefectOrientation,
-               params: SivParameters) -> np.ndarray:
-    """(alpha, beta) of a tensor given in the crystal or the defect frame."""
-    if eps.frame is Frame.CRYSTAL:
-        eps = defect_frame_strain(eps, orientation)
-    c = eg_couplings(eps, params)
+def _couplings(eps_defect: StrainTensor, params: SivParameters) -> np.ndarray:
+    """(alpha, beta) of a defect-frame tensor."""
+    c = eg_couplings(eps_defect, params)
     return np.array([c.alpha_ghz, c.beta_ghz])
 
 
-def _coupling_rows(params: SivParameters, frame: Frame) -> np.ndarray:
-    """(4, 2, 6): per orientation, the (alpha, beta) rows acting on the
-    6-vector of a tensor given in ``frame``."""
-    return np.stack([
-        np.stack([_couplings(e, o, params) for e in _basis(frame)], axis=1) / _UNIT
-        for o in ORIENTATIONS
-    ])
-
-
-def _intrinsic_maps(params: SivParameters, sample_frame: str):
-    """Coupling rows and crystal-frame maps for intrinsic unit normals
-    drawn in ``sample_frame``."""
-    if sample_frame == "crystal":
-        return _coupling_rows(params, Frame.CRYSTAL), _IDENTITY
-    return _coupling_rows(params, Frame.DEFECT), _DEFECT_TO_CRYSTAL
+def _intrinsic_rows(params: SivParameters) -> np.ndarray:
+    """(2, 6): the (alpha, beta) rows acting on a defect-frame 6-vector,
+    the intrinsic coupling table W of every orientation."""
+    return np.stack([_couplings(e, params) for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
 
 
 def _film_response(field: StrainField, params: SivParameters):
@@ -183,19 +173,14 @@ def _film_response(field: StrainField, params: SivParameters):
     and its (alpha, beta) for each orientation, shape (2, 4)."""
     unit_field = replace(field, membrane_strain=_UNIT, curvature_per_nm=0.0)
     eps = beam_to_crystal(strain_at(unit_field, 0.0))
-    rows = np.stack([_couplings(eps, o, params) for o in ORIENTATIONS], axis=1)
+    rows = np.stack([_couplings(defect_frame_strain(eps, o), params)
+                     for o in ORIENTATIONS], axis=1)
     return eps.components / _UNIT, rows / _UNIT
 
 
 def _check_n(n):
     if n < 1:
         raise EmptyRequest("n must be >= 1")
-
-
-def _check_pre(n, sample_frame):
-    _check_n(n)
-    if sample_frame not in ("defect", "crystal"):
-        raise ValueError("sample_frame must be 'defect' or 'crystal'")
 
 
 def _draw_post(root, pos: PositionDistribution, cs, intrinsic: bool):
@@ -227,26 +212,24 @@ def sample_pre_deposition(
     params: SivParameters,
     seed: int,
     *,
-    sample_frame: str = "defect",
     threads: int | None = None,
 ) -> EnsembleResult:
     """Ensemble of emitters carrying only random intrinsic strain.
 
-    Each sample draws six iid Normal(0, sigma^2) components (in the defect
-    frame by default, or the crystal frame via ``sample_frame``) plus a
-    uniform orientation, recorded for schema uniformity.
+    Each sample draws six iid Normal(0, sigma^2) defect-frame components
+    plus a uniform orientation, which places the tensor in crystal axes.
     """
-    _check_pre(n, sample_frame)
+    _check_n(n)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     root = _kernels.seed_root(seed)
-    rows, to_crystal = _intrinsic_maps(params, sample_frame)
+    rows = _intrinsic_rows(params)
     sigma = model.sigma
 
     def block(lo, hi):
         z, o = _kernels.draw_pre_block(lo, hi, root)
-        unit = _kernels.apply_maps(rows, o, z)
+        unit = _kernels.apply_rows(rows, z)
         gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit)
-        eps[lo:hi] = (sigma * _kernels.apply_maps(to_crystal, o, z)).T
+        eps[lo:hi] = (sigma * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
         ori[lo:hi] = o
 
     _kernels.run_blocks(n, block, threads)
@@ -278,19 +261,19 @@ def sample_post_deposition(
     draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
                       intrinsic is not None)
     film_crystal, film_rows = _film_response(field, params)
-    rows, to_crystal = _intrinsic_maps(params, "defect")
+    rows = _intrinsic_rows(params)
     sigma_i = 0.0 if intrinsic is None else intrinsic.sigma
 
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
         eyy = field.axial_strain(dep)
-        unit = None if z is None else _kernels.apply_maps(rows, o, z)
+        unit = None if z is None else _kernels.apply_rows(rows, z)
         gss[lo:hi] = _kernels.splitting(
             params.lambda_so_ghz, sigma_i, unit, eyy * film_rows[:, o]
         )
         ec = eyy[:, None] * film_crystal
         if z is not None:
-            ec += (sigma_i * _kernels.apply_maps(to_crystal, o, z)).T
+            ec += (sigma_i * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
         eps[lo:hi] = ec
         ori[lo:hi] = o
         depth[lo:hi] = dep
@@ -301,7 +284,7 @@ def sample_post_deposition(
     return EnsembleResult(samples=samples, summary=summarize(gss))
 
 
-def _pre_gss(n, seed, params, sample_frame, threads):
+def _pre_gss(n, seed, params, threads):
     """sigma -> gss of ``sample_pre_deposition`` at that sigma.
 
     The ensemble is drawn once and kept as per-emitter couplings per unit
@@ -309,14 +292,14 @@ def _pre_gss(n, seed, params, sample_frame, threads):
     by chunk with the sampler's own formula, into a fresh array equal to
     the sampler's to the last bit.
     """
-    _check_pre(n, sample_frame)
+    _check_n(n)
     root = _kernels.seed_root(seed)
-    rows, _ = _intrinsic_maps(params, sample_frame)
+    rows = _intrinsic_rows(params)
     unit = np.empty((2, n))
 
     def draw(lo, hi):
-        z, o = _kernels.draw_pre_block(lo, hi, root)
-        unit[:, lo:hi] = _kernels.apply_maps(rows, o, z)
+        z, _ = _kernels.draw_pre_block(lo, hi, root)
+        unit[:, lo:hi] = _kernels.apply_rows(rows, z)
 
     _kernels.run_blocks(n, draw, threads)
 
@@ -348,7 +331,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
     _check_n(n)
     draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
                             intrinsic is not None)
-    rows, _ = _intrinsic_maps(params, "defect")
+    rows = _intrinsic_rows(params)
     _, film_rows = _film_response(field, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
@@ -358,7 +341,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
     def draw(lo, hi):
         _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
         if z is not None:
-            unit[:, lo:hi] = _kernels.apply_maps(rows, ori[lo:hi], z)
+            unit[:, lo:hi] = _kernels.apply_rows(rows, z)
         return n_fail
 
     _raise_failures(_kernels.run_blocks(n, draw, threads))
@@ -456,7 +439,6 @@ def calibrate_sigma(
     seed: int,
     params: SivParameters | None = None,
     *,
-    sample_frame: str = "defect",
     threads: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Intrinsic sigma whose fixed-seed ensemble mean hits the target, and
@@ -471,10 +453,10 @@ def calibrate_sigma(
     params = params or SivParameters()
     lam = params.lambda_so_ghz
     _check_target(target_mean_ghz, lam)
-    _check_pre(n, sample_frame)
+    _check_n(n)
     if target_mean_ghz <= lam * (1.0 + 1e-12):
         return 0.0, np.full(n, lam)
-    return _fit(_pre_gss(n, seed, params, sample_frame, threads), target_mean_ghz,
+    return _fit(_pre_gss(n, seed, params, threads), target_mean_ghz,
                 0.0, lam, 1e-5, 1e-2,
                 "target mean unreachable within the small-strain regime")
 
@@ -483,9 +465,9 @@ def calibrate_film_stress(
     target_mean_ghz: float,
     stack: LayerStack,
     pos: PositionDistribution,
-    params: SivParameters | None = None,
-    n: int = 100_000,
-    seed: int = 0,
+    params: SivParameters | None,
+    n: int,
+    seed: int,
     *,
     intrinsic: IntrinsicStrainModel | None = None,
     threads: int | None = None,

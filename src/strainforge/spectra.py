@@ -32,7 +32,6 @@ __all__ = [
     "EmitterAssignment",
     "BatchGssStats",
     "load_spectrum",
-    "write_spectrum",
     "detect_peaks",
     "classify_and_extract",
     "pool_transitions",
@@ -216,14 +215,6 @@ def load_spectrum(source, label: str = "", batch_tag: str = "") -> Spectrum:
         return Spectrum(freqs, intens, label=label, batch_tag=batch_tag, metadata=meta)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def write_spectrum(spectrum: Spectrum, path) -> None:
-    """Write frequency_ghz,intensity CSV that round-trips bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        fh.write("frequency_ghz,intensity\n")
-        for x, y in zip(spectrum.frequencies_ghz, spectrum.intensities):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:

@@ -19,7 +19,6 @@ from .errors import EmptyRequest, InvalidDomain
 
 __all__ = [
     "ThermalReference",
-    "K_PER_GHZ",
     "thermal_occupation",
     "gamma_up_relative",
     "operational_temperature",

@@ -32,7 +32,7 @@ from strainforge.thermal import (
     operational_temperature_batch,
 )
 
-from conftest import synth_spectrum
+from conftest import intrinsic_gss_moments, synth_spectrum
 
 N = 1_000_000
 SEED = 20260809
@@ -131,6 +131,33 @@ def test_c03_pre_deposition_calibration(calibrated):
     check("C3 pre-deposition calibration", ok,
           f"sigma = {sigma:.3e} (1.9e-5 +-25%), ensemble mean {mean:.2f}, "
           f"std {std:.2f} GHz (52 +-20%), runtime {t:.1f} s (< 60)")
+
+
+def test_pre_ensemble_matches_quadrature_oracle(calibrated):
+    # n = infinity moments at the calibrated sigma, from core's couplings
+    pre = calibrated["pre"].summary
+    mean, std, m4 = intrinsic_gss_moments(calibrated["sigma"], PARAMS)
+    se_std = math.sqrt((m4 - std ** 4) / (4.0 * std * std * pre.n))
+    z_mean = (pre.mean_ghz - mean) / pre.sem_ghz
+    z_std = (pre.std_ghz - std) / se_std
+    ok = abs(z_mean) <= 4.0 and abs(z_std) <= 4.0
+    check("pre ensemble vs quadrature", ok,
+          f"mean {pre.mean_ghz:.4f} vs {mean:.4f} GHz ({z_mean:+.1f} SEM), "
+          f"std {pre.std_ghz:.3f} vs {std:.3f} GHz ({z_std:+.1f} SE), within 4")
+
+
+def test_post_at_zero_stress_matches_pre_oracle(calibrated, cfg):
+    # with no film stress the post ensemble carries only the intrinsic
+    # strain calibrated before deposition, so its mean is the pre oracle's
+    n = 200_000
+    stack = replace(cfg.stack, film=replace(cfg.stack.film, intrinsic_stress_mpa=0.0))
+    sigma = calibrated["sigma"]
+    post = sample_post_deposition(n, cfg.position, solve_beam_state(stack), PARAMS,
+                                  seed=SEED, intrinsic=IntrinsicStrainModel(sigma)).summary
+    mean, _, _ = intrinsic_gss_moments(sigma, PARAMS)
+    z_mean = (post.mean_ghz - mean) / post.sem_ghz
+    check("post at 0 MPa vs quadrature", abs(z_mean) <= 4.0,
+          f"mean {post.mean_ghz:.4f} vs {mean:.4f} GHz ({z_mean:+.1f} SEM, within 4)")
 
 
 def test_c04_post_deposition_calibration(calibrated):

@@ -1,4 +1,4 @@
-"""The public namespace: every exported name resolves.
+"""The public namespace: every exported name resolves and has a user.
 
 perfbench's tracer looks up each module's ``__all__`` with getattr, so a
 name left behind by a deletion would break every traced run.
@@ -7,6 +7,7 @@ name left behind by a deletion would break every traced run.
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,53 @@ def test_modules_import_only_public_names(path):
         if not public:
             private.append(f"{modname}.{name}")
     assert private == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_used(path):
+    """Identifiers a module reads: names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _script_targets():
+    """(module, name) of each ``[project.scripts]`` entry in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return set(re.findall(r'=\s*"strainforge\.(\w+):(\w+)"', section.group(1)))
+
+
+def _readme_library_api():
+    """Every identifier inside backticks in README's "Library API" section."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Library API\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    return {word for code in re.findall(r"`([^`]+)`", section.group(1) if section else "")
+            for word in re.findall(r"\w+", code)}
+
+
+def test_every_exported_name_has_a_user():
+    # a name in __all__ is used by another module of the package (the
+    # package's own re-exports do not count), is a console script, or is
+    # listed with its reason in README's Library API section
+    used_by = {path.stem: _names_used(path) for path in SOURCES}
+    scripts = _script_targets()
+    documented = _readme_library_api()
+    idle = []
+    for modname in MODULES:
+        short = modname.rsplit(".", 1)[1]
+        others = set().union(*(u for stem, u in used_by.items()
+                               if stem not in (short, "__init__")))
+        for name in getattr(importlib.import_module(modname), "__all__", []):
+            if name not in others and (short, name) not in scripts \
+                    and name not in documented:
+                idle.append(f"{short}.{name}")
+    assert idle == []

@@ -8,11 +8,10 @@ import strainforge.cli as cli
 import strainforge.population as pop
 import strainforge.spectra as spectra
 import strainforge.thermal as thermal
-from conftest import csv_rows, synth_spectrum
+from conftest import csv_rows, synth_spectrum, write_spectrum
 from strainforge.cli import _write_atomic, run
 from strainforge.config import load_config
 from strainforge.mechanics import solve_beam_state
-from strainforge.spectra import write_spectrum
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
 
@@ -61,6 +60,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"unknown_section": {}}))
         assert run(["top", "--gss-ghz", "554", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("text, command, message", [
+        ('{"population": {"sample_frame": "defect"}}', ["report", "--out-dir", "{out}"],
+         "error: unknown key(s) at population: ['sample_frame']"),
+        ('{"monte_carlo": {"n": Infinity}}',
+         ["sample", "--phase", "pre", "--out", "{out}/s.csv"],
+         "error: monte_carlo.n: expected a finite number"),
+    ])
+    def test_config_value_error_is_one_line(self, tmp_path, capsys, text, command, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + ["--config", str(bad)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["sample", "--phase", "pre", "--n", "10", "--out", "{out}"],
@@ -197,8 +214,7 @@ class TestSampleCommand:
         cfg = load_config(fast_config)
         params = cfg.siv
         if phase == "pre":
-            res = pop.sample_pre_deposition(500, cfg.intrinsic, params, 3,
-                                            sample_frame=cfg.sample_frame)
+            res = pop.sample_pre_deposition(500, cfg.intrinsic, params, 3)
         else:
             res = pop.sample_post_deposition(
                 500, cfg.position, solve_beam_state(cfg.stack),
@@ -224,8 +240,7 @@ class TestSampleCommand:
                     "--out", str(out)]) == 0
         cfg = load_config(None)
         if phase == "pre":
-            res = pop.sample_pre_deposition(5000, cfg.intrinsic, cfg.siv, seed,
-                                            sample_frame=cfg.sample_frame)
+            res = pop.sample_pre_deposition(5000, cfg.intrinsic, cfg.siv, seed)
         else:
             res = pop.sample_post_deposition(
                 5000, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
@@ -511,8 +526,7 @@ class TestNonDefaultSettings:
         assert run(["report", "--n", "4096", "--out-dir", str(tmp_path),
                     "--config", other_config]) == 0
         cfg = load_config(other_config)
-        sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, 4096, 5, cfg.siv,
-                                       sample_frame=cfg.sample_frame)
+        sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, 4096, 5, cfg.siv)
         stress, post_gss = pop.calibrate_film_stress(
             cli.POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, 4096, 5,
             intrinsic=None,

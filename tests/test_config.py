@@ -82,8 +82,8 @@ class TestOverrides:
         ("population", "sigma_unstrained", -1, "sigma must be finite and >= 0"),
         ("thermal", "temp_ref_k", 0,
          "reference splitting and temperature must be positive"),
-        ("population", "sample_frame", "lab",
-         "population.sample_frame must be 'defect' or 'crystal'"),
+        ("population", "sample_frame", "defect",
+         "unknown key(s) at population: ['sample_frame']"),
         ("monte_carlo", "n", 0, "monte_carlo.n must be >= 1"),
         ("spectra", "min_prominence_fraction", 1.5,
          "spectra.min_prominence_fraction must be in (0, 1]"),
@@ -93,6 +93,32 @@ class TestOverrides:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"monte_carlo": {"n": Infinity}}', "monte_carlo.n: expected a finite number"),
+        ('{"monte_carlo": {"n": NaN}}', "monte_carlo.n: expected a finite number"),
+        ('{"monte_carlo": {"n": 1000.7}}', "monte_carlo.n: expected an integer"),
+        ('{"spectra": {"smoothing_window": 5.9}}',
+         "spectra.smoothing_window: expected an integer"),
+        ('{"mechanics": {"film": {"thickness_nm": Infinity}}}',
+         "mechanics.film.thickness_nm: expected a finite number"),
+        ('{"position": {"aperture_x_nm": Infinity}}',
+         "position.aperture_x_nm: expected a finite number"),
+        ('{"siv": {"lambda_so_ghz": Infinity}}', "siv.lambda_so_ghz: expected a finite number"),
+    ])
+    def test_non_finite_or_fractional_number(self, tmp_path, text, message):
+        # json reads Infinity and NaN; an int key takes no fraction
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+    def test_integral_float_loads_at_int_key(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, {"monte_carlo": {"n": 1e6},
+                                               "spectra": {"smoothing_window": 7.0}}))
+        assert cfg.default_n == 1_000_000 and type(cfg.default_n) is int
+        assert cfg.smoothing_window == 7 and type(cfg.smoothing_window) is int
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import splitting_from_strain
 from strainforge.core import (
     ORIENTATIONS,
     DefectOrientation,
@@ -15,7 +16,6 @@ from strainforge.core import (
     eg_couplings,
     ground_state_splitting,
     rotate_strain,
-    splitting_from_strain,
 )
 from strainforge.errors import FrameMismatch, InvalidRotation
 

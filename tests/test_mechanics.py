@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import strainforge._kernels as kernels
-from conftest import point_in_section
+from conftest import point_in_section, section_properties
 from strainforge.core import Frame, StrainTensor
 from strainforge.errors import FrameMismatch, InvalidGeometry, OutOfDomain
 from strainforge.mechanics import (
@@ -12,7 +12,6 @@ from strainforge.mechanics import (
     LayerStack,
     StrainField,
     beam_to_crystal,
-    section_properties,
     solve_beam_state,
     strain_at,
 )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
 import strainforge.population as pop
-from conftest import point_in_section
+from conftest import point_in_section, splitting_from_strain
 from strainforge.core import (
     ORIENTATIONS,
     Frame,
@@ -16,7 +16,6 @@ from strainforge.core import (
     defect_frame_strain,
     eg_couplings,
     rotate_strain,
-    splitting_from_strain,
 )
 from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible
 from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
@@ -118,15 +117,6 @@ class TestPreDeposition:
         counts = np.bincount(res.samples.orientation_id, minlength=4)
         assert counts.min() > 0.23 * 40_000
         assert counts.max() < 0.27 * 40_000
-
-    def test_crystal_frame_mode_differs_but_same_scale(self):
-        # the iid-component measure is not rotation invariant, so the two
-        # sampling frames differ by ~15% in mean at equal sigma
-        a = sample_pre_deposition(50_000, SIGMA, PARAMS, seed=8)
-        b = sample_pre_deposition(50_000, SIGMA, PARAMS, seed=8,
-                                  sample_frame="crystal")
-        assert not np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz)
-        assert b.summary.mean_ghz == pytest.approx(a.summary.mean_ghz, rel=0.25)
 
     def test_positions_zero_for_pre(self):
         res = sample_pre_deposition(10, SIGMA, PARAMS, seed=9)
@@ -277,6 +267,11 @@ class TestMonotoneCalibration:
                 PARAMS, 1000, seed=19,
             )
 
+    @pytest.mark.parametrize("kwargs", [{}, {"n": 1000}])
+    def test_calibrate_stress_has_no_default_n_or_seed(self, cfg, kwargs):
+        with pytest.raises(TypeError):
+            calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, **kwargs)
+
     @pytest.mark.parametrize("target", [math.nan, math.inf])
     def test_calibrate_sigma_non_finite_target(self, target, monkeypatch):
         # rejected before the ensemble is drawn
@@ -356,19 +351,20 @@ def _coupling_atol(eps):
 
 
 class TestCouplingTables:
-    """The per-orientation tables the samplers evaluate, against core."""
+    """The coupling tables the samplers evaluate, against core."""
 
-    @given(e=COMPONENTS, o=ORIENTATION_IDS, frame=st.sampled_from(["defect", "crystal"]))
+    @given(e=COMPONENTS, o=ORIENTATION_IDS)
     @settings(max_examples=60, deadline=None)
-    def test_intrinsic_rows_match_core(self, e, o, frame):
-        rows, _ = pop._intrinsic_maps(PARAMS, frame)
-        if frame == "crystal":
-            tensor = StrainTensor(*e, frame=Frame.CRYSTAL)
-            want = _ab(defect_frame_strain(tensor, ORIENTATIONS[o]))
-        else:
-            want = _ab(StrainTensor(*e, frame=Frame.DEFECT))
-        np.testing.assert_allclose(rows[o] @ e, want, rtol=1e-12,
-                                   atol=_coupling_atol(e))
+    def test_intrinsic_rows_match_core(self, e, o):
+        # one table W for every orientation: a defect-frame tensor taken to
+        # crystal axes by orientation o and back couples through W alike
+        rows = pop._intrinsic_rows(PARAMS)
+        assert rows.shape == (2, 6)
+        crystal = StrainTensor(*(pop._DEFECT_TO_CRYSTAL[o] @ e), frame=Frame.CRYSTAL)
+        for tensor in (StrainTensor(*e, frame=Frame.DEFECT),
+                       defect_frame_strain(crystal, ORIENTATIONS[o])):
+            np.testing.assert_allclose(rows @ e, _ab(tensor), rtol=1e-12,
+                                       atol=_coupling_atol(e))
 
     @given(
         # film stresses of either sign, away from the subnormal range
@@ -402,10 +398,7 @@ class TestCouplingTables:
     def test_stored_tensors_reproduce_the_splitting(self, cfg, field):
         # crystal-frame tensors written by the samplers give back each
         # sample's splitting through the scalar core chain
-        ensembles = [
-            sample_pre_deposition(64, SIGMA, PARAMS, seed=31, sample_frame=frame)
-            for frame in ("defect", "crystal")
-        ] + [
+        ensembles = [sample_pre_deposition(64, SIGMA, PARAMS, seed=31)] + [
             sample_post_deposition(64, cfg.position, field, PARAMS,
                                    seed=31, intrinsic=intrinsic)
             for intrinsic in (None, SIGMA)
@@ -425,16 +418,12 @@ class TestCachedCalibrationMeans:
 
     N = 4096
 
-    @given(
-        sigma=st.floats(1e-6, 5e-5),
-        frame=st.sampled_from(["defect", "crystal"]),
-        seed=st.integers(0, 2 ** 32),
-    )
+    @given(sigma=st.floats(1e-6, 5e-5), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=15, deadline=None)
-    def test_pre_mean_matches_sampler(self, sigma, frame, seed):
-        gss_at = pop._pre_gss(self.N, seed, PARAMS, frame, None)
+    def test_pre_mean_matches_sampler(self, sigma, seed):
+        gss_at = pop._pre_gss(self.N, seed, PARAMS, None)
         want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS,
-                                     seed, sample_frame=frame).samples.gss_ghz
+                                     seed).samples.gss_ghz
         assert np.array_equal(gss_at(sigma), want)
 
     @given(

@@ -13,7 +13,7 @@ from scipy.signal import find_peaks, peak_widths
 
 import strainforge
 import strainforge.spectra as spectra
-from conftest import synth_spectrum
+from conftest import synth_spectrum, write_spectrum
 from strainforge.errors import (
     DuplicateAbscissa,
     EmptyRequest,
@@ -32,7 +32,6 @@ from strainforge.spectra import (
     detect_peaks,
     load_spectrum,
     pool_transitions,
-    write_spectrum,
 )
 
 SPEED_OF_LIGHT_M_S = 299792458.0
