@@ -58,18 +58,18 @@ def main():
     line("draw: normals + orientation", best_of(lambda: kernels.draw_pre_block(0, n, root), repeats), n)
     line("couplings: W z", best_of(lambda: kernels.apply_rows(rows, z), repeats), n)
     unit = kernels.apply_rows(rows, z)
-    line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma, unit), repeats), n)
+    line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma * unit), repeats), n)
     line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
 
-    print(f"\npost-deposition with intrinsic strain (n = {n:,})")
-    draw = pop._draw_post(root, pos, field.cross_section, True)
+    print(f"\npost-deposition (n = {n:,})")
+    draw = pop._draw_post(root, pos, field.cross_section)
     line("draw: positions + o + normals", best_of(lambda: draw(0, n), repeats), n)
     _, _, depth, o, z, _ = draw(0, n)
     unit = kernels.apply_rows(rows, z)
 
     def evaluate():
         eyy = field.axial_strain(depth)
-        return kernels.splitting(lam, sigma, unit, eyy * film_rows[:, o])
+        return kernels.splitting(lam, eyy * film_rows[:, o] + sigma * unit)
 
     line("splitting from cached couplings", best_of(evaluate, repeats), n)
     line("crystal tensors: film + 6x6 map",
@@ -78,7 +78,8 @@ def main():
     print(f"\nmean gss of the last evaluation: {float(np.mean(evaluate())):.3f} GHz")
 
     rows = min(n, CSV_BLOCK_ROWS)
-    s = pop.sample_post_deposition(rows, pos, field, params, seed=12345).samples
+    s = pop.sample_post_deposition(rows, pos, field, params,
+                                   intrinsic=cfg.intrinsic, seed=12345).samples
     cols = [np.arange(rows), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
             *s.eps_crystal.T, s.gss_ghz]
     fmt = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7

@@ -128,14 +128,13 @@ def _point_in_poly_np(py, pz, y, z):
     return inside
 
 
-def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag,
-                    intrinsic: bool):
+def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
     """Scale-free post-deposition draws of samples [lo, hi).
 
     Positions are rejection sampled until they land inside the substrate;
     a sample that fails every attempt gets NaN lateral coordinates and the
     mean depth and is counted. Returns (x, y, depth, orientation ids,
-    unit intrinsic normals (m, 6) or None, failure count).
+    unit intrinsic normals (m, 6), failure count).
     """
     n = hi - lo
     base = _base(lo, hi)
@@ -167,8 +166,7 @@ def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag,
     dep[pend] = dmean
 
     o = _orientation_np(root, base + np.uint64(4 * MAX_POSITION_ATTEMPTS))
-    z = (_normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, 3)
-         if intrinsic else None)
+    z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, 3)
     return x, y, dep, o, z, int(pend.size)
 
 
@@ -188,17 +186,8 @@ def apply_maps(maps, o, z):
     return np.einsum("mk,mjk->jm", z, maps[o])
 
 
-def splitting(lam, sigma, unit=None, film=None):
-    """Ground-state splitting sqrt(lam^2 + 4 (alpha^2 + beta^2)) in GHz.
-
-    (alpha, beta) = film + sigma * unit per sample, where ``unit`` holds
-    the intrinsic couplings per unit sigma and ``film`` the film couplings,
-    each of shape (2, m) or None for no such source.
-    """
-    if unit is None:
-        alpha, beta = film
-    elif film is None:
-        alpha, beta = sigma * unit
-    else:
-        alpha, beta = film + sigma * unit
+def splitting(lam, couplings):
+    """Ground-state splitting sqrt(lam^2 + 4 (alpha^2 + beta^2)) in GHz of
+    per-sample couplings (alpha, beta), shape (2, m)."""
+    alpha, beta = couplings
     return np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))

@@ -169,8 +169,7 @@ def _cmd_sample(args, cfg: Config) -> int:
     else:
         result = sample_post_deposition(
             args.n, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
-            intrinsic=cfg.intrinsic if cfg.include_intrinsic_post else None,
-            seed=args.seed, threads=args.threads,
+            intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
         )
     s = result.samples
     chunks = _csvtext.csv_chunks(
@@ -198,8 +197,7 @@ def _cmd_calibrate(args, cfg: Config) -> int:
     else:
         key, (value, _) = "film_stress_mpa", calibrate_film_stress(
             args.target_ghz, cfg.stack, cfg.position, cfg.siv, args.n, args.seed,
-            intrinsic=cfg.intrinsic if cfg.include_intrinsic_post else None,
-            threads=args.threads,
+            intrinsic=cfg.intrinsic, threads=args.threads,
         )
     sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
                                  "n": args.n, "seed": args.seed, key: value}))
@@ -229,8 +227,7 @@ def report(cfg: Config, seed: int, n: int | None = None,
     sigma, pre_gss = calibrate_sigma(PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv, threads=threads)
     stress, post_gss = calibrate_film_stress(
         POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, n, seed,
-        intrinsic=IntrinsicStrainModel(sigma) if cfg.include_intrinsic_post else None,
-        threads=threads,
+        intrinsic=IntrinsicStrainModel(sigma), threads=threads,
     )
     pre, post = summarize(pre_gss), summarize(post_gss)
 

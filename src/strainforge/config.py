@@ -63,7 +63,10 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
                     raise ConfigError(f"{where}: expected a finite number")
                 if isinstance(default_value, int) and not value.is_integer():
                     raise ConfigError(f"{where}: expected an integer")
-            merged[key] = type(default_value)(value)
+            try:
+                merged[key] = type(default_value)(value)
+            except OverflowError:  # an int beyond the float range
+                raise ConfigError(f"{where}: expected a finite number") from None
         elif isinstance(default_value, str):
             if not isinstance(value, str):
                 raise ConfigError(f"{where}: expected a string")
@@ -91,7 +94,6 @@ class Config:
     position: PositionDistribution
     intrinsic: IntrinsicStrainModel
     thermal: ThermalReference
-    include_intrinsic_post: bool
     smoothing_window: int
     min_prominence: float
     default_n: int
@@ -108,7 +110,6 @@ def _layer_stack(mech: dict) -> LayerStack:
         substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
         cross_section=cs,
         film=Layer(**mech["film"]),
-        beam_axis_crystal_direction=tuple(mech["beam_axis_crystal_direction"]),
         biaxiality_factor=mech["biaxiality_factor"],
     )
 
@@ -116,15 +117,13 @@ def _layer_stack(mech: dict) -> LayerStack:
 def _build(data: dict, source: str) -> Config:
     """Construct the typed objects from merged ``_validate`` output, in
     section order, then check the plain values."""
-    population = data["population"]
     try:
         cfg = Config(
             siv=SivParameters(**data["siv"]),
             stack=_layer_stack(data["mechanics"]),
             position=PositionDistribution(**data["position"]),
-            intrinsic=IntrinsicStrainModel(sigma=population["sigma_unstrained"]),
+            intrinsic=IntrinsicStrainModel(sigma=data["population"]["sigma_unstrained"]),
             thermal=ThermalReference(**data["thermal"]),
-            include_intrinsic_post=population["include_intrinsic_post"],
             smoothing_window=data["spectra"]["smoothing_window"],
             min_prominence=data["spectra"]["min_prominence_fraction"],
             default_n=data["monte_carlo"]["n"],

@@ -154,14 +154,9 @@ class LayerStack:
     substrate: Layer
     cross_section: CrossSection
     film: Layer
-    beam_axis_crystal_direction: tuple[int, int, int] = (1, 1, 0)
     biaxiality_factor: float = DEFAULT_BIAXIALITY_FACTOR
 
     def __post_init__(self):
-        direction = tuple(int(c) for c in self.beam_axis_crystal_direction)
-        if direction != (1, 1, 0):
-            raise InvalidGeometry("only [110]-aligned beams are supported")
-        object.__setattr__(self, "beam_axis_crystal_direction", direction)
         ratio = self.film.thickness_nm / self.cross_section.depth_extent_nm
         if ratio > 0.2:
             warnings.warn(

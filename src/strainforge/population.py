@@ -3,10 +3,11 @@
 Two ensemble generators mirror the two experimental situations: before
 film deposition the strain is a random intrinsic tensor, after deposition
 it is the deterministic film-induced field sampled over the implantation
-position distribution (optionally combined with the intrinsic tensor).
-Intrinsic strain is iid Normal(0, sigma^2) per component in the defect
-frame, before and after deposition alike, so the sigma calibrated on the
-pre-deposition mean is the one that widens the post-deposition ensemble.
+position distribution plus the same intrinsic tensor. Intrinsic strain is
+iid Normal(0, sigma^2) per component in the defect frame, before and after
+deposition alike, so the sigma calibrated on the pre-deposition mean is the
+one that widens the post-deposition ensemble; sigma = 0 leaves film strain
+only.
 
 Sampling is counter based per sample index, so an ensemble is a pure
 function of (inputs, seed): results are bit-identical for any thread
@@ -42,7 +43,7 @@ from .core import (
     eg_couplings,
     rotate_strain,
 )
-from .errors import DegenerateGeometry, EmptyRequest, Infeasible
+from .errors import DegenerateGeometry, EmptyRequest, Infeasible, InvalidParameter
 from .mechanics import (
     LayerStack,
     StrainField,
@@ -178,12 +179,18 @@ def _film_response(field: StrainField, params: SivParameters):
     return eps.components / _UNIT, rows / _UNIT
 
 
+# counters i * DRAWS_PER_SAMPLE + j of samples i < n fit in a uint64
+_MAX_N = 2 ** 64 // _kernels.DRAWS_PER_SAMPLE
+
+
 def _check_n(n):
     if n < 1:
         raise EmptyRequest("n must be >= 1")
+    if n > _MAX_N:
+        raise InvalidParameter(f"n must be <= {_MAX_N}, got {n}")
 
 
-def _draw_post(root, pos: PositionDistribution, cs, intrinsic: bool):
+def _draw_post(root, pos: PositionDistribution, cs):
     """draw_post_block with the geometry and position model bound."""
     poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
     poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
@@ -192,7 +199,7 @@ def _draw_post(root, pos: PositionDistribution, cs, intrinsic: bool):
         return _kernels.draw_post_block(
             lo, hi, root, poly_y, poly_z, cs.z_top_nm,
             pos.aperture_x_nm, pos.aperture_y_nm,
-            pos.depth_mean_nm, pos.depth_straggle_nm, intrinsic,
+            pos.depth_mean_nm, pos.depth_straggle_nm,
         )
 
     return draw
@@ -228,7 +235,7 @@ def sample_pre_deposition(
     def block(lo, hi):
         z, o = _kernels.draw_pre_block(lo, hi, root)
         unit = _kernels.apply_rows(rows, z)
-        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit)
+        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma * unit)
         eps[lo:hi] = (sigma * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
         ori[lo:hi] = o
 
@@ -243,7 +250,7 @@ def sample_post_deposition(
     field: StrainField,
     params: SivParameters,
     *,
-    intrinsic: IntrinsicStrainModel | None = None,
+    intrinsic: IntrinsicStrainModel,
     seed: int,
     threads: int | None = None,
 ) -> EnsembleResult:
@@ -252,29 +259,23 @@ def sample_post_deposition(
     Each sample draws an implantation position (rejected until it lands
     inside the substrate), evaluates the depth-dependent beam strain, maps
     it through a uniformly drawn <111> orientation, adds an intrinsic
-    random tensor (drawn in the defect frame) unless ``intrinsic`` is
-    None, and computes the splitting.
+    random tensor (drawn in the defect frame), and computes the splitting.
     """
     _check_n(n)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
-    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
-                      intrinsic is not None)
+    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
     film_crystal, film_rows = _film_response(field, params)
     rows = _intrinsic_rows(params)
-    sigma_i = 0.0 if intrinsic is None else intrinsic.sigma
+    sigma = intrinsic.sigma
 
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
         eyy = field.axial_strain(dep)
-        unit = None if z is None else _kernels.apply_rows(rows, z)
-        gss[lo:hi] = _kernels.splitting(
-            params.lambda_so_ghz, sigma_i, unit, eyy * film_rows[:, o]
-        )
-        ec = eyy[:, None] * film_crystal
-        if z is not None:
-            ec += (sigma_i * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
-        eps[lo:hi] = ec
+        couplings = eyy * film_rows[:, o] + sigma * _kernels.apply_rows(rows, z)
+        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
+        eps[lo:hi] = eyy[:, None] * film_crystal
+        eps[lo:hi] += (sigma * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
         ori[lo:hi] = o
         depth[lo:hi] = dep
         return n_fail
@@ -307,7 +308,7 @@ def _pre_gss(n, seed, params, threads):
         gss = np.empty(n)
 
         def evaluate(lo, hi):
-            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma, unit[:, lo:hi])
+            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma * unit[:, lo:hi])
 
         _kernels.run_blocks(n, evaluate, threads)
         return gss
@@ -329,19 +330,17 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
 
     field = field_at(0.0)
     _check_n(n)
-    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
-                            intrinsic is not None)
+    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
     rows = _intrinsic_rows(params)
     _, film_rows = _film_response(field, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
-    unit = None if intrinsic is None else np.empty((2, n))
-    sigma_i = 0.0 if intrinsic is None else intrinsic.sigma
+    unit = np.empty((2, n))
+    sigma = intrinsic.sigma
 
     def draw(lo, hi):
         _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
-        if z is not None:
-            unit[:, lo:hi] = _kernels.apply_rows(rows, z)
+        unit[:, lo:hi] = _kernels.apply_rows(rows, z)
         return n_fail
 
     _raise_failures(_kernels.run_blocks(n, draw, threads))
@@ -352,11 +351,8 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
 
         def evaluate(lo, hi):
             eyy = field.axial_strain(depth[lo:hi])
-            gss[lo:hi] = _kernels.splitting(
-                params.lambda_so_ghz, sigma_i,
-                None if unit is None else unit[:, lo:hi],
-                eyy * film_rows[:, ori[lo:hi]],
-            )
+            couplings = eyy * film_rows[:, ori[lo:hi]] + sigma * unit[:, lo:hi]
+            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
 
         _kernels.run_blocks(n, evaluate, threads)
         return gss
@@ -469,7 +465,7 @@ def calibrate_film_stress(
     n: int,
     seed: int,
     *,
-    intrinsic: IntrinsicStrainModel | None = None,
+    intrinsic: IntrinsicStrainModel,
     threads: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Equivalent film stress (MPa) whose post-deposition ensemble mean

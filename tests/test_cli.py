@@ -10,7 +10,7 @@ import strainforge.spectra as spectra
 import strainforge.thermal as thermal
 from conftest import csv_rows, synth_spectrum, write_spectrum
 from strainforge.cli import _write_atomic, run
-from strainforge.config import load_config
+from strainforge.config import default_config, load_config
 from strainforge.mechanics import solve_beam_state
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
@@ -55,6 +55,14 @@ class TestExitCodes:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 2
+
+    def test_n_beyond_the_counter_space_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        n = 2 ** 55 + 1
+        assert run(["sample", "--phase", "pre", "--n", str(n), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n must be <= {2 ** 55}, got {n}\n"
+        assert not out.exists()
 
     def test_bad_config_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -479,11 +487,12 @@ class TestEnvConfig:
         assert capsys.readouterr().out == "1.5000 K\n"
 
 
-# the non-default settings the cli maps onto the library: no intrinsic
-# tensor after deposition, and the Boltzmann rate law
+# the non-default settings the cli maps onto the library: a zero intrinsic
+# spread (film strain only after deposition), and the Boltzmann rate law
 OTHER_SETTINGS = {"monte_carlo": {"n": 20000, "seed": 5},
-                  "population": {"include_intrinsic_post": False},
+                  "population": {"sigma_unstrained": 0.0},
                   "thermal": {"occupation_model": "boltzmann"}}
+FILM_ONLY = pop.IntrinsicStrainModel(0.0)
 BOLTZMANN = thermal.ThermalReference(occupation_model="boltzmann")
 
 
@@ -501,7 +510,7 @@ class TestNonDefaultSettings:
                     "--out", str(out), "--config", other_config]) == 0
         cfg = load_config(other_config)
         res = pop.sample_post_deposition(2000, cfg.position, solve_beam_state(cfg.stack),
-                                         cfg.siv, intrinsic=None, seed=3)
+                                         cfg.siv, intrinsic=FILM_ONLY, seed=3)
         s = res.samples
         assert out.read_bytes().split(b"\n", 1)[1] == csv_rows(
             [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
@@ -515,21 +524,22 @@ class TestNonDefaultSettings:
                     "--n", "4096", "--config", other_config]) == 0
         cfg = load_config(other_config)
         stress, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position, cfg.siv,
-                                              4096, 5, intrinsic=None)
+                                              4096, 5, intrinsic=FILM_ONLY)
         with_intrinsic, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position,
                                                       cfg.siv, 4096, 5,
-                                                      intrinsic=cfg.intrinsic)
+                                                      intrinsic=default_config().intrinsic)
         assert stress != with_intrinsic
         assert json.loads(capsys.readouterr().out)["film_stress_mpa"] == stress
 
     def test_report_runs_the_library_chain(self, tmp_path, capsys, other_config):
+        # report fits its own sigma, whatever sigma_unstrained says
         assert run(["report", "--n", "4096", "--out-dir", str(tmp_path),
                     "--config", other_config]) == 0
         cfg = load_config(other_config)
         sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, 4096, 5, cfg.siv)
         stress, post_gss = pop.calibrate_film_stress(
             cli.POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, 4096, 5,
-            intrinsic=None,
+            intrinsic=pop.IntrinsicStrainModel(sigma),
         )
         top_post = thermal.operational_temperature_batch(post_gss, BOLTZMANN)
         summary = json.loads((tmp_path / "summary.json").read_text())

@@ -84,6 +84,12 @@ class TestOverrides:
          "reference splitting and temperature must be positive"),
         ("population", "sample_frame", "defect",
          "unknown key(s) at population: ['sample_frame']"),
+        # post ensembles always carry intrinsic strain (sigma 0: film only)
+        ("population", "include_intrinsic_post", False,
+         "unknown key(s) at population: ['include_intrinsic_post']"),
+        # the beam axis is always [110]
+        ("mechanics", "beam_axis_crystal_direction", [1, 1, 0],
+         "unknown key(s) at mechanics: ['beam_axis_crystal_direction']"),
         ("monte_carlo", "n", 0, "monte_carlo.n must be >= 1"),
         ("spectra", "min_prominence_fraction", 1.5,
          "spectra.min_prominence_fraction must be in (0, 1]"),
@@ -105,9 +111,12 @@ class TestOverrides:
         ('{"position": {"aperture_x_nm": Infinity}}',
          "position.aperture_x_nm: expected a finite number"),
         ('{"siv": {"lambda_so_ghz": Infinity}}', "siv.lambda_so_ghz: expected a finite number"),
+        ('{"siv": {"lambda_so_ghz": 1%s}}' % ("0" * 400),
+         "siv.lambda_so_ghz: expected a finite number"),
     ])
     def test_non_finite_or_fractional_number(self, tmp_path, text, message):
-        # json reads Infinity and NaN; an int key takes no fraction
+        # json reads Infinity and NaN, and ints beyond the float range; an
+        # int key takes no fraction
         path = tmp_path / "cfg.json"
         path.write_text(text)
         with pytest.raises(ConfigError) as info:

@@ -80,11 +80,10 @@ class TestChunkIndependence:
 
     @given(
         cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
-        include_intr=st.booleans(),
         seed=st.integers(0, 2 ** 32),
     )
     @settings(max_examples=25, deadline=None)
-    def test_post_block_values_do_not_depend_on_chunking(self, cuts, include_intr, seed):
+    def test_post_block_values_do_not_depend_on_chunking(self, cuts, seed):
         from strainforge.config import default_config
 
         cfg = default_config()
@@ -99,15 +98,14 @@ class TestChunkIndependence:
                 np.ascontiguousarray(cs.vertices_nm[:, 0]),
                 np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
                 pos.aperture_x_nm, pos.aperture_y_nm,
-                pos.depth_mean_nm, pos.depth_straggle_nm, include_intr,
+                pos.depth_mean_nm, pos.depth_straggle_nm,
             )
 
         edges = [0, *sorted(cuts), n]
         whole = run(0, n)
         parts = [run(lo, hi) for lo, hi in zip(edges, edges[1:])]
         assert whole[-1] == sum(p[-1] for p in parts)
-        assert (whole[4] is None) == (not include_intr)
-        for i in range(5 if include_intr else 4):
+        for i in range(5):
             joined = np.concatenate([p[i] for p in parts])
             assert np.array_equal(whole[i], joined, equal_nan=True)
 

@@ -218,16 +218,6 @@ class TestSolveBeamState:
         with pytest.warns(UserWarning):
             stack_for(cs, t_f=30.0)
 
-    def test_only_110_beams_supported(self):
-        cs = rectangle(100.0, 100.0)
-        with pytest.raises(InvalidGeometry):
-            LayerStack(
-                substrate=Layer(100.0, 1100.0, 0.07),
-                cross_section=cs,
-                film=Layer(1.0, 250.0, 0.25),
-                beam_axis_crystal_direction=(1, 0, 0),
-            )
-
 
 class TestStrainAt:
     def test_zero_field_any_depth(self):

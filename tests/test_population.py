@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import strainforge._kernels as kernels
 import strainforge.population as pop
@@ -17,7 +17,7 @@ from strainforge.core import (
     eg_couplings,
     rotate_strain,
 )
-from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible
+from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible, InvalidParameter
 from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
 from strainforge.population import (
     IntrinsicStrainModel,
@@ -31,6 +31,7 @@ from strainforge.population import (
 
 PARAMS = SivParameters()
 SIGMA = IntrinsicStrainModel(1.5e-5)
+FILM_ONLY = IntrinsicStrainModel(0.0)
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +129,28 @@ class TestPreDeposition:
             sample_pre_deposition(0, SIGMA, PARAMS, seed=1)
 
 
+def test_n_beyond_the_counter_space_rejected(cfg, field):
+    # counters i * 512 + j of samples i < 2**55 fit in a uint64; the check
+    # comes before any array of n is allocated
+    n = 2 ** 55 + 1
+    calls = [
+        lambda: sample_pre_deposition(n, SIGMA, PARAMS, seed=1),
+        lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
+                                       intrinsic=SIGMA, seed=1),
+        lambda: calibrate_sigma(119.0, n, seed=1),
+        lambda: calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, n, 1,
+                                      intrinsic=SIGMA),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter, match=f"n must be <= {2 ** 55}, got {n}"):
+            call()
+    pop._check_n(2 ** 55)
+
+
 class TestPostDeposition:
     def test_zero_stress_no_intrinsic_pins_to_floor(self, cfg, zero_field):
         res = sample_post_deposition(
-            400, cfg.position, zero_field, PARAMS, seed=1
+            400, cfg.position, zero_field, PARAMS, seed=1, intrinsic=FILM_ONLY
         )
         assert np.all(res.samples.gss_ghz == 46.0)
 
@@ -147,7 +166,7 @@ class TestPostDeposition:
 
     def test_positions_inside_aperture_and_substrate(self, cfg, field):
         pos = cfg.position
-        res = sample_post_deposition(20_000, pos, field, PARAMS, seed=3)
+        res = sample_post_deposition(20_000, pos, field, PARAMS, seed=3, intrinsic=SIGMA)
         s = res.samples
         assert np.all(np.abs(s.x_nm) <= pos.aperture_x_nm / 2)
         assert np.all(np.abs(s.y_nm) <= pos.aperture_y_nm / 2)
@@ -159,7 +178,7 @@ class TestPostDeposition:
 
     def test_depth_distribution_matches_straggle(self, cfg, field):
         pos = cfg.position
-        res = sample_post_deposition(100_000, pos, field, PARAMS, seed=4)
+        res = sample_post_deposition(100_000, pos, field, PARAMS, seed=4, intrinsic=SIGMA)
         assert res.samples.depth_nm.mean() == pytest.approx(35.0, abs=0.2)
         assert res.samples.depth_nm.std() == pytest.approx(10.0, abs=0.2)
 
@@ -169,18 +188,18 @@ class TestPostDeposition:
             depth_mean_nm=5000.0, depth_straggle_nm=1.0,
         )
         with pytest.raises(DegenerateGeometry):
-            sample_post_deposition(50, pos, field, PARAMS, seed=5)
+            sample_post_deposition(50, pos, field, PARAMS, seed=5, intrinsic=SIGMA)
 
     def test_intrinsic_widens_distribution(self, cfg, field):
         pos = cfg.position
-        plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6)
+        plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=FILM_ONLY)
         mixed = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=SIGMA)
         assert mixed.summary.std_ghz > plain.summary.std_ghz
 
     def test_two_orientation_classes_under_beam_strain(self, cfg, field):
         # unequal in-plane strain splits the four <111> axes into two pairs
         res = sample_post_deposition(
-            20_000, cfg.position, field, PARAMS, seed=8
+            20_000, cfg.position, field, PARAMS, seed=8, intrinsic=FILM_ONLY
         )
         s = res.samples
         cls_a = np.isin(s.orientation_id, [0, 1])
@@ -212,7 +231,7 @@ class TestMonotoneCalibration:
             stack = cfg.stack
             stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
             res = sample_post_deposition(
-                30_000, pos, solve_beam_state(stack), PARAMS, seed=12
+                30_000, pos, solve_beam_state(stack), PARAMS, seed=12, intrinsic=SIGMA
             )
             means.append(res.summary.mean_ghz)
         assert all(b >= a for a, b in zip(means, means[1:]))
@@ -255,7 +274,7 @@ class TestMonotoneCalibration:
     def test_calibrate_stress_floor_target(self, cfg):
         stress, gss = calibrate_film_stress(
             46.0, cfg.stack, cfg.position,
-            PARAMS, 1000, seed=18,
+            PARAMS, 1000, seed=18, intrinsic=FILM_ONLY,
         )
         assert stress == 0.0
         assert np.all(gss == 46.0)
@@ -264,7 +283,7 @@ class TestMonotoneCalibration:
         with pytest.raises(Infeasible):
             calibrate_film_stress(
                 10.0, cfg.stack, cfg.position,
-                PARAMS, 1000, seed=19,
+                PARAMS, 1000, seed=19, intrinsic=SIGMA,
             )
 
     @pytest.mark.parametrize("kwargs", [{}, {"n": 1000}])
@@ -285,7 +304,7 @@ class TestMonotoneCalibration:
         with pytest.raises(Infeasible, match="not finite"):
             calibrate_film_stress(
                 target, cfg.stack, cfg.position,
-                PARAMS, 1000, seed=19,
+                PARAMS, 1000, seed=19, intrinsic=SIGMA,
             )
 
     def test_calibrate_stress_hits_target(self, cfg):
@@ -304,8 +323,10 @@ class TestMonotoneCalibration:
         pos = cfg.position
         base = cfg.stack
         thick = replace(base, film=replace(base.film, thickness_nm=120.0))
-        s_base, _ = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21)
-        s_thick, _ = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21)
+        s_base, _ = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21,
+                                          intrinsic=SIGMA)
+        s_thick, _ = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21,
+                                           intrinsic=SIGMA)
         assert s_thick < s_base
 
     def test_cdf_dominance_post_over_pre(self, cfg):
@@ -401,7 +422,7 @@ class TestCouplingTables:
         ensembles = [sample_pre_deposition(64, SIGMA, PARAMS, seed=31)] + [
             sample_post_deposition(64, cfg.position, field, PARAMS,
                                    seed=31, intrinsic=intrinsic)
-            for intrinsic in (None, SIGMA)
+            for intrinsic in (FILM_ONLY, SIGMA)
         ]
         for res in ensembles:
             s = res.samples
@@ -428,14 +449,14 @@ class TestCachedCalibrationMeans:
 
     @given(
         stress=st.floats(0.0, 2000.0),
-        sigma=st.floats(1e-6, 5e-5),
-        include_intrinsic=st.booleans(),
+        sigma=st.just(0.0) | st.floats(1e-6, 5e-5),
         seed=st.integers(0, 2 ** 32),
     )
+    @example(stress=700.0, sigma=0.0, seed=0)  # film strain only
     @settings(max_examples=15, deadline=None)
-    def test_post_mean_matches_sampler(self, cfg, stress, sigma, include_intrinsic, seed):
+    def test_post_mean_matches_sampler(self, cfg, stress, sigma, seed):
         stack, pos = cfg.stack, cfg.position
-        intrinsic = IntrinsicStrainModel(sigma) if include_intrinsic else None
+        intrinsic = IntrinsicStrainModel(sigma)
         gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed, intrinsic, None)
         trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
         want = sample_post_deposition(
@@ -476,10 +497,10 @@ class TestCachedCalibrationMeans:
         want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS, 33)
         assert np.array_equal(gss, want.samples.gss_ghz)
 
-    @pytest.mark.parametrize("target,include_intrinsic", [(46.0, False), (608.0, True)])
-    def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, include_intrinsic):
+    @pytest.mark.parametrize("target,sigma", [(46.0, 0.0), (608.0, SIGMA.sigma)])
+    def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, sigma):
         stack, pos = cfg.stack, cfg.position
-        intrinsic = SIGMA if include_intrinsic else None
+        intrinsic = IntrinsicStrainModel(sigma)
         stress, gss = calibrate_film_stress(target, stack, pos, PARAMS, self.N, seed=34,
                                             intrinsic=intrinsic)
         stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
