@@ -51,10 +51,6 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
             merged[key] = _validate(value, default_value, where)
-        elif isinstance(default_value, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}: expected a boolean")
-            merged[key] = value
         elif isinstance(default_value, (int, float)):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{where}: expected a number")
@@ -134,6 +130,8 @@ def _build(data: dict, source: str) -> Config:
         raise ConfigError(str(exc)) from exc
     if cfg.default_n < 1:
         raise ConfigError("monte_carlo.n must be >= 1")
+    if not 0 <= cfg.default_seed < 2 ** 64:
+        raise ConfigError("monte_carlo.seed must be in [0, 2**64)")
     if cfg.smoothing_window < 1 or cfg.smoothing_window % 2 == 0:
         raise ConfigError("spectra.smoothing_window must be a positive odd integer")
     if not 0 < cfg.min_prominence <= 1:

@@ -179,15 +179,18 @@ def _film_response(field: StrainField, params: SivParameters):
     return eps.components / _UNIT, rows / _UNIT
 
 
-# counters i * DRAWS_PER_SAMPLE + j of samples i < n fit in a uint64
+# counters i * DRAWS_PER_SAMPLE + j of samples i < n fit in a uint64, and
+# seed_root reads a seed mod 2**64, so only seeds in [0, 2**64) are distinct
 _MAX_N = 2 ** 64 // _kernels.DRAWS_PER_SAMPLE
 
 
-def _check_n(n):
+def _check_draw(n, seed):
     if n < 1:
         raise EmptyRequest("n must be >= 1")
     if n > _MAX_N:
         raise InvalidParameter(f"n must be <= {_MAX_N}, got {n}")
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _draw_post(root, pos: PositionDistribution, cs):
@@ -226,7 +229,7 @@ def sample_pre_deposition(
     Each sample draws six iid Normal(0, sigma^2) defect-frame components
     plus a uniform orientation, which places the tensor in crystal axes.
     """
-    _check_n(n)
+    _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     root = _kernels.seed_root(seed)
     rows = _intrinsic_rows(params)
@@ -261,7 +264,7 @@ def sample_post_deposition(
     it through a uniformly drawn <111> orientation, adds an intrinsic
     random tensor (drawn in the defect frame), and computes the splitting.
     """
-    _check_n(n)
+    _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
     draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
@@ -293,7 +296,7 @@ def _pre_gss(n, seed, params, threads):
     by chunk with the sampler's own formula, into a fresh array equal to
     the sampler's to the last bit.
     """
-    _check_n(n)
+    _check_draw(n, seed)
     root = _kernels.seed_root(seed)
     rows = _intrinsic_rows(params)
     unit = np.empty((2, n))
@@ -329,7 +332,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
         return solve_beam_state(trial)
 
     field = field_at(0.0)
-    _check_n(n)
+    _check_draw(n, seed)
     draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
     rows = _intrinsic_rows(params)
     _, film_rows = _film_response(field, params)
@@ -449,7 +452,7 @@ def calibrate_sigma(
     params = params or SivParameters()
     lam = params.lambda_so_ghz
     _check_target(target_mean_ghz, lam)
-    _check_n(n)
+    _check_draw(n, seed)
     if target_mean_ghz <= lam * (1.0 + 1e-12):
         return 0.0, np.full(n, lam)
     return _fit(_pre_gss(n, seed, params, threads), target_mean_ghz,

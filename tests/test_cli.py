@@ -64,6 +64,23 @@ class TestExitCodes:
         assert captured.err == f"error: n must be <= {2 ** 55}, got {n}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--phase", "pre", "--n", "5", "--out", "{out}"],
+        ["calibrate", "--what", "sigma", "--target-ghz", "46", "--n", "5"],
+        ["report", "--n", "10", "--out-dir", "{out}"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 1)])
+    def test_seed_outside_the_root_space_is_one_line(self, tmp_path, capsys,
+                                                     command, seed):
+        # seeds are read mod 2**64, so these would alias 2**64 - 1 and 1
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + ["--seed", seed]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_config_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"unknown_section": {}}))
@@ -75,6 +92,9 @@ class TestExitCodes:
         ('{"monte_carlo": {"n": Infinity}}',
          ["sample", "--phase", "pre", "--out", "{out}/s.csv"],
          "error: monte_carlo.n: expected a finite number"),
+        ('{"monte_carlo": {"seed": -3}}',
+         ["sample", "--phase", "pre", "--n", "5", "--out", "{out}/s.csv"],
+         "error: monte_carlo.seed must be in [0, 2**64)"),
     ])
     def test_config_value_error_is_one_line(self, tmp_path, capsys, text, command, message):
         bad = tmp_path / "bad.json"
@@ -488,12 +508,12 @@ class TestEnvConfig:
 
 
 # the non-default settings the cli maps onto the library: a zero intrinsic
-# spread (film strain only after deposition), and the Boltzmann rate law
+# spread (film strain only after deposition), and another thermal reference
 OTHER_SETTINGS = {"monte_carlo": {"n": 20000, "seed": 5},
                   "population": {"sigma_unstrained": 0.0},
-                  "thermal": {"occupation_model": "boltzmann"}}
+                  "thermal": {"gss_ref_ghz": 600.0, "temp_ref_k": 1.8}}
 FILM_ONLY = pop.IntrinsicStrainModel(0.0)
-BOLTZMANN = thermal.ThermalReference(occupation_model="boltzmann")
+OTHER_REF = thermal.ThermalReference(600.0, 1.8)
 
 
 @pytest.fixture
@@ -541,19 +561,19 @@ class TestNonDefaultSettings:
             cli.POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, 4096, 5,
             intrinsic=pop.IntrinsicStrainModel(sigma),
         )
-        top_post = thermal.operational_temperature_batch(post_gss, BOLTZMANN)
+        top_post = thermal.operational_temperature_batch(post_gss, OTHER_REF)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["sigma_unstrained_calibrated"] == sigma
         assert summary["film_stress_mpa_calibrated"] == stress
         assert summary["post_mean_ghz"] == pop.summarize(post_gss).mean_ghz
         assert summary["p_top_ge_2p0k"] == float(np.mean(top_post >= 2.0))
-        curve = thermal.operational_temperature_batch(cli.TOP_CURVE_GSS_GHZ, BOLTZMANN)
+        curve = thermal.operational_temperature_batch(cli.TOP_CURVE_GSS_GHZ, OTHER_REF)
         assert (tmp_path / "top_vs_gss.csv").read_bytes() == b"gss_ghz,t_op_k\n" + csv_rows(
             [cli.TOP_CURVE_GSS_GHZ, curve], "%r,%r")
 
-    def test_top_uses_the_boltzmann_rate(self, capsys, other_config):
-        # at 5 GHz the two rate laws differ in the printed digits
+    def test_top_uses_the_configured_reference(self, capsys, other_config):
+        # at 5 GHz the two references differ in the printed digits
         assert run(["top", "--gss-ghz", "5", "--config", other_config]) == 0
         out = capsys.readouterr().out
-        assert out == f"{thermal.operational_temperature(5.0, BOLTZMANN):.4f} K\n"
+        assert out == f"{thermal.operational_temperature(5.0, OTHER_REF):.4f} K\n"
         assert out != f"{thermal.operational_temperature(5.0):.4f} K\n"

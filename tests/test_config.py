@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 
 from strainforge.config import default_config, load_config
 from strainforge.errors import ConfigError
+
+SHIPPED = resources.files("strainforge.data").joinpath("default_config.json")
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -26,6 +30,12 @@ class TestDefaults:
     def test_no_path_uses_defaults(self):
         cfg = load_config(None)
         assert cfg.source == "<defaults>"
+
+    def test_shipped_file_loads_as_a_user_file(self):
+        # the only load that validates the string leaves of "notes"
+        cfg = load_config(str(SHIPPED))
+        assert cfg.source == str(SHIPPED)
+        assert repr(replace(cfg, source="<defaults>")) == repr(default_config())
 
 
 class TestOverrides:
@@ -62,11 +72,6 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="odd"):
             load_config(path)
 
-    def test_bad_occupation_model(self, tmp_path):
-        path = write_cfg(tmp_path, {"thermal": {"occupation_model": "planck"}})
-        with pytest.raises(ConfigError):
-            load_config(path)
-
     def test_bad_polygon(self, tmp_path):
         path = write_cfg(
             tmp_path,
@@ -82,6 +87,9 @@ class TestOverrides:
         ("population", "sigma_unstrained", -1, "sigma must be finite and >= 0"),
         ("thermal", "temp_ref_k", 0,
          "reference splitting and temperature must be positive"),
+        # the upward rate always uses the Bose-Einstein occupation
+        ("thermal", "occupation_model", "boltzmann",
+         "unknown key(s) at thermal: ['occupation_model']"),
         ("population", "sample_frame", "defect",
          "unknown key(s) at population: ['sample_frame']"),
         # post ensembles always carry intrinsic strain (sigma 0: film only)
@@ -91,6 +99,9 @@ class TestOverrides:
         ("mechanics", "beam_axis_crystal_direction", [1, 1, 0],
          "unknown key(s) at mechanics: ['beam_axis_crystal_direction']"),
         ("monte_carlo", "n", 0, "monte_carlo.n must be >= 1"),
+        # seeds are read mod 2**64: -1 would alias 2**64 - 1
+        ("monte_carlo", "seed", -3, "monte_carlo.seed must be in [0, 2**64)"),
+        ("monte_carlo", "seed", 2 ** 64, "monte_carlo.seed must be in [0, 2**64)"),
         ("spectra", "min_prominence_fraction", 1.5,
          "spectra.min_prominence_fraction must be in (0, 1]"),
     ])
@@ -123,6 +134,10 @@ class TestOverrides:
             load_config(path)
         assert str(info.value) == message
 
+    def test_largest_seed_loads(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, {"monte_carlo": {"seed": 2 ** 64 - 1}}))
+        assert cfg.default_seed == 2 ** 64 - 1
+
     def test_integral_float_loads_at_int_key(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"monte_carlo": {"n": 1e6},
                                                "spectra": {"smoothing_window": 7.0}}))
@@ -153,3 +168,35 @@ class TestEnvFallback:
         monkeypatch.setenv("STRAINFORGE_CONFIG", str(env_path))
         cfg = load_config(arg_path)
         assert cfg.siv.lambda_so_ghz == 48.5
+
+
+def _leaves(node, path=()):
+    """(path, value) of every schema leaf under ``node``; lists are leaves."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _other_valid(value):
+    if isinstance(value, list):  # polygon vertices
+        return [[1.1 * c for c in vertex] for vertex in value]
+    if isinstance(value, int):  # + 2 keeps smoothing_window odd
+        return value + 2
+    return 1.25 * value
+
+
+SCHEMA = json.loads(SHIPPED.read_text())
+LEAVES = list(_leaves({k: v for k, v in SCHEMA.items() if k != "notes"}))
+
+
+@pytest.mark.parametrize("path, value", LEAVES, ids=[".".join(p) for p, _ in LEAVES])
+def test_every_key_has_a_reader(tmp_path, path, value):
+    # a schema key that no object reads would leave the built Config unchanged
+    override = _other_valid(value)
+    for key in reversed(path):
+        override = {key: override}
+    base = load_config(write_cfg(tmp_path, {}))
+    cfg = load_config(write_cfg(tmp_path, override))
+    assert repr(cfg) != repr(base)

@@ -144,7 +144,28 @@ def test_n_beyond_the_counter_space_rejected(cfg, field):
     for call in calls:
         with pytest.raises(InvalidParameter, match=f"n must be <= {2 ** 55}, got {n}"):
             call()
-    pop._check_n(2 ** 55)
+    pop._check_draw(2 ** 55, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+def test_seed_outside_the_stream_root_space_rejected(cfg, field, seed):
+    # seed_root reads seeds mod 2**64, so -1 would alias 2**64 - 1; the
+    # check comes before any draw (n = 2**55 could not be allocated), and
+    # before the floor return of calibrate_sigma
+    n = 2 ** 55
+    calls = [
+        lambda: sample_pre_deposition(n, SIGMA, PARAMS, seed=seed),
+        lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
+                                       intrinsic=SIGMA, seed=seed),
+        lambda: calibrate_sigma(119.0, n, seed=seed),
+        lambda: calibrate_sigma(46.0, 5, seed=seed),
+        lambda: calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, n, seed,
+                                      intrinsic=SIGMA),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
 class TestPostDeposition:

@@ -34,16 +34,14 @@ def oracle_top(gss, gss0=554.0, t0=1.5):
     return brentq(g, 1e-3, 300.0, xtol=1e-12)
 
 
-def exact_rate_residual(temp, gss, ref, boltzmann):
+def exact_rate_residual(temp, gss, ref):
     """ln(gss^3 n_th(gss, T)) minus its reference value, exact constant."""
     def ln_rate(g, t):
         x = K_PER_GHZ * g / t
-        occ = -x if boltzmann else -x - math.log1p(-math.exp(-x))
-        return 3.0 * math.log(g) + occ
+        return 3.0 * math.log(g) - x - math.log1p(-math.exp(-x))
     return ln_rate(gss, temp) - ln_rate(ref.gss_ref_ghz, ref.temp_ref_k)
 
 
-MODELS = ("bose_einstein", "boltzmann")
 OUT_OF_DOMAIN_GSS = (1e-6, 1e7, math.inf, -math.inf, math.nan, 0.0, -5.0)
 
 
@@ -80,15 +78,6 @@ class TestThermalOccupation:
             thermal_occupation(0.0, 1.5)
         with pytest.raises(InvalidDomain):
             thermal_occupation(554.0, -1.0)
-
-    def test_boltzmann_variant_indistinguishable_at_operating_point(self):
-        be = thermal_occupation(554.0, 1.5)
-        bz = thermal_occupation(554.0, 1.5, model="boltzmann")
-        assert abs(be - bz) / bz < 1e-7
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_occupation(554.0, 1.5, model="fermi")
 
     def test_no_overflow_where_expm1_would(self):
         # expm1 overflows past x ~ 709.78; below it the value is 1/expm1(x)
@@ -155,9 +144,12 @@ class TestGammaUpRelative:
         with pytest.raises(InvalidDomain):
             gamma_up_relative(554.0, 1.5, ThermalReference(1e-200, 300.0))
 
-    def test_reference_rejects_unknown_model(self):
-        with pytest.raises(ValueError, match="occupation model"):
-            ThermalReference(occupation_model="fermi")
+    @pytest.mark.parametrize("field", ["gss_ref_ghz", "temp_ref_k"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_reference_rejects_non_finite(self, field, value):
+        # no finite log rate to normalize to: reject at construction, not at use
+        with pytest.raises(ValueError, match="reference splitting and temperature"):
+            ThermalReference(**{field: value})
 
     def test_splitting_far_below_temperature(self):
         # x ~ 1.6e-18: exp(-x) rounds to 1, so n_th = 1/x to double precision
@@ -173,7 +165,7 @@ class TestGammaUpRelative:
         # K*gss/T is 0.0 in floats; ln(gss^3 n_th) = 3 ln gss - ln x, ln x from logs
         assert K_PER_GHZ * gss / 300.0 == 0.0
         want = 3.0 * math.log(gss) - (math.log(K_PER_GHZ) + math.log(gss) - math.log(300.0))
-        assert _ln_rate(gss, 300.0, False) == want
+        assert _ln_rate(gss, 300.0) == want
         top = operational_temperature(554.0, ThermalReference(gss, 300.0))
         assert top == pytest.approx(K_PER_GHZ * 554.0 / (3.0 * math.log(554.0) - want), rel=1e-12)
 
@@ -182,7 +174,7 @@ class TestGammaUpRelative:
         gss = 2.0 ** -1022 * 300.0 / K_PER_GHZ
         x = K_PER_GHZ * gss / 300.0
         assert x > 0.0
-        assert _ln_rate(gss, 300.0, False) == 3.0 * math.log(gss) - x - _log1mexp(x)
+        assert _ln_rate(gss, 300.0) == 3.0 * math.log(gss) - x - _log1mexp(x)
 
 
 class TestOperationalTemperature:
@@ -215,64 +207,42 @@ class TestOperationalTemperature:
         with pytest.raises(InvalidDomain):
             operational_temperature(0.0, REF)
 
-    def test_boltzmann_model_close(self):
-        a = operational_temperature(400.0, REF)
-        b = operational_temperature(400.0, ThermalReference(occupation_model="boltzmann"))
-        assert a == pytest.approx(b, rel=1e-6)
-
 
 class TestClosedFormAgainstRootFind:
     @given(
         gss=st.floats(46.0, 3000.0),
         gss_ref=st.floats(46.0, 3000.0),
         temp_ref=st.floats(0.5, 10.0),
-        model=st.sampled_from(MODELS),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_brentq_and_normalizes_rate(self, gss, gss_ref, temp_ref, model):
-        ref = ThermalReference(gss_ref_ghz=gss_ref, temp_ref_k=temp_ref,
-                               occupation_model=model)
-        boltzmann = model == "boltzmann"
-        lo = exact_rate_residual(1e-3, gss, ref, boltzmann)
-        hi = exact_rate_residual(300.0, gss, ref, boltzmann)
+    def test_matches_brentq_and_normalizes_rate(self, gss, gss_ref, temp_ref):
+        ref = ThermalReference(gss_ref_ghz=gss_ref, temp_ref_k=temp_ref)
+        lo = exact_rate_residual(1e-3, gss, ref)
+        hi = exact_rate_residual(300.0, gss, ref)
         if not lo < 0.0 < hi:
             # no operating temperature inside [1 mK, 300 K]
             with pytest.raises(InvalidDomain):
                 operational_temperature(gss, ref)
             return
         oracle = brentq(exact_rate_residual, 1e-3, 300.0,
-                        args=(gss, ref, boltzmann), xtol=1e-13, rtol=1e-15)
+                        args=(gss, ref), xtol=1e-13, rtol=1e-15)
         t_op = operational_temperature(gss, ref)
         assert abs(t_op - oracle) <= 1e-9
         assert abs(gamma_up_relative(gss, t_op, ref) - 1.0) <= 1e-9
 
-    @given(
-        gss=st.lists(st.floats(46.0, 3000.0), min_size=1, max_size=50),
-        model=st.sampled_from(MODELS),
-    )
+    @given(gss=st.lists(st.floats(46.0, 3000.0), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
-    def test_batch_matches_scalar(self, gss, model):
-        ref = ThermalReference(occupation_model=model)
-        batch = operational_temperature_batch(np.array(gss), ref)
-        scalar = [operational_temperature(g, ref) for g in gss]
+    def test_batch_matches_scalar(self, gss):
+        batch = operational_temperature_batch(np.array(gss), REF)
+        scalar = [operational_temperature(g, REF) for g in gss]
         np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("gss", OUT_OF_DOMAIN_GSS)
-    def test_scalar_and_batch_share_domain(self, gss, model):
-        ref = ThermalReference(occupation_model=model)
+    def test_scalar_and_batch_share_domain(self, gss):
         with pytest.raises(InvalidDomain):
-            operational_temperature(gss, ref)
+            operational_temperature(gss, REF)
         with pytest.raises(InvalidDomain):
-            operational_temperature_batch(np.array([554.0, gss]), ref)
-
-    def test_boltzmann_without_root_rejected(self):
-        # the Boltzmann rate tends to gss^3 as T grows, so a splitting whose
-        # cube is below the reference rate has no operating temperature
-        ref = ThermalReference(gss_ref_ghz=1000.0, temp_ref_k=10.0,
-                               occupation_model="boltzmann")
-        with pytest.raises(InvalidDomain):
-            operational_temperature(46.0, ref)
+            operational_temperature_batch(np.array([554.0, gss]), REF)
 
 
 class TestBatch:
