@@ -5,9 +5,14 @@ import pytest
 from numpy.polynomial import hermite_e
 
 from strainforge.config import default_config
-from strainforge.core import defect_frame_strain, eg_couplings, ground_state_splitting
+from strainforge.core import (
+    ORIENTATIONS,
+    defect_frame_strain,
+    eg_couplings,
+    ground_state_splitting,
+)
 from strainforge.errors import InvalidGeometry
-from strainforge.mechanics import _polygon_integrals
+from strainforge.mechanics import _polygon_integrals, beam_to_crystal, strain_at
 from strainforge.spectra import Spectrum
 
 
@@ -61,6 +66,50 @@ def intrinsic_gss_moments(sigma, params, nodes=120):
     mean = float(np.sum(weight * gss))
     var = float(np.sum(weight * (gss - mean) ** 2))
     return mean, math.sqrt(var), float(np.sum(weight * (gss - mean) ** 4))
+
+
+def post_gss_moments(field, sigma, params, pos, hermite_nodes=80, depth_nodes=200):
+    """Mean, std and 4th central moment of the post-deposition gss at
+    n = infinity in ``field``, with intrinsic strain of iid Normal(0, sigma^2)
+    defect-frame components.
+
+    Depth is the straggle normal truncated at 0, integrated by Gauss-Legendre
+    over [0, mean + 12 straggle]; orientations are equally likely. Given depth
+    d and orientation o, (alpha, beta) is normal around the film's couplings
+    e_yy(d) F[o], taken here from core at each node, with independent stds
+    sigma sqrt(2 d^2 + f^2) and sigma sqrt(4 d^2 + f^2): a 2-D Gauss-Hermite
+    sum. The aperture must lie inside the section at every integrated depth,
+    so that the sampler's rejection step truncates depth alone."""
+    mu, s = pos.depth_mean_nm, pos.depth_straggle_nm
+    t, wt = np.polynomial.legendre.leggauss(depth_nodes)
+    hi = mu + 12.0 * s
+    depths = 0.5 * hi * (t + 1.0)
+    dweight = 0.5 * hi * wt * np.exp(-0.5 * ((depths - mu) / s) ** 2)
+    dweight /= dweight.sum()
+    cs = field.cross_section
+    half = 0.5 * pos.aperture_y_nm
+    assert all(point_in_section(cs, y, d) for d in depths for y in (-half, half)), \
+        "aperture leaves the section inside the integrated depths"
+
+    x, w = hermite_e.hermegauss(hermite_nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    d, f = params.d_ghz_per_strain, params.f_ghz_per_strain
+    da = sigma * math.sqrt(2.0 * d * d + f * f) * x
+    db = sigma * math.sqrt(4.0 * d * d + f * f) * x
+    film = np.array([[[c.alpha_ghz, c.beta_ghz] for c in (
+        eg_couplings(defect_frame_strain(beam_to_crystal(strain_at(field, dep)), o), params)
+        for o in ORIENTATIONS)] for dep in depths])  # (depth, orientation, 2)
+    alpha = film[:, :, 0, None, None] + da[:, None]
+    beta = film[:, :, 1, None, None] + db[None, :]
+    lam = params.lambda_so_ghz
+    gss = np.sqrt(lam * lam + 4.0 * (alpha ** 2 + beta ** 2))
+
+    def expect(values):
+        return float(np.einsum("doab,d,a,b->", values, dweight, w, w)) / len(ORIENTATIONS)
+
+    mean = expect(gss)
+    dev2 = (gss - mean) ** 2
+    return mean, math.sqrt(expect(dev2)), expect(dev2 * dev2)
 
 
 def section_properties(cs, youngs_modulus_gpa=1.0):

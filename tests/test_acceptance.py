@@ -32,7 +32,7 @@ from strainforge.thermal import (
     operational_temperature_batch,
 )
 
-from conftest import intrinsic_gss_moments, synth_spectrum
+from conftest import intrinsic_gss_moments, post_gss_moments, synth_spectrum
 
 N = 1_000_000
 SEED = 20260809
@@ -171,6 +171,20 @@ def test_c04_post_deposition_calibration(calibrated):
     check("C4 post-deposition calibration", ok,
           f"stress = {stress:.1f} MPa (700 +-30%), ensemble mean {mean:.2f}, "
           f"std {std:.2f} GHz (249 +-30%), runtime {t:.1f} s (< 120)")
+
+
+def test_post_ensemble_matches_quadrature_oracle(calibrated, cfg):
+    # n = infinity moments in the calibrated field at the calibrated sigma
+    post = calibrated["post"].summary
+    mean, std, m4 = post_gss_moments(calibrated["field"], calibrated["sigma"],
+                                     PARAMS, cfg.position)
+    se_std = math.sqrt((m4 - std ** 4) / (4.0 * std * std * post.n))
+    z_mean = (post.mean_ghz - mean) / post.sem_ghz
+    z_std = (post.std_ghz - std) / se_std
+    ok = abs(z_mean) <= 4.0 and abs(z_std) <= 4.0
+    check("post ensemble vs quadrature", ok,
+          f"mean {post.mean_ghz:.4f} vs {mean:.4f} GHz ({z_mean:+.1f} SEM), "
+          f"std {post.std_ghz:.3f} vs {std:.3f} GHz ({z_std:+.1f} SE), within 4")
 
 
 def test_c05_mechanics_fidelity(calibrated, cfg):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import strainforge._kernels as kernels
 import strainforge.population as pop
-from conftest import point_in_section, splitting_from_strain
+from conftest import point_in_section, post_gss_moments, splitting_from_strain
 from strainforge.core import (
     ORIENTATIONS,
     Frame,
@@ -451,6 +451,14 @@ class TestCouplingTables:
                 eps = StrainTensor(*s.eps_crystal[i], frame=Frame.CRYSTAL)
                 gss = splitting_from_strain(eps, ORIENTATIONS[s.orientation_id[i]], PARAMS)
                 assert gss == pytest.approx(s.gss_ghz[i], rel=1e-12)
+
+
+def test_post_oracle_needs_the_aperture_inside_the_section(cfg, field):
+    # the oracle integrates depth only; an aperture wider than the section
+    # at some integrated depth would make rejection cut laterally too
+    wide = replace(cfg.position, aperture_y_nm=900.0)
+    with pytest.raises(AssertionError, match="aperture"):
+        post_gss_moments(field, SIGMA.sigma, PARAMS, wide)
 
 
 class TestCachedCalibrationMeans:
