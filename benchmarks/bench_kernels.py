@@ -1,9 +1,11 @@
 """Time the two sampling stages and the text of the sample CSV.
 
 The draw stage (counter-based normals, orientations, rejection-sampled
-positions) runs once per ensemble; the evaluation stage (coupling tables
-applied to the draws, then the splitting) is what every calibration step
-repeats. Both run here as single unchunked blocks on one thread. Last,
+positions) runs once per ensemble: three Box-Muller pairs per emitter for
+a sample's tensors, one pair for a calibration, which reads the splitting
+only. The evaluation stage (coupling tables applied to the draws, then the
+splitting) is what every calibration step repeats. Both run here as single
+unchunked blocks on one thread. Last,
 one CSV_BLOCK_ROWS block of a post-deposition sample is turned into CSV
 text by the numpy writer and by per-row ``%`` formatting.
 
@@ -49,23 +51,27 @@ def main():
     field = solve_beam_state(cfg.stack)
     root = kernels.seed_root(12345)
     lam, sigma = params.lambda_so_ghz, 1.5e-5
-    rows = pop._intrinsic_rows(params)
-    to_crystal = pop._DEFECT_TO_CRYSTAL
+    norms = pop._intrinsic_norms(params)
+    to_crystal = pop._intrinsic_to_crystal(params)
     film_crystal, film_rows = pop._film_response(field, params)
 
     print(f"pre-deposition (n = {n:,})")
-    z, o = kernels.draw_pre_block(0, n, root)
-    line("draw: normals + orientation", best_of(lambda: kernels.draw_pre_block(0, n, root), repeats), n)
-    line("couplings: W z", best_of(lambda: kernels.apply_rows(rows, z), repeats), n)
-    unit = kernels.apply_rows(rows, z)
+    line("draw: 3 pairs + orientation",
+         best_of(lambda: (kernels.draw_pre_block(0, n, root, 3),
+                          kernels.draw_pre_orientations(0, n, root)), repeats), n)
+    line("draw: 1 pair (calibration)",
+         best_of(lambda: kernels.draw_pre_block(0, n, root, 1), repeats), n)
+    z, o = kernels.draw_pre_block(0, n, root, 3), kernels.draw_pre_orientations(0, n, root)
+    unit = pop._unit_couplings(norms, z)
     line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma * unit), repeats), n)
     line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
 
     print(f"\npost-deposition (n = {n:,})")
-    draw = pop._draw_post(root, pos, field.cross_section)
-    line("draw: positions + o + normals", best_of(lambda: draw(0, n), repeats), n)
+    draw, draw_pair = (pop._draw_post(root, pos, field.cross_section, k) for k in (3, 1))
+    line("draw: positions + o + 3 pairs", best_of(lambda: draw(0, n), repeats), n)
+    line("draw: positions + o + 1 pair", best_of(lambda: draw_pair(0, n), repeats), n)
     _, _, depth, o, z, _ = draw(0, n)
-    unit = kernels.apply_rows(rows, z)
+    unit = pop._unit_couplings(norms, z)
 
     def evaluate():
         eyy = field.axial_strain(depth)

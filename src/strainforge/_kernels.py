@@ -1,11 +1,13 @@
 """Hot numerical kernels: counter-based draws and the splitting evaluation.
 
 Sampling runs in two stages. The draw stage produces everything random
-and nothing else: unit normals, orientation ids and implantation
-positions, none of which depends on the intrinsic sigma or the film
-stress. The evaluation stage maps those draws through linear coupling
-tables and evaluates the splitting. Ensemble samplers run both
-stages per chunk; calibrations draw once and repeat only the evaluation.
+and nothing else: Box-Muller pairs of unit normals, orientation ids and
+implantation positions, none of which depends on the intrinsic sigma or
+the film stress. A full intrinsic tensor takes three pairs; the splitting
+reads only the first, so calibrations draw one. The evaluation stage maps
+those draws through linear coupling tables and evaluates the splitting.
+Ensemble samplers run both stages per chunk; calibrations draw once and
+repeat only the evaluation.
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -23,8 +25,8 @@ __all__ = [
     "MAX_POSITION_ATTEMPTS",
     "run_blocks",
     "draw_pre_block",
+    "draw_pre_orientations",
     "draw_post_block",
-    "apply_rows",
     "apply_maps",
     "splitting",
 ]
@@ -105,13 +107,17 @@ def _base(lo, hi):
     return np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
 
 
-def draw_pre_block(lo, hi, root):
-    """Scale-free pre-deposition draws of samples [lo, hi).
-
-    Returns six unit normals per sample, shape (m, 6), and orientation ids.
+def draw_pre_block(lo, hi, root, n_pairs):
+    """Scale-free pre-deposition normals of samples [lo, hi): ``n_pairs``
+    Box-Muller pairs (counters 0 .. 2 n_pairs - 1), shape (m, 2 n_pairs).
     """
-    base = _base(lo, hi)
-    return _normal_pairs_np(root, base, 0, 3), _orientation_np(root, base + np.uint64(6))
+    return _normal_pairs_np(root, _base(lo, hi), 0, n_pairs)
+
+
+def draw_pre_orientations(lo, hi, root):
+    """Pre-deposition orientation ids of samples [lo, hi) (counter 6, after
+    the three pairs of a full tensor)."""
+    return _orientation_np(root, _base(lo, hi) + np.uint64(6))
 
 
 def _point_in_poly_np(py, pz, y, z):
@@ -128,13 +134,14 @@ def _point_in_poly_np(py, pz, y, z):
     return inside
 
 
-def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
+def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
     """Scale-free post-deposition draws of samples [lo, hi).
 
     Positions are rejection sampled until they land inside the substrate;
     a sample that fails every attempt gets NaN lateral coordinates and the
     mean depth and is counted. Returns (x, y, depth, orientation ids,
-    unit intrinsic normals (m, 6), failure count).
+    ``n_pairs`` Box-Muller pairs of intrinsic normals (m, 2 n_pairs),
+    failure count).
     """
     n = hi - lo
     base = _base(lo, hi)
@@ -166,19 +173,13 @@ def draw_post_block(lo, hi, root, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
     dep[pend] = dmean
 
     o = _orientation_np(root, base + np.uint64(4 * MAX_POSITION_ATTEMPTS))
-    z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, 3)
+    z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, n_pairs)
     return x, y, dep, o, z, int(pend.size)
 
 
 # ---------------------------------------------------------------------------
 # evaluation stage
 # ---------------------------------------------------------------------------
-
-def apply_rows(rows, z):
-    """One linear map for every sample: column i of the (r, m) result is
-    rows @ z[i], for rows of shape (r, 6) and z of shape (m, 6)."""
-    return np.einsum("mk,jk->jm", z, rows)
-
 
 def apply_maps(maps, o, z):
     """Per-sample linear maps: column i of the (r, m) result is

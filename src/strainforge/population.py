@@ -16,14 +16,18 @@ count or chunking. Calibration inverts the monotone map from model scale
 numbers.
 
 The splitting sees strain only through the two linear couplings (alpha,
-beta). Intrinsic strain is sigma times unit normals and film strain is the
-axial strain e_yy(depth) times a fixed tensor, so every sample is
-``sqrt(lam^2 + 4 |e_yy F[o] + sigma W z|^2)`` with the intrinsic coupling
-table W (one for all orientations, since z is drawn in the defect frame)
-and the per-orientation film table F built once from ``core``. A
-calibration therefore draws its ensemble once and only re-evaluates that
-expression per step; its ensemble at the fitted scale equals the
-sampler's there, bit for bit.
+beta). Film strain is the axial strain e_yy(depth) times a fixed tensor,
+with per-orientation film couplings F built once from ``core``. Intrinsic
+strain is sigma times iid unit normals in the defect frame, and there its
+couplings are the two rows of one table W, which have disjoint support
+and so are orthogonal. Drawing the six normals as z' = Q z, with Q an
+orthonormal basis whose first two rows are W's rows normalized, leaves
+them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
+s the row norms: the splitting reads the first Box-Muller pair alone, and
+a written tensor is sigma Q^T z'. Every sample is thus
+``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``. A calibration draws
+that pair once and only re-evaluates the expression per step; its
+ensemble at the fitted scale equals the sampler's there, bit for bit.
 """
 
 from __future__ import annotations
@@ -169,6 +173,33 @@ def _intrinsic_rows(params: SivParameters) -> np.ndarray:
     return np.stack([_couplings(e, params) for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
 
 
+def _intrinsic_norms(params: SivParameters) -> np.ndarray:
+    """(s_alpha, s_beta): the norms of the intrinsic coupling rows W."""
+    return np.linalg.norm(_intrinsic_rows(params), axis=1)
+
+
+def _intrinsic_to_crystal(params: SivParameters) -> np.ndarray:
+    """(4, 6, 6): per orientation, D[o] Q^T, which takes the normals
+    z' = Q z to the crystal-frame intrinsic tensor per unit sigma. Q is an
+    orthonormal basis whose first two rows are W's rows normalized (the
+    rows are orthogonal), so W Q^T z' = (s_alpha z'_1, s_beta z'_2)."""
+    rows = _intrinsic_rows(params)
+    q, r = np.linalg.qr(np.column_stack([rows.T, np.eye(6)]))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return _DEFECT_TO_CRYSTAL @ q
+
+
+# Box-Muller pairs per emitter: the splitting reads the first pair alone,
+# a written tensor takes all three (six defect-frame components)
+_SPLITTING_PAIRS, _TENSOR_PAIRS = 1, 3
+
+
+def _unit_couplings(s, z):
+    """(alpha, beta) per unit sigma, shape (2, m), from the first pair of
+    normals z (m, 2k) and the row norms s."""
+    return s[:, None] * z[:, :2].T
+
+
 def _film_response(field: StrainField, params: SivParameters):
     """Film strain per unit axial strain e_yy: its crystal-frame 6-vector
     and its (alpha, beta) for each orientation, shape (2, 4)."""
@@ -193,14 +224,15 @@ def _check_draw(n, seed):
         raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _draw_post(root, pos: PositionDistribution, cs):
-    """draw_post_block with the geometry and position model bound."""
+def _draw_post(root, pos: PositionDistribution, cs, n_pairs):
+    """draw_post_block with the pair count, geometry and position model
+    bound."""
     poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
     poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
 
     def draw(lo, hi):
         return _kernels.draw_post_block(
-            lo, hi, root, poly_y, poly_z, cs.z_top_nm,
+            lo, hi, root, n_pairs, poly_y, poly_z, cs.z_top_nm,
             pos.aperture_x_nm, pos.aperture_y_nm,
             pos.depth_mean_nm, pos.depth_straggle_nm,
         )
@@ -232,14 +264,15 @@ def sample_pre_deposition(
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     root = _kernels.seed_root(seed)
-    rows = _intrinsic_rows(params)
+    s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
     sigma = model.sigma
 
     def block(lo, hi):
-        z, o = _kernels.draw_pre_block(lo, hi, root)
-        unit = _kernels.apply_rows(rows, z)
+        z = _kernels.draw_pre_block(lo, hi, root, _TENSOR_PAIRS)
+        o = _kernels.draw_pre_orientations(lo, hi, root)
+        unit = _unit_couplings(s, z)
         gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma * unit)
-        eps[lo:hi] = (sigma * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
+        eps[lo:hi] = (sigma * _kernels.apply_maps(to_crystal, o, z)).T
         ori[lo:hi] = o
 
     _kernels.run_blocks(n, block, threads)
@@ -267,18 +300,18 @@ def sample_post_deposition(
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
-    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
+    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section, _TENSOR_PAIRS)
     film_crystal, film_rows = _film_response(field, params)
-    rows = _intrinsic_rows(params)
+    s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
     sigma = intrinsic.sigma
 
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
         eyy = field.axial_strain(dep)
-        couplings = eyy * film_rows[:, o] + sigma * _kernels.apply_rows(rows, z)
+        couplings = eyy * film_rows[:, o] + sigma * _unit_couplings(s, z)
         gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
         eps[lo:hi] = eyy[:, None] * film_crystal
-        eps[lo:hi] += (sigma * _kernels.apply_maps(_DEFECT_TO_CRYSTAL, o, z)).T
+        eps[lo:hi] += (sigma * _kernels.apply_maps(to_crystal, o, z)).T
         ori[lo:hi] = o
         depth[lo:hi] = dep
         return n_fail
@@ -291,19 +324,20 @@ def sample_post_deposition(
 def _pre_gss(n, seed, params, threads):
     """sigma -> gss of ``sample_pre_deposition`` at that sigma.
 
-    The ensemble is drawn once and kept as per-emitter couplings per unit
-    sigma; each call only rescales them and evaluates the splitting, chunk
-    by chunk with the sampler's own formula, into a fresh array equal to
-    the sampler's to the last bit.
+    The ensemble is drawn once, one Box-Muller pair per emitter and no
+    orientation, and kept as per-emitter couplings per unit sigma; each
+    call only rescales them and evaluates the splitting, chunk by chunk
+    with the sampler's own formula, into a fresh array equal to the
+    sampler's to the last bit.
     """
     _check_draw(n, seed)
     root = _kernels.seed_root(seed)
-    rows = _intrinsic_rows(params)
+    s = _intrinsic_norms(params)
     unit = np.empty((2, n))
 
     def draw(lo, hi):
-        z, _ = _kernels.draw_pre_block(lo, hi, root)
-        unit[:, lo:hi] = _kernels.apply_rows(rows, z)
+        z = _kernels.draw_pre_block(lo, hi, root, _SPLITTING_PAIRS)
+        unit[:, lo:hi] = _unit_couplings(s, z)
 
     _kernels.run_blocks(n, draw, threads)
 
@@ -323,8 +357,9 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
     """Film stress (MPa) -> gss of ``sample_post_deposition`` in the field
     of ``stack`` at that stress.
 
-    Depths, orientations and intrinsic couplings are drawn once; each call
-    solves the beam and evaluates the splitting as the sampler does.
+    Depths, orientations and the first Box-Muller pair of each intrinsic
+    tensor are drawn once; each call solves the beam and evaluates the
+    splitting as the sampler does.
     """
     # one solve per step (~45 us): a scaled unit-stress field is not bit-exact
     def field_at(stress_mpa):
@@ -333,8 +368,9 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
 
     field = field_at(0.0)
     _check_draw(n, seed)
-    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section)
-    rows = _intrinsic_rows(params)
+    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
+                            _SPLITTING_PAIRS)
+    s = _intrinsic_norms(params)
     _, film_rows = _film_response(field, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
@@ -343,7 +379,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
 
     def draw(lo, hi):
         _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
-        unit[:, lo:hi] = _kernels.apply_rows(rows, z)
+        unit[:, lo:hi] = _unit_couplings(s, z)
         return n_fail
 
     _raise_failures(_kernels.run_blocks(n, draw, threads))

@@ -8,9 +8,10 @@ import strainforge.cli as cli
 import strainforge.population as pop
 import strainforge.spectra as spectra
 import strainforge.thermal as thermal
-from conftest import csv_rows, synth_spectrum, write_spectrum
+from conftest import csv_rows, splitting_from_strain, synth_spectrum, write_spectrum
 from strainforge.cli import _write_atomic, run
 from strainforge.config import default_config, load_config
+from strainforge.core import ORIENTATIONS, Frame, StrainTensor
 from strainforge.mechanics import solve_beam_state
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
@@ -234,6 +235,20 @@ class TestSampleCommand:
         assert summary["mean_ghz"] >= 46.0
 
     @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_sample_tensors_reproduce_each_splitting(self, tmp_path, capsys, phase,
+                                                     fast_config):
+        # each written crystal-frame tensor gives back its row's splitting
+        # through the scalar core chain
+        out = tmp_path / "samples.csv"
+        assert run(["sample", "--phase", phase, "--n", "300", "--seed", "9",
+                    "--out", str(out), "--config", fast_config]) == 0
+        params = load_config(fast_config).siv
+        for row in np.loadtxt(out, delimiter=",", skiprows=1):
+            eps = StrainTensor(*row[5:11], frame=Frame.CRYSTAL)
+            gss = splitting_from_strain(eps, ORIENTATIONS[int(row[4])], params)
+            assert gss == pytest.approx(row[11], rel=1e-12)
+
+    @pytest.mark.parametrize("phase", ["pre", "post"])
     def test_sample_csv_matches_per_value_formatting(self, tmp_path, capsys,
                                                      phase, fast_config):
         out = tmp_path / "samples.csv"
@@ -362,24 +377,26 @@ class TestReportCommand:
         def resampled(*args, **kwargs):
             raise AssertionError("report re-sampled an ensemble")
 
-        calls = {"pre": 0, "post": 0}
+        calls = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name if name != "pairs" else (name, args[3]))
                 return fn(*args, **kwargs)
             return wrapper
 
         for module in (pop, cli):
             for name in ("sample_pre_deposition", "sample_post_deposition"):
                 monkeypatch.setattr(module, name, resampled)
-        monkeypatch.setattr(kernels, "draw_pre_block",
-                            counted("pre", kernels.draw_pre_block))
-        monkeypatch.setattr(kernels, "draw_post_block",
-                            counted("post", kernels.draw_post_block))
+        for name in ("draw_pre_block", "draw_post_block", "_orientation_np"):
+            monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "_normal_pairs_np",
+                            counted("pairs", kernels._normal_pairs_np))
         assert run(["report", "--config", fast_config, "--n", "4096",
                     "--out-dir", str(tmp_path)]) == 0
-        assert calls == {"pre": 1, "post": 1}
+        # one Box-Muller pair per emitter; only the post phase draws orientations
+        assert calls == ["draw_pre_block", ("pairs", 1),
+                         "draw_post_block", "_orientation_np", ("pairs", 1)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n"] == 4096
 

@@ -73,10 +73,10 @@ class TestChunkIndependence:
         root = kernels.seed_root(seed)
         n = 1000
         edges = [0, *sorted(cuts), n]
-        z, o = kernels.draw_pre_block(0, n, root)
-        parts = [kernels.draw_pre_block(lo, hi, root) for lo, hi in zip(edges, edges[1:])]
-        assert np.array_equal(z, np.concatenate([p[0] for p in parts]))
-        assert np.array_equal(o, np.concatenate([p[1] for p in parts]))
+        for draw in (lambda lo, hi: kernels.draw_pre_block(lo, hi, root, 3),
+                     lambda lo, hi: kernels.draw_pre_orientations(lo, hi, root)):
+            parts = [draw(lo, hi) for lo, hi in zip(edges, edges[1:])]
+            assert np.array_equal(draw(0, n), np.concatenate(parts))
 
     @given(
         cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
@@ -94,7 +94,7 @@ class TestChunkIndependence:
 
         def run(lo, hi):
             return kernels.draw_post_block(
-                lo, hi, root,
+                lo, hi, root, 3,
                 np.ascontiguousarray(cs.vertices_nm[:, 0]),
                 np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
                 pos.aperture_x_nm, pos.aperture_y_nm,
@@ -108,6 +108,36 @@ class TestChunkIndependence:
         for i in range(5):
             joined = np.concatenate([p[i] for p in parts])
             assert np.array_equal(whole[i], joined, equal_nan=True)
+
+
+class TestPairCount:
+    """A calibration draws one Box-Muller pair per emitter; it is the first
+    pair of the sampler's three, at the same counters."""
+
+    def test_pre_pair_is_the_first_of_three(self):
+        root = kernels.seed_root(5)
+        three = kernels.draw_pre_block(10, 700, root, 3)
+        assert three.shape == (690, 6)
+        assert np.array_equal(kernels.draw_pre_block(10, 700, root, 1), three[:, :2])
+
+    def test_post_pair_is_the_first_of_three(self, cfg):
+        cs, pos = cfg.stack.cross_section, cfg.position
+        root = kernels.seed_root(5)
+
+        def run(n_pairs):
+            return kernels.draw_post_block(
+                10, 700, root, n_pairs,
+                np.ascontiguousarray(cs.vertices_nm[:, 0]),
+                np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
+                pos.aperture_x_nm, pos.aperture_y_nm,
+                pos.depth_mean_nm, pos.depth_straggle_nm,
+            )
+
+        one, three = run(1), run(3)
+        for i in (0, 1, 2, 3, 5):
+            assert np.array_equal(one[i], three[i])
+        assert three[4].shape == (690, 6)
+        assert np.array_equal(one[4], three[4][:, :2])
 
 
 def test_kernel_micro_benchmark_runs():

@@ -461,6 +461,41 @@ def test_post_oracle_needs_the_aperture_inside_the_section(cfg, field):
         post_gss_moments(field, SIGMA.sigma, PARAMS, wide)
 
 
+def _crystal_to_defect_maps():
+    """(4, 6, 6): per orientation, core's defect_frame_strain as a matrix
+    on crystal-frame 6-vectors, built on unit tensors."""
+    unit = 2.0 ** -10
+    return np.stack([
+        np.stack([defect_frame_strain(StrainTensor(*(unit * np.eye(6)[k]),
+                                                   frame=Frame.CRYSTAL), o).components
+                  for k in range(6)], axis=1) / unit
+        for o in ORIENTATIONS
+    ])
+
+
+@pytest.mark.parametrize("phase", ["pre", "post"])
+def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(zero_field, cfg, phase):
+    # the sampler writes sigma D[o] Q^T z'; taken back to the defect frame by
+    # core, its six components are iid Normal(0, sigma^2) at n = 1e6: each
+    # variance within 4 SEM of sigma^2, each cross-covariance and mean
+    # within 4 SEM of 0 (zero film stress leaves intrinsic strain alone)
+    n, sigma = 1_000_000, SIGMA.sigma
+    if phase == "pre":
+        s = sample_pre_deposition(n, SIGMA, PARAMS, seed=41).samples
+    else:
+        s = sample_post_deposition(n, cfg.position, zero_field, PARAMS,
+                                   seed=41, intrinsic=SIGMA).samples
+    e = np.empty((n, 6))
+    for o, to_defect in enumerate(_crystal_to_defect_maps()):
+        sel = s.orientation_id == o
+        e[sel] = s.eps_crystal[sel] @ to_defect.T / sigma
+    cov = e.T @ e / n
+    # a unit normal's mean square has variance 2/n, a product of two 1/n
+    sem = np.where(np.eye(6, dtype=bool), math.sqrt(2.0 / n), math.sqrt(1.0 / n))
+    assert np.max(np.abs(cov - np.eye(6)) / sem) <= 4.0
+    assert np.max(np.abs(e.mean(axis=0))) <= 4.0 / math.sqrt(n)
+
+
 class TestCachedCalibrationMeans:
     """Calibration steps evaluate cached couplings instead of re-sampling;
     each step's ensemble is the sampler's, bit for bit, so its mean is
@@ -493,31 +528,45 @@ class TestCachedCalibrationMeans:
         ).samples.gss_ghz
         assert np.array_equal(gss_at(stress), want)
 
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_pair_only_draw_is_thread_invariant(self, cfg, phase):
+        n = 2 * kernels.CHUNK + 7
+
+        def gss(threads):
+            if phase == "pre":
+                return pop._pre_gss(n, 35, PARAMS, threads)(SIGMA.sigma)
+            return pop._post_gss(cfg.stack, cfg.position, PARAMS, n, 35, SIGMA,
+                                 threads)(700.0)
+
+        assert np.array_equal(gss(1), gss(2))
+
     def test_calibrations_draw_once_and_never_resample(self, cfg, monkeypatch):
         def resampled(*args, **kwargs):
             raise AssertionError("a calibration step re-sampled the ensemble")
 
-        calls = {"pre": 0, "post": 0}
+        calls = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name if name != "pairs" else (name, args[3]))
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(pop, "sample_pre_deposition", resampled)
         monkeypatch.setattr(pop, "sample_post_deposition", resampled)
-        monkeypatch.setattr(kernels, "draw_pre_block",
-                            counted("pre", kernels.draw_pre_block))
-        monkeypatch.setattr(kernels, "draw_post_block",
-                            counted("post", kernels.draw_post_block))
+        for name in ("draw_pre_block", "draw_post_block", "_orientation_np"):
+            monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "_normal_pairs_np",
+                            counted("pairs", kernels._normal_pairs_np))
         sigma, _ = calibrate_sigma(119.0, self.N, seed=32)
         calibrate_film_stress(
             608.0, cfg.stack, cfg.position, PARAMS,
             self.N, seed=32, intrinsic=IntrinsicStrainModel(sigma),
         )
-        # n fits in one chunk: one draw call per calibration
-        assert calls == {"pre": 1, "post": 1}
+        # n fits in one chunk: one draw call per calibration, each drawing
+        # one Box-Muller pair per emitter; only the post fit draws orientations
+        assert calls == ["draw_pre_block", ("pairs", 1),
+                         "draw_post_block", "_orientation_np", ("pairs", 1)]
 
     @pytest.mark.parametrize("target", [46.0, 119.0])
     @pytest.mark.parametrize("threads", [None, 2])
