@@ -67,7 +67,7 @@ def main():
     line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
 
     print(f"\npost-deposition (n = {n:,})")
-    draw, draw_pair = (pop._draw_post(root, pos, field.cross_section, k) for k in (3, 1))
+    draw, draw_pair = (pop._draw_post(12345, pos, field.cross_section, k) for k in (3, 1))
     line("draw: positions + o + 3 pairs", best_of(lambda: draw(0, n), repeats), n)
     line("draw: positions + o + 1 pair", best_of(lambda: draw_pair(0, n), repeats), n)
     _, _, depth, o, z, _ = draw(0, n)

@@ -62,13 +62,30 @@ def run_blocks(n: int, fn, threads: int | None) -> int:
     return sum(int(r or 0) for r in results)
 
 
-def seed_root(seed: int) -> np.uint64:
-    """Avalanche-mixed 64-bit stream root for a user seed."""
+# phase keys: the pre- and post-deposition draws of one seed read
+# separate streams
+PRE_PHASE, POST_PHASE = 0, 1
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 step: add the golden gamma, then avalanche (a bijection)."""
     mask = 0xFFFFFFFFFFFFFFFF
-    z = ((int(seed) & mask) + 0x9E3779B97F4A7C15) & mask
+    z = (z + 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return np.uint64(z ^ (z >> 31))
+    return z ^ (z >> 31)
+
+
+def seed_root(seed: int, phase: int = PRE_PHASE) -> np.uint64:
+    """Avalanche-mixed 64-bit stream root for a user seed and a phase.
+
+    The mixed seed is a key, and the phase key is mixed into it by a second
+    round, in the manner of keyed counter-based generators (Salmon et al.,
+    SC'11): the two phases of one seed read unrelated streams. For a fixed
+    phase the map is a bijection of [0, 2**64), so distinct seeds in that
+    range root distinct streams.
+    """
+    return np.uint64(_mix64(_mix64(int(seed) & 0xFFFFFFFFFFFFFFFF) + phase))
 
 
 # ---------------------------------------------------------------------------

@@ -224,9 +224,10 @@ def _check_draw(n, seed):
         raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _draw_post(root, pos: PositionDistribution, cs, n_pairs):
-    """draw_post_block with the pair count, geometry and position model
-    bound."""
+def _draw_post(seed, pos: PositionDistribution, cs, n_pairs):
+    """draw_post_block with the post-deposition stream of ``seed``, the pair
+    count, the geometry and the position model bound."""
+    root = _kernels.seed_root(seed, _kernels.POST_PHASE)
     poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
     poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
 
@@ -263,7 +264,7 @@ def sample_pre_deposition(
     """
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
-    root = _kernels.seed_root(seed)
+    root = _kernels.seed_root(seed, _kernels.PRE_PHASE)
     s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
     sigma = model.sigma
 
@@ -300,7 +301,7 @@ def sample_post_deposition(
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
-    draw = _draw_post(_kernels.seed_root(seed), pos, field.cross_section, _TENSOR_PAIRS)
+    draw = _draw_post(seed, pos, field.cross_section, _TENSOR_PAIRS)
     film_crystal, film_rows = _film_response(field, params)
     s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
     sigma = intrinsic.sigma
@@ -331,7 +332,7 @@ def _pre_gss(n, seed, params, threads):
     sampler's to the last bit.
     """
     _check_draw(n, seed)
-    root = _kernels.seed_root(seed)
+    root = _kernels.seed_root(seed, _kernels.PRE_PHASE)
     s = _intrinsic_norms(params)
     unit = np.empty((2, n))
 
@@ -368,8 +369,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
 
     field = field_at(0.0)
     _check_draw(n, seed)
-    draw_block = _draw_post(_kernels.seed_root(seed), pos, field.cross_section,
-                            _SPLITTING_PAIRS)
+    draw_block = _draw_post(seed, pos, field.cross_section, _SPLITTING_PAIRS)
     s = _intrinsic_norms(params)
     _, film_rows = _film_response(field, params)
     depth = np.empty(n)

@@ -38,6 +38,24 @@ class TestCounterRng:
         assert not np.array_equal(a, b)
 
 
+def test_pre_and_post_streams_are_disjoint():
+    # both phases of emitter i read counters from i * DRAWS_PER_SAMPLE on;
+    # the phase key gives them separate streams, so the uniforms behind
+    # the pre pair share no value with the post attempt-0 uniforms (two
+    # lateral, two behind the depth normal), and the pre pair is
+    # uncorrelated with them
+    n = 100_000
+    base = np.arange(n, dtype=np.uint64) * np.uint64(kernels.DRAWS_PER_SAMPLE)
+    pre = kernels.seed_root(20260809, kernels.PRE_PHASE)
+    post = kernels.seed_root(20260809, kernels.POST_PHASE)
+    pre_u = [kernels._u01_np(pre, base + np.uint64(j)) for j in range(2)]
+    post_u = [kernels._u01_np(post, base + np.uint64(j)) for j in range(4)]
+    assert np.intersect1d(np.concatenate(pre_u), np.concatenate(post_u)).size == 0
+    for z in kernels.draw_pre_block(0, n, pre, 1).T:
+        for u in post_u:
+            assert abs(np.corrcoef(z, u)[0, 1]) <= 4.0 / np.sqrt(n)
+
+
 class TestRunBlocks:
     def test_covers_range_once(self):
         seen = np.zeros(200_001, dtype=int)
