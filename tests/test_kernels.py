@@ -139,19 +139,10 @@ class TestPairCount:
         assert np.array_equal(kernels.draw_pre_block(10, 700, root, 1), three[:, :2])
 
     def test_post_pair_is_the_first_of_three(self, cfg):
-        cs, pos = cfg.stack.cross_section, cfg.position
-        root = kernels.seed_root(5)
+        from strainforge.population import _draw_post
 
-        def run(n_pairs):
-            return kernels.draw_post_block(
-                10, 700, root, n_pairs,
-                np.ascontiguousarray(cs.vertices_nm[:, 0]),
-                np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
-                pos.aperture_x_nm, pos.aperture_y_nm,
-                pos.depth_mean_nm, pos.depth_straggle_nm,
-            )
-
-        one, three = run(1), run(3)
+        one, three = (_draw_post(5, cfg.position, cfg.stack.cross_section, n_pairs)(10, 700)
+                      for n_pairs in (1, 3))
         for i in (0, 1, 2, 3, 5):
             assert np.array_equal(one[i], three[i])
         assert three[4].shape == (690, 6)
