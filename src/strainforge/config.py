@@ -35,6 +35,11 @@ def _load_defaults() -> dict:
 _DEFAULTS = _load_defaults()
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(user: dict, defaults: dict, path: str = "") -> dict:
     """Merge user values over defaults, rejecting unknown keys and type
     mismatches (bools are not numbers; ints pass where floats are
@@ -52,7 +57,7 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
                 raise ConfigError(f"{where}: expected an object")
             merged[key] = _validate(value, default_value, where)
         elif isinstance(default_value, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{where}: expected a number")
             if isinstance(value, float):  # json reads Infinity and NaN
                 if not math.isfinite(value):
@@ -98,10 +103,14 @@ class Config:
 
 
 def _layer_stack(mech: dict) -> LayerStack:
+    key = "mechanics.cross_section_polygon_nm"
+    vertices = mech["cross_section_polygon_nm"]
+    if not all(_is_number(c) for v in vertices for c in (v if isinstance(v, list) else [v])):
+        raise ConfigError(f"{key}: expected a number")
     try:
-        cs = CrossSection(np.asarray(mech["cross_section_polygon_nm"], dtype=float))
+        cs = CrossSection(np.asarray(vertices, dtype=float))
     except (TypeError, ValueError, InvalidGeometry) as exc:
-        raise ConfigError(f"mechanics.cross_section_polygon_nm: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
     return LayerStack(
         substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
         cross_section=cs,

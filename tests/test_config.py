@@ -104,6 +104,9 @@ class TestOverrides:
         ("monte_carlo", "seed", 2 ** 64, "monte_carlo.seed must be in [0, 2**64)"),
         ("spectra", "min_prominence_fraction", 1.5,
          "spectra.min_prominence_fraction must be in (0, 1]"),
+        # strings and booleans are not coordinates, as they are not scalars
+        ("mechanics", "cross_section_polygon_nm", [["-500", False], [0.0, "-7e2"], [500.0, 0]],
+         "mechanics.cross_section_polygon_nm: expected a number"),
     ])
     def test_one_bad_value_per_section(self, tmp_path, section, key, value, message):
         path = write_cfg(tmp_path, {section: {key: value}})
