@@ -1,13 +1,15 @@
 """Time the two sampling stages and the text of the sample CSV.
 
-The draw stage (counter-based normals, orientations, rejection-sampled
-positions) runs once per ensemble: three Box-Muller pairs per emitter for
-a sample's tensors, one pair for a calibration, which reads the splitting
-only. The evaluation stage (coupling tables applied to the draws, then the
-splitting) is what every calibration step repeats. Both run here as single
-unchunked blocks on one thread. Last,
-one CSV_BLOCK_ROWS block of a post-deposition sample is turned into CSV
-text by the numpy writer and by per-row ``%`` formatting.
+The draw stage (rejection-sampled positions, orientations, counter-based
+normals) runs once per ensemble: three Box-Muller pairs per emitter for a
+sample's tensors, one pair for an ensemble kept for calibration, which
+reads the splitting only. The evaluation stage (coupling tables applied to
+the draws, then the splitting) is what every calibration step repeats, at
+zero film stress for the sigma fit and at a trial stress for the stress
+fit. The draws run here as single unchunked blocks, the evaluation as
+``Ensemble.gss`` runs it, all on one thread. Last, one
+CSV_BLOCK_ROWS block of a sample is turned into CSV text by the numpy
+writer and by per-row ``%`` formatting.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
 """
@@ -49,43 +51,26 @@ def main():
     params = cfg.siv
     pos = cfg.position
     field = solve_beam_state(cfg.stack)
-    root = kernels.seed_root(12345)
-    lam, sigma = params.lambda_so_ghz, 1.5e-5
-    norms = pop._intrinsic_norms(params)
+    sigma = 1.5e-5
     to_crystal = pop._intrinsic_to_crystal(params)
-    film_crystal, film_rows = pop._film_response(field, params)
+    film_crystal, _ = pop._film_response(field, params)
 
-    print(f"pre-deposition (n = {n:,})")
-    line("draw: 3 pairs + orientation",
-         best_of(lambda: (kernels.draw_pre_block(0, n, root, 3),
-                          kernels.draw_pre_orientations(0, n, root)), repeats), n)
-    line("draw: 1 pair (calibration)",
-         best_of(lambda: kernels.draw_pre_block(0, n, root, 1), repeats), n)
-    z, o = kernels.draw_pre_block(0, n, root, 3), kernels.draw_pre_orientations(0, n, root)
-    unit = pop._unit_couplings(norms, z)
-    line("splitting from cached couplings", best_of(lambda: kernels.splitting(lam, sigma * unit), repeats), n)
-    line("crystal tensors: 6x6 map per o", best_of(lambda: kernels.apply_maps(to_crystal, o, z), repeats), n)
-
-    print(f"\npost-deposition (n = {n:,})")
+    print(f"one ensemble (n = {n:,})")
     draw, draw_pair = (pop._draw_post(12345, pos, field.cross_section, k) for k in (3, 1))
     line("draw: positions + o + 3 pairs", best_of(lambda: draw(0, n), repeats), n)
     line("draw: positions + o + 1 pair", best_of(lambda: draw_pair(0, n), repeats), n)
     _, _, depth, o, z, _ = draw(0, n)
-    unit = pop._unit_couplings(norms, z)
-
-    def evaluate():
-        eyy = field.axial_strain(depth)
-        return kernels.splitting(lam, eyy * film_rows[:, o] + sigma * unit)
-
-    line("splitting from cached couplings", best_of(evaluate, repeats), n)
+    ensemble = pop.draw_ensemble(n, cfg.stack, pos, params, 12345)
+    line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)
+    line("splitting at 700 MPa", best_of(lambda: ensemble.gss(sigma, 700.0), repeats), n)
     line("crystal tensors: film + 6x6 map",
          best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
                  + (sigma * kernels.apply_maps(to_crystal, o, z)).T, repeats), n)
-    print(f"\nmean gss of the last evaluation: {float(np.mean(evaluate())):.3f} GHz")
+    print(f"\nmean gss at 700 MPa: {float(np.mean(ensemble.gss(sigma, 700.0))):.3f} GHz")
 
     rows = min(n, CSV_BLOCK_ROWS)
     s = pop.sample_post_deposition(rows, pos, field, params,
-                                   intrinsic=cfg.intrinsic, seed=12345).samples
+                                   intrinsic=cfg.intrinsic, seed=12345)
     cols = [np.arange(rows), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
             *s.eps_crystal.T, s.gss_ghz]
     fmt = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7

@@ -28,13 +28,13 @@ from .mechanics import (
     strain_at,
 )
 from .population import (
-    EnsembleResult,
+    Ensemble,
     IntrinsicStrainModel,
     PositionDistribution,
     calibrate_film_stress,
     calibrate_sigma,
+    draw_ensemble,
     sample_post_deposition,
-    sample_pre_deposition,
     summarize,
 )
 from .thermal import (

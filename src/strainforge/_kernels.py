@@ -1,13 +1,13 @@
 """Hot numerical kernels: counter-based draws and the splitting evaluation.
 
 Sampling runs in two stages. The draw stage produces everything random
-and nothing else: Box-Muller pairs of unit normals, orientation ids and
-implantation positions, none of which depends on the intrinsic sigma or
+and nothing else: implantation positions, orientation ids and Box-Muller
+pairs of unit normals, none of which depends on the intrinsic sigma or
 the film stress. A full intrinsic tensor takes three pairs; the splitting
-reads only the first, so calibrations draw one. The evaluation stage maps
-those draws through linear coupling tables and evaluates the splitting.
-Ensemble samplers run both stages per chunk; calibrations draw once and
-repeat only the evaluation.
+reads only the first, so an ensemble kept for calibration draws one. The
+evaluation stage maps those draws through linear coupling tables and
+evaluates the splitting. The sampler runs both stages per chunk; an
+ensemble is drawn once and evaluated at any (sigma, film stress).
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -24,8 +24,6 @@ import numpy as np
 __all__ = [
     "MAX_POSITION_ATTEMPTS",
     "run_blocks",
-    "draw_pre_block",
-    "draw_pre_orientations",
     "draw_post_block",
     "apply_maps",
     "splitting",
@@ -62,30 +60,15 @@ def run_blocks(n: int, fn, threads: int | None) -> int:
     return sum(int(r or 0) for r in results)
 
 
-# phase keys: the pre- and post-deposition draws of one seed read
-# separate streams
-PRE_PHASE, POST_PHASE = 0, 1
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 step: add the golden gamma, then avalanche (a bijection)."""
+def seed_root(seed: int) -> np.uint64:
+    """Avalanche-mixed 64-bit stream root for a user seed: one SplitMix64
+    step, a bijection of [0, 2**64), so distinct seeds in that range root
+    distinct streams."""
     mask = 0xFFFFFFFFFFFFFFFF
-    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((int(seed) & mask) + 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31)
-
-
-def seed_root(seed: int, phase: int = PRE_PHASE) -> np.uint64:
-    """Avalanche-mixed 64-bit stream root for a user seed and a phase.
-
-    The mixed seed is a key, and the phase key is mixed into it by a second
-    round, in the manner of keyed counter-based generators (Salmon et al.,
-    SC'11): the two phases of one seed read unrelated streams. For a fixed
-    phase the map is a bijection of [0, 2**64), so distinct seeds in that
-    range root distinct streams.
-    """
-    return np.uint64(_mix64(_mix64(int(seed) & 0xFFFFFFFFFFFFFFFF) + phase))
+    return np.uint64(z ^ (z >> 31))
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +107,6 @@ def _base(lo, hi):
     return np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
 
 
-def draw_pre_block(lo, hi, root, n_pairs):
-    """Scale-free pre-deposition normals of samples [lo, hi): ``n_pairs``
-    Box-Muller pairs (counters 0 .. 2 n_pairs - 1), shape (m, 2 n_pairs).
-    """
-    return _normal_pairs_np(root, _base(lo, hi), 0, n_pairs)
-
-
-def draw_pre_orientations(lo, hi, root):
-    """Pre-deposition orientation ids of samples [lo, hi) (counter 6, after
-    the three pairs of a full tensor)."""
-    return _orientation_np(root, _base(lo, hi) + np.uint64(6))
-
-
 def _point_in_poly_np(py, pz, y, z):
     """Vectorized crossing-number containment for points (y, z)."""
     inside = np.zeros(y.shape, dtype=bool)
@@ -152,7 +122,7 @@ def _point_in_poly_np(py, pz, y, z):
 
 
 def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
-    """Scale-free post-deposition draws of samples [lo, hi).
+    """Scale-free draws of implanted emitters [lo, hi).
 
     Positions are rejection sampled until they land inside the substrate;
     a sample that fails every attempt gets NaN lateral coordinates and the

@@ -28,8 +28,8 @@ from .population import (
     IntrinsicStrainModel,
     calibrate_film_stress,
     calibrate_sigma,
+    draw_ensemble,
     sample_post_deposition,
-    sample_pre_deposition,
     summarize,
 )
 from .thermal import operability_curve, operational_temperature, operational_temperature_batch
@@ -162,16 +162,12 @@ def _cmd_mechanics(args, cfg: Config) -> int:
 def _cmd_sample(args, cfg: Config) -> int:
     from . import _csvtext  # imported here so that other commands need not compile it
 
-    if args.phase == "pre":
-        result = sample_pre_deposition(
-            args.n, cfg.intrinsic, cfg.siv, args.seed, threads=args.threads,
-        )
-    else:
-        result = sample_post_deposition(
-            args.n, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
-            intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
-        )
-    s = result.samples
+    # before deposition: the same emitters in the beam at zero film stress
+    stack = cfg.stack if args.phase == "post" else cfg.stack.with_film_stress(0.0)
+    s = sample_post_deposition(
+        args.n, cfg.position, solve_beam_state(stack), cfg.siv,
+        intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
+    )
     chunks = _csvtext.csv_chunks(
         "index,x_nm,y_nm,depth_nm,orientation_id,"
         "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz",
@@ -180,7 +176,7 @@ def _cmd_sample(args, cfg: Config) -> int:
         "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7, CSV_BLOCK_ROWS,
     )
     _write_atomic(Path(args.out), chunks)
-    summary = result.summary
+    summary = summarize(s.gss_ghz)
     sys.stdout.write(_json_text({
         "phase": args.phase, "n": summary.n, "seed": args.seed,
         "mean_ghz": summary.mean_ghz, "std_ghz": summary.std_ghz,
@@ -190,15 +186,13 @@ def _cmd_sample(args, cfg: Config) -> int:
 
 
 def _cmd_calibrate(args, cfg: Config) -> int:
+    ensemble = draw_ensemble(args.n, cfg.stack, cfg.position, cfg.siv, args.seed,
+                             threads=args.threads)
     if args.what == "sigma":
-        key, (value, _) = "sigma_unstrained", calibrate_sigma(
-            args.target_ghz, args.n, args.seed, cfg.siv, threads=args.threads,
-        )
+        key, (value, _) = "sigma_unstrained", calibrate_sigma(args.target_ghz, ensemble)
     else:
         key, (value, _) = "film_stress_mpa", calibrate_film_stress(
-            args.target_ghz, cfg.stack, cfg.position, cfg.siv, args.n, args.seed,
-            intrinsic=cfg.intrinsic, threads=args.threads,
-        )
+            args.target_ghz, ensemble, cfg.intrinsic)
     sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
                                  "n": args.n, "seed": args.seed, key: value}))
     return 0
@@ -214,9 +208,10 @@ def report(cfg: Config, seed: int, n: int | None = None,
            threads: int | None = None, out_dir: str | Path = ".") -> dict:
     """Run the full calibrated-model pipeline and write the figure data.
 
-    Calibrates the intrinsic strain spread to the pre-deposition measured
-    mean and the film stress to the post-deposition one, reports the two
-    ensembles the calibrations end on (each drawn once), solves
+    Draws one ensemble of emitters, calibrates the intrinsic strain spread
+    to the pre-deposition measured mean (at zero film stress) and the film
+    stress to the post-deposition one, reports the ensemble at the two
+    points the calibrations end on, solves
     per-emitter operating temperatures, and emits gss_pdf.csv,
     top_vs_gss.csv, operability.csv, and summary.json.
     """
@@ -224,11 +219,11 @@ def report(cfg: Config, seed: int, n: int | None = None,
     ref = cfg.thermal
     out_dir = Path(out_dir)
 
-    sigma, pre_gss = calibrate_sigma(PRE_TARGET_MEAN_GHZ, n, seed, cfg.siv, threads=threads)
+    ensemble = draw_ensemble(n, cfg.stack, cfg.position, cfg.siv, seed, threads=threads)
+    sigma, pre_gss = calibrate_sigma(PRE_TARGET_MEAN_GHZ, ensemble)
     stress, post_gss = calibrate_film_stress(
-        POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, n, seed,
-        intrinsic=IntrinsicStrainModel(sigma), threads=threads,
-    )
+        POST_TARGET_MEAN_GHZ, ensemble, IntrinsicStrainModel(sigma))
+    del ensemble  # its arrays (25 MB at n = 1e6) would add to the T_op stage's peak RSS
     pre, post = summarize(pre_gss), summarize(post_gss)
 
     top_pre = operational_temperature_batch(pre_gss, ref)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,6 +164,11 @@ class LayerStack:
                 "the thin-film beam model degrades here",
                 stacklevel=2,
             )
+
+    def with_film_stress(self, stress_mpa: float) -> LayerStack:
+        """This stack with the film's intrinsic stress set to ``stress_mpa``
+        (0: before deposition)."""
+        return replace(self, film=replace(self.film, intrinsic_stress_mpa=stress_mpa))
 
 
 def _effective_modulus_gpa(E: float, nu: float, b: float) -> float:

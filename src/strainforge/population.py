@@ -1,13 +1,14 @@
 """Monte Carlo ensembles of SiV splittings and calibration fits.
 
-Two ensemble generators mirror the two experimental situations: before
-film deposition the strain is a random intrinsic tensor, after deposition
-it is the deterministic film-induced field sampled over the implantation
-position distribution plus the same intrinsic tensor. Intrinsic strain is
-iid Normal(0, sigma^2) per component in the defect frame, before and after
-deposition alike, so the sigma calibrated on the pre-deposition mean is the
-one that widens the post-deposition ensemble; sigma = 0 leaves film strain
-only.
+An ensemble is one draw of implanted emitters: each has a position drawn
+over the implantation model (rejected until it lands inside the
+substrate), a uniformly drawn <111> orientation and an intrinsic tensor
+of iid Normal(0, sigma^2) defect-frame components. After deposition the
+film adds the deterministic strain of the beam at the emitter's depth;
+before deposition the same emitters sit in the beam at zero film stress,
+whose strain is +-0 at every depth. So one draw serves both measurements,
+and the sigma calibrated on the pre-deposition mean is the one that
+widens the post-deposition ensemble; sigma = 0 leaves film strain only.
 
 Sampling is counter based per sample index, so an ensemble is a pure
 function of (inputs, seed): results are bit-identical for any thread
@@ -25,9 +26,9 @@ orthonormal basis whose first two rows are W's rows normalized, leaves
 them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
 s the row norms: the splitting reads the first Box-Muller pair alone, and
 a written tensor is sigma Q^T z'. Every sample is thus
-``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``. A calibration draws
-that pair once and only re-evaluates the expression per step; its
-ensemble at the fitted scale equals the sampler's there, bit for bit.
+``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``. An ``Ensemble``
+keeps depth, orientation and that pair; its gss at any (sigma, stress)
+equals the sampler's there, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ __all__ = [
     "PositionDistribution",
     "EmitterSamples",
     "EnsembleSummary",
-    "EnsembleResult",
-    "sample_pre_deposition",
+    "Ensemble",
+    "draw_ensemble",
     "sample_post_deposition",
     "calibrate_sigma",
     "calibrate_film_stress",
@@ -122,12 +123,6 @@ class EnsembleSummary:
     std_ghz: float
     sem_ghz: float
     n: int
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    samples: EmitterSamples
-    summary: EnsembleSummary
 
 
 def summarize(values) -> EnsembleSummary:
@@ -225,9 +220,9 @@ def _check_draw(n, seed):
 
 
 def _draw_post(seed, pos: PositionDistribution, cs, n_pairs):
-    """draw_post_block with the post-deposition stream of ``seed``, the pair
-    count, the geometry and the position model bound."""
-    root = _kernels.seed_root(seed, _kernels.POST_PHASE)
+    """draw_post_block with the stream of ``seed``, the pair count, the
+    geometry and the position model bound."""
+    root = _kernels.seed_root(seed)
     poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
     poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
 
@@ -249,38 +244,6 @@ def _raise_failures(n_fail: int) -> None:
         )
 
 
-def sample_pre_deposition(
-    n: int,
-    model: IntrinsicStrainModel,
-    params: SivParameters,
-    seed: int,
-    *,
-    threads: int | None = None,
-) -> EnsembleResult:
-    """Ensemble of emitters carrying only random intrinsic strain.
-
-    Each sample draws six iid Normal(0, sigma^2) defect-frame components
-    plus a uniform orientation, which places the tensor in crystal axes.
-    """
-    _check_draw(n, seed)
-    gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
-    root = _kernels.seed_root(seed, _kernels.PRE_PHASE)
-    s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
-    sigma = model.sigma
-
-    def block(lo, hi):
-        z = _kernels.draw_pre_block(lo, hi, root, _TENSOR_PAIRS)
-        o = _kernels.draw_pre_orientations(lo, hi, root)
-        unit = _unit_couplings(s, z)
-        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma * unit)
-        eps[lo:hi] = (sigma * _kernels.apply_maps(to_crystal, o, z)).T
-        ori[lo:hi] = o
-
-    _kernels.run_blocks(n, block, threads)
-    samples = EmitterSamples(np.zeros(n), np.zeros(n), np.zeros(n), ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(gss))
-
-
 def sample_post_deposition(
     n: int,
     pos: PositionDistribution,
@@ -290,13 +253,16 @@ def sample_post_deposition(
     intrinsic: IntrinsicStrainModel,
     seed: int,
     threads: int | None = None,
-) -> EnsembleResult:
-    """Ensemble of emitters in the film-induced strain field.
+) -> EmitterSamples:
+    """Emitters of ``draw_ensemble`` in the strain field ``field``, with
+    their positions, orientations, crystal-frame tensors and splittings.
 
     Each sample draws an implantation position (rejected until it lands
     inside the substrate), evaluates the depth-dependent beam strain, maps
     it through a uniformly drawn <111> orientation, adds an intrinsic
     random tensor (drawn in the defect frame), and computes the splitting.
+    In the field at zero film stress this is the ensemble before
+    deposition.
     """
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
@@ -309,7 +275,7 @@ def sample_post_deposition(
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
         eyy = field.axial_strain(dep)
-        couplings = eyy * film_rows[:, o] + sigma * _unit_couplings(s, z)
+        couplings = eyy * np.take(film_rows, o, axis=1) + sigma * _unit_couplings(s, z)
         gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
         eps[lo:hi] = eyy[:, None] * film_crystal
         eps[lo:hi] += (sigma * _kernels.apply_maps(to_crystal, o, z)).T
@@ -318,64 +284,62 @@ def sample_post_deposition(
         return n_fail
 
     _raise_failures(_kernels.run_blocks(n, block, threads))
-    samples = EmitterSamples(x, y, depth, ori, eps, gss)
-    return EnsembleResult(samples=samples, summary=summarize(gss))
+    return EmitterSamples(x, y, depth, ori, eps, gss)
 
 
-def _pre_gss(n, seed, params, threads):
-    """sigma -> gss of ``sample_pre_deposition`` at that sigma.
+class Ensemble:
+    """One draw of ``n`` emitters in a stack, kept as what the splitting
+    reads: depth, orientation and the intrinsic couplings per unit sigma.
 
-    The ensemble is drawn once, one Box-Muller pair per emitter and no
-    orientation, and kept as per-emitter couplings per unit sigma; each
-    call only rescales them and evaluates the splitting, chunk by chunk
-    with the sampler's own formula, into a fresh array equal to the
-    sampler's to the last bit.
+    ``gss(sigma, stress_mpa)`` solves the beam at that film stress and
+    evaluates the splitting chunk by chunk with the sampler's own formula,
+    into a fresh array equal to ``sample_post_deposition``'s gss in that
+    field at that sigma, to the last bit.
     """
-    _check_draw(n, seed)
-    root = _kernels.seed_root(seed, _kernels.PRE_PHASE)
-    s = _intrinsic_norms(params)
-    unit = np.empty((2, n))
 
-    def draw(lo, hi):
-        z = _kernels.draw_pre_block(lo, hi, root, _SPLITTING_PAIRS)
-        unit[:, lo:hi] = _unit_couplings(s, z)
+    def __init__(self, stack, params, depth, ori, unit, threads):
+        self.stack = stack
+        self.lambda_so_ghz = params.lambda_so_ghz
+        self._film_rows = _film_response(solve_beam_state(stack), params)[1]
+        self._depth, self._ori, self._unit = depth, ori, unit
+        self._threads = threads
 
-    _kernels.run_blocks(n, draw, threads)
+    def __len__(self) -> int:
+        return len(self._depth)
 
-    def gss_at(sigma):
-        gss = np.empty(n)
+    def gss(self, sigma: float, stress_mpa: float) -> np.ndarray:
+        # one solve per call (~45 us): a scaled unit-stress field is not bit-exact
+        field = solve_beam_state(self.stack.with_film_stress(stress_mpa))
+        gss = np.empty(len(self))
 
         def evaluate(lo, hi):
-            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, sigma * unit[:, lo:hi])
+            eyy = field.axial_strain(self._depth[lo:hi])
+            film = np.take(self._film_rows, self._ori[lo:hi], axis=1)
+            couplings = eyy * film + sigma * self._unit[:, lo:hi]
+            gss[lo:hi] = _kernels.splitting(self.lambda_so_ghz, couplings)
 
-        _kernels.run_blocks(n, evaluate, threads)
+        _kernels.run_blocks(len(self), evaluate, self._threads)
         return gss
 
-    return gss_at
 
-
-def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
-    """Film stress (MPa) -> gss of ``sample_post_deposition`` in the field
-    of ``stack`` at that stress.
-
-    Depths, orientations and the first Box-Muller pair of each intrinsic
-    tensor are drawn once; each call solves the beam and evaluates the
-    splitting as the sampler does.
-    """
-    # one solve per step (~45 us): a scaled unit-stress field is not bit-exact
-    def field_at(stress_mpa):
-        trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress_mpa))
-        return solve_beam_state(trial)
-
-    field = field_at(0.0)
+def draw_ensemble(
+    n: int,
+    stack: LayerStack,
+    pos: PositionDistribution,
+    params: SivParameters,
+    seed: int,
+    *,
+    threads: int | None = None,
+) -> Ensemble:
+    """The emitters ``sample_post_deposition`` draws at ``seed``, drawn once
+    for evaluation at any (sigma, film stress): positions, orientations and
+    the first Box-Muller pair of each intrinsic tensor."""
     _check_draw(n, seed)
-    draw_block = _draw_post(seed, pos, field.cross_section, _SPLITTING_PAIRS)
+    draw_block = _draw_post(seed, pos, stack.cross_section, _SPLITTING_PAIRS)
     s = _intrinsic_norms(params)
-    _, film_rows = _film_response(field, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
-    sigma = intrinsic.sigma
 
     def draw(lo, hi):
         _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
@@ -383,20 +347,7 @@ def _post_gss(stack, pos, params, n, seed, intrinsic, threads):
         return n_fail
 
     _raise_failures(_kernels.run_blocks(n, draw, threads))
-
-    def gss_at(stress_mpa):
-        field = field_at(stress_mpa)
-        gss = np.empty(n)
-
-        def evaluate(lo, hi):
-            eyy = field.axial_strain(depth[lo:hi])
-            couplings = eyy * film_rows[:, ori[lo:hi]] + sigma * unit[:, lo:hi]
-            gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
-
-        _kernels.run_blocks(n, evaluate, threads)
-        return gss
-
-    return gss_at
+    return Ensemble(stack, params, depth, ori, unit, threads)
 
 
 def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol):
@@ -468,55 +419,38 @@ def _fit(gss_at, target, lo, f_lo, hi, cap, unreachable):
     return scale, last[1] if last[0] == scale else gss_at(scale)
 
 
-def calibrate_sigma(
-    target_mean_ghz: float,
-    n: int,
-    seed: int,
-    params: SivParameters | None = None,
-    *,
-    threads: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Intrinsic sigma whose fixed-seed ensemble mean hits the target, and
-    the gss of that ensemble: (sigma, gss), gss equal to
-    ``sample_pre_deposition``'s at sigma to the last bit.
+def calibrate_sigma(target_mean_ghz: float, ensemble: Ensemble) -> tuple[float, np.ndarray]:
+    """Intrinsic sigma whose ensemble mean before deposition (zero film
+    stress) hits the target, and the gss there: (sigma,
+    ``ensemble.gss(sigma, 0.0)``).
 
     The mean is continuous and strictly increasing in sigma under common
-    random numbers, so a bracketing root find converges cleanly; the
-    ensemble is drawn once and each step rescales its couplings. Raises
+    random numbers, so a bracketing root find converges cleanly. Raises
     Infeasible for targets below the spin-orbit floor.
     """
-    params = params or SivParameters()
-    lam = params.lambda_so_ghz
+    lam = ensemble.lambda_so_ghz
     _check_target(target_mean_ghz, lam)
-    _check_draw(n, seed)
     if target_mean_ghz <= lam * (1.0 + 1e-12):
-        return 0.0, np.full(n, lam)
-    return _fit(_pre_gss(n, seed, params, threads), target_mean_ghz,
+        return 0.0, ensemble.gss(0.0, 0.0)
+    return _fit(lambda sigma: ensemble.gss(sigma, 0.0), target_mean_ghz,
                 0.0, lam, 1e-5, 1e-2,
                 "target mean unreachable within the small-strain regime")
 
 
 def calibrate_film_stress(
     target_mean_ghz: float,
-    stack: LayerStack,
-    pos: PositionDistribution,
-    params: SivParameters | None,
-    n: int,
-    seed: int,
-    *,
+    ensemble: Ensemble,
     intrinsic: IntrinsicStrainModel,
-    threads: int | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Equivalent film stress (MPa) whose post-deposition ensemble mean
-    hits the target, by the same monotone root find as calibrate_sigma,
-    and the gss of that ensemble: (stress, gss), gss equal to
-    ``sample_post_deposition``'s in the field at that stress.
+    """Equivalent film stress (MPa) whose ensemble mean at the intrinsic
+    sigma hits the target, by the same monotone root find as
+    calibrate_sigma, and the gss there: (stress,
+    ``ensemble.gss(intrinsic.sigma, stress)``)."""
+    _check_target(target_mean_ghz, ensemble.lambda_so_ghz)
 
-    The film strain is linear in the stress, so the ensemble is drawn once
-    and each root-finder step re-evaluates it in the trial field."""
-    params = params or SivParameters()
-    _check_target(target_mean_ghz, params.lambda_so_ghz)
-    gss_at = _post_gss(stack, pos, params, n, seed, intrinsic, threads)
+    def gss_at(stress_mpa):
+        return ensemble.gss(intrinsic.sigma, stress_mpa)
+
     gss = gss_at(0.0)
     f_lo = float(np.mean(gss))
     if target_mean_ghz <= f_lo + _TOL_GHZ:

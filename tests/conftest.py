@@ -68,18 +68,16 @@ def intrinsic_gss_moments(sigma, params, nodes=120):
     return mean, math.sqrt(var), float(np.sum(weight * (gss - mean) ** 4))
 
 
-def post_gss_moments(field, sigma, params, pos, hermite_nodes=80, depth_nodes=200):
-    """Mean, std and 4th central moment of the post-deposition gss at
-    n = infinity in ``field``, with intrinsic strain of iid Normal(0, sigma^2)
-    defect-frame components.
+def _post_nodes(field, sigma, params, pos, depth_nodes):
+    """Depth nodes and weights of the post-deposition oracles, and the film's
+    couplings e_yy(d) F[o] from core at each node, shape (depth, orientation,
+    2), with the intrinsic stds sigma sqrt(2 d^2 + f^2) and
+    sigma sqrt(4 d^2 + f^2) of alpha and beta.
 
     Depth is the straggle normal truncated at 0, integrated by Gauss-Legendre
-    over [0, mean + 12 straggle]; orientations are equally likely. Given depth
-    d and orientation o, (alpha, beta) is normal around the film's couplings
-    e_yy(d) F[o], taken here from core at each node, with independent stds
-    sigma sqrt(2 d^2 + f^2) and sigma sqrt(4 d^2 + f^2): a 2-D Gauss-Hermite
-    sum. The aperture must lie inside the section at every integrated depth,
-    so that the sampler's rejection step truncates depth alone."""
+    over [0, mean + 12 straggle]. The aperture must lie inside the section at
+    every integrated depth, so that the sampler's rejection step truncates
+    depth alone."""
     mu, s = pos.depth_mean_nm, pos.depth_straggle_nm
     t, wt = np.polynomial.legendre.leggauss(depth_nodes)
     hi = mu + 12.0 * s
@@ -90,17 +88,27 @@ def post_gss_moments(field, sigma, params, pos, hermite_nodes=80, depth_nodes=20
     half = 0.5 * pos.aperture_y_nm
     assert all(point_in_section(cs, y, d) for d in depths for y in (-half, half)), \
         "aperture leaves the section inside the integrated depths"
-
-    x, w = hermite_e.hermegauss(hermite_nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    d, f = params.d_ghz_per_strain, params.f_ghz_per_strain
-    da = sigma * math.sqrt(2.0 * d * d + f * f) * x
-    db = sigma * math.sqrt(4.0 * d * d + f * f) * x
     film = np.array([[[c.alpha_ghz, c.beta_ghz] for c in (
         eg_couplings(defect_frame_strain(beam_to_crystal(strain_at(field, dep)), o), params)
-        for o in ORIENTATIONS)] for dep in depths])  # (depth, orientation, 2)
-    alpha = film[:, :, 0, None, None] + da[:, None]
-    beta = film[:, :, 1, None, None] + db[None, :]
+        for o in ORIENTATIONS)] for dep in depths])
+    d, f = params.d_ghz_per_strain, params.f_ghz_per_strain
+    stds = sigma * math.sqrt(2.0 * d * d + f * f), sigma * math.sqrt(4.0 * d * d + f * f)
+    return dweight, film, stds
+
+
+def post_gss_moments(field, sigma, params, pos, hermite_nodes=80, depth_nodes=200):
+    """Mean, std and 4th central moment of the post-deposition gss at
+    n = infinity in ``field``, with intrinsic strain of iid Normal(0, sigma^2)
+    defect-frame components.
+
+    Orientations are equally likely. Given depth d and orientation o,
+    (alpha, beta) is normal around the film's couplings e_yy(d) F[o] with
+    independent stds (``_post_nodes``): a 2-D Gauss-Hermite sum."""
+    dweight, film, (sa, sb) = _post_nodes(field, sigma, params, pos, depth_nodes)
+    x, w = hermite_e.hermegauss(hermite_nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    alpha = film[:, :, 0, None, None] + sa * x[:, None]
+    beta = film[:, :, 1, None, None] + sb * x[None, :]
     lam = params.lambda_so_ghz
     gss = np.sqrt(lam * lam + 4.0 * (alpha ** 2 + beta ** 2))
 
@@ -110,6 +118,30 @@ def post_gss_moments(field, sigma, params, pos, hermite_nodes=80, depth_nodes=20
     mean = expect(gss)
     dev2 = (gss - mean) ** 2
     return mean, math.sqrt(expect(dev2)), expect(dev2 * dev2)
+
+
+def post_gss_tail(field, sigma, params, pos, gss_ghz, angle_nodes=400, depth_nodes=200):
+    """P(gss >= gss_ghz) at n = infinity, for the ensemble of
+    ``post_gss_moments``.
+
+    gss >= g where alpha^2 + beta^2 >= r^2, r = sqrt(g^2 - lam^2) / 2. Per
+    depth node and orientation, the probability of the disk is a smooth 1-D
+    integral: with alpha = r sin(theta), beta's normal CDF over
+    |beta| <= r cos(theta), weighted by alpha's density and r cos(theta),
+    by Gauss-Legendre in theta on [-pi/2, pi/2]."""
+    from scipy.special import ndtr
+
+    dweight, film, (sa, sb) = _post_nodes(field, sigma, params, pos, depth_nodes)
+    lam = params.lambda_so_ghz
+    r = 0.5 * math.sqrt(gss_ghz * gss_ghz - lam * lam)
+    t, wt = np.polynomial.legendre.leggauss(angle_nodes)
+    theta, wt = 0.5 * math.pi * t, 0.5 * math.pi * wt
+    a0, b0 = film[:, :, 0, None], film[:, :, 1, None]
+    h = r * np.cos(theta)
+    density = np.exp(-0.5 * ((r * np.sin(theta) - a0) / sa) ** 2) / (sa * math.sqrt(2.0 * math.pi))
+    inside = density * (ndtr((h - b0) / sb) - ndtr((-h - b0) / sb)) * h
+    p_disk = np.einsum("dot,t,d->", inside, wt, dweight) / len(ORIENTATIONS)
+    return 1.0 - float(p_disk)
 
 
 def section_properties(cs, youngs_modulus_gpa=1.0):

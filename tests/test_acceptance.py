@@ -7,7 +7,6 @@ calibrated ensembles (n = 1e6) are built once per module and shared.
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +21,9 @@ from strainforge.population import (
     IntrinsicStrainModel,
     calibrate_film_stress,
     calibrate_sigma,
+    draw_ensemble,
     sample_post_deposition,
-    sample_pre_deposition,
+    summarize,
 )
 from strainforge.spectra import batch_gss_stats, classify_and_extract, detect_peaks
 from strainforge.thermal import (
@@ -32,7 +32,7 @@ from strainforge.thermal import (
     operational_temperature_batch,
 )
 
-from conftest import intrinsic_gss_moments, post_gss_moments, synth_spectrum
+from conftest import intrinsic_gss_moments, post_gss_moments, post_gss_tail, synth_spectrum
 
 N = 1_000_000
 SEED = 20260809
@@ -51,38 +51,28 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def calibrated(cfg):
-    """Calibrations and both n=1e6 ensembles, timed once for the suite."""
+    """Both calibrations on one n=1e6 ensemble, before deposition (zero film
+    stress) and after it, timed once for the suite."""
     params = cfg.siv
     pos = cfg.position
-    stack = cfg.stack
-
-    # jit warmup so measured times reflect the algorithms, not compilation
-    warm_field = solve_beam_state(stack)
-    sample_pre_deposition(256, IntrinsicStrainModel(1e-5), params, seed=1)
-    sample_post_deposition(
-        256, pos, warm_field, params, seed=1, intrinsic=IntrinsicStrainModel(1e-5),
-    )
-    operational_temperature_batch(np.array([554.0]))
 
     t0 = time.perf_counter()
-    sigma, _ = calibrate_sigma(119.0, N, SEED, params)
-    pre = sample_pre_deposition(N, IntrinsicStrainModel(sigma), params, seed=SEED)
+    ensemble = draw_ensemble(N, cfg.stack, pos, params, SEED)
+    sigma, pre_gss = calibrate_sigma(119.0, ensemble)
     t_pre = time.perf_counter() - t0
 
     intrinsic = IntrinsicStrainModel(sigma)
     t0 = time.perf_counter()
-    stress, _ = calibrate_film_stress(
-        608.0, stack, pos, params, N, SEED, intrinsic=intrinsic,
-    )
-    stack_cal = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-    field = solve_beam_state(stack_cal)
+    stress, post_gss = calibrate_film_stress(608.0, ensemble, intrinsic)
+    field = solve_beam_state(cfg.stack.with_film_stress(stress))
     post = sample_post_deposition(N, pos, field, params, seed=SEED, intrinsic=intrinsic)
     t_post = time.perf_counter() - t0
+    assert np.array_equal(post.gss_ghz, post_gss)
 
     return {
-        "sigma": sigma, "pre": pre, "t_pre": t_pre,
-        "stress": stress, "post": post, "t_post": t_post,
-        "field": field, "params": params,
+        "sigma": sigma, "pre": summarize(pre_gss), "pre_gss": pre_gss, "t_pre": t_pre,
+        "stress": stress, "post": summarize(post_gss), "post_samples": post,
+        "t_post": t_post, "field": field, "params": params,
     }
 
 
@@ -122,8 +112,8 @@ def test_c02_eigen_oracle_equivalence():
 
 def test_c03_pre_deposition_calibration(calibrated):
     sigma = calibrated["sigma"]
-    std = calibrated["pre"].summary.std_ghz
-    mean = calibrated["pre"].summary.mean_ghz
+    std = calibrated["pre"].std_ghz
+    mean = calibrated["pre"].mean_ghz
     t = calibrated["t_pre"]
     sigma_ok = abs(sigma - 1.9e-5) <= 0.25 * 1.9e-5
     std_ok = abs(std - 52.0) <= 0.20 * 52.0
@@ -135,7 +125,7 @@ def test_c03_pre_deposition_calibration(calibrated):
 
 def test_pre_ensemble_matches_quadrature_oracle(calibrated):
     # n = infinity moments at the calibrated sigma, from core's couplings
-    pre = calibrated["pre"].summary
+    pre = calibrated["pre"]
     mean, std, m4 = intrinsic_gss_moments(calibrated["sigma"], PARAMS)
     se_std = math.sqrt((m4 - std ** 4) / (4.0 * std * std * pre.n))
     z_mean = (pre.mean_ghz - mean) / pre.sem_ghz
@@ -150,10 +140,10 @@ def test_post_at_zero_stress_matches_pre_oracle(calibrated, cfg):
     # with no film stress the post ensemble carries only the intrinsic
     # strain calibrated before deposition, so its mean is the pre oracle's
     n = 200_000
-    stack = replace(cfg.stack, film=replace(cfg.stack.film, intrinsic_stress_mpa=0.0))
     sigma = calibrated["sigma"]
-    post = sample_post_deposition(n, cfg.position, solve_beam_state(stack), PARAMS,
-                                  seed=SEED, intrinsic=IntrinsicStrainModel(sigma)).summary
+    post = summarize(sample_post_deposition(
+        n, cfg.position, solve_beam_state(cfg.stack.with_film_stress(0.0)), PARAMS,
+        seed=SEED, intrinsic=IntrinsicStrainModel(sigma)).gss_ghz)
     mean, _, _ = intrinsic_gss_moments(sigma, PARAMS)
     z_mean = (post.mean_ghz - mean) / post.sem_ghz
     check("post at 0 MPa vs quadrature", abs(z_mean) <= 4.0,
@@ -162,8 +152,8 @@ def test_post_at_zero_stress_matches_pre_oracle(calibrated, cfg):
 
 def test_c04_post_deposition_calibration(calibrated):
     stress = calibrated["stress"]
-    std = calibrated["post"].summary.std_ghz
-    mean = calibrated["post"].summary.mean_ghz
+    std = calibrated["post"].std_ghz
+    mean = calibrated["post"].mean_ghz
     t = calibrated["t_post"]
     stress_ok = abs(stress - 700.0) <= 0.30 * 700.0
     std_ok = abs(std - 249.0) <= 0.30 * 249.0
@@ -175,7 +165,7 @@ def test_c04_post_deposition_calibration(calibrated):
 
 def test_post_ensemble_matches_quadrature_oracle(calibrated, cfg):
     # n = infinity moments in the calibrated field at the calibrated sigma
-    post = calibrated["post"].summary
+    post = calibrated["post"]
     mean, std, m4 = post_gss_moments(calibrated["field"], calibrated["sigma"],
                                      PARAMS, cfg.position)
     se_std = math.sqrt((m4 - std ** 4) / (4.0 * std * std * post.n))
@@ -185,6 +175,29 @@ def test_post_ensemble_matches_quadrature_oracle(calibrated, cfg):
     check("post ensemble vs quadrature", ok,
           f"mean {post.mean_ghz:.4f} vs {mean:.4f} GHz ({z_mean:+.1f} SEM), "
           f"std {post.std_ghz:.3f} vs {std:.3f} GHz ({z_std:+.1f} SE), within 4")
+
+
+def test_operability_fractions_match_quadrature_oracle(calibrated, cfg):
+    # T_op rises strictly with gss on [lambda, max gss], so P(T_op >= T) is
+    # P(gss >= g_T) with g_T from one root find, and that tail is exact
+    gss = calibrated["post_samples"].gss_ghz
+    ref, lam, hi = cfg.thermal, PARAMS.lambda_so_ghz, float(gss.max())
+    grid = np.linspace(lam, hi, 100_001)
+    assert np.all(np.diff(operational_temperature_batch(grid, ref)) > 0.0)
+    top = operational_temperature_batch(gss, ref)
+    readings, ok = [], True
+    for temp in (1.5, 2.0):
+        g_t = brentq(lambda g: operational_temperature(g, ref) - temp, lam, hi, xtol=1e-12)
+        p = post_gss_tail(calibrated["field"], calibrated["sigma"], PARAMS, cfg.position, g_t)
+        p_mc = float(np.mean(top >= temp))
+        sem = math.sqrt(p * (1.0 - p) / gss.size)
+        z = (p_mc - p) / sem
+        ok = ok and abs(z) <= 4.0
+        readings.append(f"P(T_op>={temp}K) {p_mc:.6f} vs {p:.6f} ({z:+.1f} SEM; "
+                        f"gss >= {g_t:.2f} GHz)")
+        if temp == 1.5:
+            readings.append(f"C7 margin {(p - 0.5) / sem:.0f} SEM")
+    check("operability fractions vs quadrature", ok, ", ".join(readings) + ", within 4")
 
 
 def test_c05_mechanics_fidelity(calibrated, cfg):
@@ -238,8 +251,8 @@ def test_c06_thermal_reference():
 
 def test_c07_operability_fractions(calibrated):
     t0 = time.perf_counter()
-    top_post = operational_temperature_batch(calibrated["post"].samples.gss_ghz)
-    top_pre = operational_temperature_batch(calibrated["pre"].samples.gss_ghz)
+    top_post = operational_temperature_batch(calibrated["post_samples"].gss_ghz)
+    top_pre = operational_temperature_batch(calibrated["pre_gss"])
     p15 = float(np.mean(top_post >= 1.5))
     p20 = float(np.mean(top_post >= 2.0))
     p15_pre = float(np.mean(top_pre >= 1.5))
@@ -252,7 +265,7 @@ def test_c07_operability_fractions(calibrated):
 
 
 def test_c08_strain_magnitude(calibrated):
-    e = calibrated["post"].samples.eps_crystal
+    e = calibrated["post_samples"].eps_crystal
     frob = np.sqrt(
         e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2
         + 2.0 * (e[:, 3] ** 2 + e[:, 4] ** 2 + e[:, 5] ** 2)

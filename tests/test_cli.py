@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from strainforge.core import ORIENTATIONS, Frame, StrainTensor
 from strainforge.mechanics import solve_beam_state
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
+
+
+def _field(cfg, phase):
+    """The beam the emitters of ``sample --phase`` sit in: the configured
+    one after deposition, zero film stress before it."""
+    return solve_beam_state(cfg.stack if phase == "post" else cfg.stack.with_film_stress(0.0))
 
 
 @pytest.fixture
@@ -56,6 +63,18 @@ class TestExitCodes:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv", [["sample", "--phase", "pre"],
+                                      ["calibrate", "--what", "sigma", "--target-ghz", "119"]])
+    def test_pre_deposition_needs_placeable_emitters(self, tmp_path, capsys, argv):
+        # before deposition is the same implanted emitters at zero film
+        # stress, so an implantation depth past the section is an error
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"position": {"depth_mean_nm": 5000.0}}))
+        out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sample" else []
+        assert run([*argv, *out, "--n", "50", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert _one_line_error(err) and "substrate containment" in err
 
     def test_n_beyond_the_counter_space_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -256,14 +275,8 @@ class TestSampleCommand:
                     "--out", str(out), "--config", fast_config]) == 0
         cfg = load_config(fast_config)
         params = cfg.siv
-        if phase == "pre":
-            res = pop.sample_pre_deposition(500, cfg.intrinsic, params, 3)
-        else:
-            res = pop.sample_post_deposition(
-                500, cfg.position, solve_beam_state(cfg.stack),
-                params, intrinsic=cfg.intrinsic, seed=3,
-            )
-        s = res.samples
+        s = pop.sample_post_deposition(500, cfg.position, _field(cfg, phase), params,
+                                       intrinsic=cfg.intrinsic, seed=3)
         table = np.column_stack([
             np.arange(len(s), dtype=float), s.x_nm, s.y_nm, s.depth_nm,
             s.orientation_id.astype(float), s.eps_crystal, s.gss_ghz,
@@ -282,14 +295,8 @@ class TestSampleCommand:
         assert run(["sample", "--phase", phase, "--n", "5000", "--seed", str(seed),
                     "--out", str(out)]) == 0
         cfg = load_config(None)
-        if phase == "pre":
-            res = pop.sample_pre_deposition(5000, cfg.intrinsic, cfg.siv, seed)
-        else:
-            res = pop.sample_post_deposition(
-                5000, cfg.position, solve_beam_state(cfg.stack), cfg.siv,
-                intrinsic=cfg.intrinsic, seed=seed,
-            )
-        s = res.samples
+        s = pop.sample_post_deposition(5000, cfg.position, _field(cfg, phase), cfg.siv,
+                                       intrinsic=cfg.intrinsic, seed=seed)
         header, body = out.read_bytes().split(b"\n", 1)
         assert header == (b"index,x_nm,y_nm,depth_nm,orientation_id,"
                           b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
@@ -299,14 +306,28 @@ class TestSampleCommand:
             "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
         )
 
+    def test_pre_and_post_write_the_same_emitters(self, tmp_path, capsys, fast_config):
+        # one draw serves both phases: deposition strains the emitters but
+        # does not move or turn them
+        columns = {}
+        for phase in ("pre", "post"):
+            out = tmp_path / f"{phase}.csv"
+            assert run(["sample", "--phase", phase, "--n", "3000", "--seed", "11",
+                        "--out", str(out), "--config", fast_config]) == 0
+            columns[phase] = np.loadtxt(out, delimiter=",", skiprows=1)
+        pre, post = columns["pre"], columns["post"]
+        assert np.array_equal(pre[:, :5], post[:, :5])  # index, x, y, depth, orientation
+        assert not np.array_equal(pre[:, 11], post[:, 11])
+
     def test_sample_deterministic_bytes(self, tmp_path, capsys, fast_config):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run(["sample", "--phase", "post", "--n", "400", "--seed", "9",
-             "--out", str(a), "--config", fast_config, "--threads", "1"])
-        run(["sample", "--phase", "post", "--n", "400", "--seed", "9",
-             "--out", str(b), "--config", fast_config, "--threads", "4"])
-        assert a.read_bytes() == b.read_bytes()
+        # more than one chunk, so the threads split the draw
+        n = str(kernels.CHUNK + 100)
+        for phase in ("pre", "post"):
+            a, b = tmp_path / f"{phase}1.csv", tmp_path / f"{phase}2.csv"
+            for out, threads in ((a, "1"), (b, "2")):
+                assert run(["sample", "--phase", phase, "--n", n, "--seed", "9", "--out",
+                            str(out), "--config", fast_config, "--threads", threads]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestCalibrateCommand:
@@ -372,8 +393,8 @@ class TestReportCommand:
 
     def test_report_draws_each_ensemble_once(self, tmp_path, capsys,
                                              fast_config, monkeypatch):
-        # the report reuses the calibrations' ensembles: no sampler call,
-        # and n = 4096 fits one chunk, so one draw call per phase
+        # both fits evaluate one ensemble and the report reuses what they
+        # end on: no sampler call, and one draw call per chunk of n
         def resampled(*args, **kwargs):
             raise AssertionError("report re-sampled an ensemble")
 
@@ -386,19 +407,19 @@ class TestReportCommand:
             return wrapper
 
         for module in (pop, cli):
-            for name in ("sample_pre_deposition", "sample_post_deposition"):
-                monkeypatch.setattr(module, name, resampled)
-        for name in ("draw_pre_block", "draw_post_block", "_orientation_np"):
+            monkeypatch.setattr(module, "sample_post_deposition", resampled)
+        for name in ("draw_post_block", "_orientation_np"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "_normal_pairs_np",
                             counted("pairs", kernels._normal_pairs_np))
-        assert run(["report", "--config", fast_config, "--n", "4096",
+        n = 2 * kernels.CHUNK + 5
+        assert run(["report", "--config", fast_config, "--n", str(n),
                     "--out-dir", str(tmp_path)]) == 0
-        # one Box-Muller pair per emitter; only the post phase draws orientations
-        assert calls == ["draw_pre_block", ("pairs", 1),
-                         "draw_post_block", "_orientation_np", ("pairs", 1)]
+        # one Box-Muller pair per emitter
+        per_chunk = ["draw_post_block", "_orientation_np", ("pairs", 1)]
+        assert calls == per_chunk * math.ceil(n / kernels.CHUNK)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["n"] == 4096
+        assert summary["n"] == n
 
     def test_report_solves_each_operating_temperature_once(self, tmp_path, capsys,
                                                           fast_config, monkeypatch):
@@ -546,25 +567,23 @@ class TestNonDefaultSettings:
         assert run(["sample", "--phase", "post", "--n", "2000", "--seed", "3",
                     "--out", str(out), "--config", other_config]) == 0
         cfg = load_config(other_config)
-        res = pop.sample_post_deposition(2000, cfg.position, solve_beam_state(cfg.stack),
-                                         cfg.siv, intrinsic=FILM_ONLY, seed=3)
-        s = res.samples
+        s = pop.sample_post_deposition(2000, cfg.position, solve_beam_state(cfg.stack),
+                                       cfg.siv, intrinsic=FILM_ONLY, seed=3)
         assert out.read_bytes().split(b"\n", 1)[1] == csv_rows(
             [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
              *s.eps_crystal.T, s.gss_ghz],
             "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7,
         )
-        assert json.loads(capsys.readouterr().out)["mean_ghz"] == res.summary.mean_ghz
+        assert json.loads(capsys.readouterr().out)["mean_ghz"] == np.mean(s.gss_ghz)
 
     def test_calibrate_stress_has_no_intrinsic_tensor(self, capsys, other_config):
         assert run(["calibrate", "--what", "stress", "--target-ghz", "608",
                     "--n", "4096", "--config", other_config]) == 0
         cfg = load_config(other_config)
-        stress, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position, cfg.siv,
-                                              4096, 5, intrinsic=FILM_ONLY)
-        with_intrinsic, _ = pop.calibrate_film_stress(608.0, cfg.stack, cfg.position,
-                                                      cfg.siv, 4096, 5,
-                                                      intrinsic=default_config().intrinsic)
+        ensemble = pop.draw_ensemble(4096, cfg.stack, cfg.position, cfg.siv, 5)
+        stress, _ = pop.calibrate_film_stress(608.0, ensemble, FILM_ONLY)
+        with_intrinsic, _ = pop.calibrate_film_stress(608.0, ensemble,
+                                                      default_config().intrinsic)
         assert stress != with_intrinsic
         assert json.loads(capsys.readouterr().out)["film_stress_mpa"] == stress
 
@@ -573,11 +592,10 @@ class TestNonDefaultSettings:
         assert run(["report", "--n", "4096", "--out-dir", str(tmp_path),
                     "--config", other_config]) == 0
         cfg = load_config(other_config)
-        sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, 4096, 5, cfg.siv)
+        ensemble = pop.draw_ensemble(4096, cfg.stack, cfg.position, cfg.siv, 5)
+        sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, ensemble)
         stress, post_gss = pop.calibrate_film_stress(
-            cli.POST_TARGET_MEAN_GHZ, cfg.stack, cfg.position, cfg.siv, 4096, 5,
-            intrinsic=pop.IntrinsicStrainModel(sigma),
-        )
+            cli.POST_TARGET_MEAN_GHZ, ensemble, pop.IntrinsicStrainModel(sigma))
         top_post = thermal.operational_temperature_batch(post_gss, OTHER_REF)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["sigma_unstrained_calibrated"] == sigma

@@ -15,6 +15,10 @@ class TestCounterRng:
         assert kernels.seed_root(42) == kernels.seed_root(42)
         assert kernels.seed_root(42) != kernels.seed_root(43)
 
+    def test_seed_root_is_one_splitmix64_step(self):
+        # the first output of SplitMix64 seeded with 0 (Steele et al., OOPSLA 2014)
+        assert kernels.seed_root(0) == np.uint64(0xE220A8397B1DCDAF)
+
     def test_negative_and_huge_seeds(self):
         for seed in (-1, -(2 ** 40), 2 ** 63, 2 ** 64 + 5):
             root = kernels.seed_root(seed)
@@ -36,24 +40,6 @@ class TestCounterRng:
         a = kernels._u01_np(kernels.seed_root(1), counters)
         b = kernels._u01_np(kernels.seed_root(2), counters)
         assert not np.array_equal(a, b)
-
-
-def test_pre_and_post_streams_are_disjoint():
-    # both phases of emitter i read counters from i * DRAWS_PER_SAMPLE on;
-    # the phase key gives them separate streams, so the uniforms behind
-    # the pre pair share no value with the post attempt-0 uniforms (two
-    # lateral, two behind the depth normal), and the pre pair is
-    # uncorrelated with them
-    n = 100_000
-    base = np.arange(n, dtype=np.uint64) * np.uint64(kernels.DRAWS_PER_SAMPLE)
-    pre = kernels.seed_root(20260809, kernels.PRE_PHASE)
-    post = kernels.seed_root(20260809, kernels.POST_PHASE)
-    pre_u = [kernels._u01_np(pre, base + np.uint64(j)) for j in range(2)]
-    post_u = [kernels._u01_np(post, base + np.uint64(j)) for j in range(4)]
-    assert np.intersect1d(np.concatenate(pre_u), np.concatenate(post_u)).size == 0
-    for z in kernels.draw_pre_block(0, n, pre, 1).T:
-        for u in post_u:
-            assert abs(np.corrcoef(z, u)[0, 1]) <= 4.0 / np.sqrt(n)
 
 
 class TestRunBlocks:
@@ -82,20 +68,6 @@ class TestRunBlocks:
 
 
 class TestChunkIndependence:
-    @given(
-        cuts=st.lists(st.integers(1, 999), max_size=6, unique=True),
-        seed=st.integers(0, 2 ** 32),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_pre_block_values_do_not_depend_on_chunking(self, cuts, seed):
-        root = kernels.seed_root(seed)
-        n = 1000
-        edges = [0, *sorted(cuts), n]
-        for draw in (lambda lo, hi: kernels.draw_pre_block(lo, hi, root, 3),
-                     lambda lo, hi: kernels.draw_pre_orientations(lo, hi, root)):
-            parts = [draw(lo, hi) for lo, hi in zip(edges, edges[1:])]
-            assert np.array_equal(draw(0, n), np.concatenate(parts))
-
     @given(
         cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
         seed=st.integers(0, 2 ** 32),
@@ -129,14 +101,9 @@ class TestChunkIndependence:
 
 
 class TestPairCount:
-    """A calibration draws one Box-Muller pair per emitter; it is the first
-    pair of the sampler's three, at the same counters."""
-
-    def test_pre_pair_is_the_first_of_three(self):
-        root = kernels.seed_root(5)
-        three = kernels.draw_pre_block(10, 700, root, 3)
-        assert three.shape == (690, 6)
-        assert np.array_equal(kernels.draw_pre_block(10, 700, root, 1), three[:, :2])
+    """An ensemble kept for calibration draws one Box-Muller pair per
+    emitter; it is the first pair of the sampler's three, at the same
+    counters."""
 
     def test_post_pair_is_the_first_of_three(self, cfg):
         from strainforge.population import _draw_post

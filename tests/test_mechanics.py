@@ -140,6 +140,16 @@ class TestSolveBeamState:
         assert field.membrane_strain == 0.0
         assert field.curvature_per_nm == 0.0
 
+    def test_stack_before_deposition_is_unstrained(self, cfg):
+        # the emitters before deposition sit in this field: e_yy is +-0 at
+        # every depth, so the film adds nothing to their couplings
+        before = cfg.stack.with_film_stress(0.0)
+        assert before.film.intrinsic_stress_mpa == 0.0
+        assert (before.substrate, before.cross_section, before.biaxiality_factor) == (
+            cfg.stack.substrate, cfg.stack.cross_section, cfg.stack.biaxiality_factor)
+        field = solve_beam_state(before)
+        assert np.all(field.axial_strain(np.linspace(0.0, field.depth_max_nm, 701)) == 0.0)
+
     @pytest.mark.parametrize("b", [1.0, 0.22])
     def test_rectangle_matches_bilayer_oracle_thin_film(self, b):
         w, t_s, t_f = 200.0, 400.0, 2.0  # ratio 0.005 <= 0.01

@@ -19,31 +19,42 @@ from strainforge.core import (
 )
 from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible, InvalidParameter
 from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
+from strainforge.config import default_config
 from strainforge.population import (
     IntrinsicStrainModel,
     PositionDistribution,
     calibrate_film_stress,
     calibrate_sigma,
+    draw_ensemble,
     sample_post_deposition,
-    sample_pre_deposition,
     summarize,
 )
 
 PARAMS = SivParameters()
 SIGMA = IntrinsicStrainModel(1.5e-5)
 FILM_ONLY = IntrinsicStrainModel(0.0)
+CFG = default_config()
+
+
+def sample_at(n, stress, model, seed, threads=None):
+    """The sampler in the beam at film stress ``stress``."""
+    field = solve_beam_state(CFG.stack.with_film_stress(stress))
+    return sample_post_deposition(n, CFG.position, field, PARAMS,
+                                  intrinsic=model, seed=seed, threads=threads)
+
+
+def sample_pre(n, model, seed, threads=None):
+    """The emitters before deposition: the sampler at zero film stress."""
+    return sample_at(n, 0.0, model, seed, threads)
+
+
+def ensemble(n, seed, stack=CFG.stack, threads=None):
+    return draw_ensemble(n, stack, CFG.position, PARAMS, seed, threads=threads)
 
 
 @pytest.fixture(scope="module")
 def field(cfg):
     return solve_beam_state(cfg.stack)
-
-
-@pytest.fixture(scope="module")
-def zero_field(cfg):
-    stack = cfg.stack
-    stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=0.0))
-    return solve_beam_state(stack)
 
 
 class TestSummarize:
@@ -79,54 +90,63 @@ class TestSummarize:
             summarize([])
 
     def test_summary_recomputable_from_samples(self):
-        res = sample_pre_deposition(5_000, SIGMA, PARAMS, seed=99)
-        assert summarize(res.samples.gss_ghz) == res.summary
+        gss = sample_pre(5_000, SIGMA, seed=99).gss_ghz
+        s = summarize(gss)
+        assert (s.mean_ghz, s.std_ghz, s.n) == (np.mean(gss), np.std(gss, ddof=1), 5_000)
+        assert s.sem_ghz == s.std_ghz / math.sqrt(5_000)
 
 
 class TestPreDeposition:
+    """Before deposition: the same emitters in the beam at zero film stress."""
+
     def test_zero_sigma_pins_all_to_floor(self):
-        res = sample_pre_deposition(500, IntrinsicStrainModel(0.0), PARAMS, seed=1)
-        assert np.all(res.samples.gss_ghz == 46.0)
-        assert np.all(res.samples.eps_crystal == 0.0)
+        s = sample_pre(500, IntrinsicStrainModel(0.0), seed=1)
+        assert np.all(s.gss_ghz == 46.0)
+        assert np.all(s.eps_crystal == 0.0)
 
     def test_floor_holds(self):
-        res = sample_pre_deposition(20_000, SIGMA, PARAMS, seed=2)
-        assert np.all(res.samples.gss_ghz >= PARAMS.lambda_so_ghz)
+        s = sample_pre(20_000, SIGMA, seed=2)
+        assert np.all(s.gss_ghz >= PARAMS.lambda_so_ghz)
 
     def test_deterministic_per_seed(self):
-        a = sample_pre_deposition(5_000, SIGMA, PARAMS, seed=3)
-        b = sample_pre_deposition(5_000, SIGMA, PARAMS, seed=3)
-        c = sample_pre_deposition(5_000, SIGMA, PARAMS, seed=4)
-        assert np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz)
-        assert np.array_equal(a.samples.eps_crystal, b.samples.eps_crystal)
-        assert not np.array_equal(a.samples.gss_ghz, c.samples.gss_ghz)
+        a = sample_pre(5_000, SIGMA, seed=3)
+        b = sample_pre(5_000, SIGMA, seed=3)
+        c = sample_pre(5_000, SIGMA, seed=4)
+        assert np.array_equal(a.gss_ghz, b.gss_ghz)
+        assert np.array_equal(a.eps_crystal, b.eps_crystal)
+        assert not np.array_equal(a.gss_ghz, c.gss_ghz)
 
     def test_thread_count_invariance(self):
-        a = sample_pre_deposition(200_000, SIGMA, PARAMS, seed=5, threads=1)
-        b = sample_pre_deposition(200_000, SIGMA, PARAMS, seed=5, threads=7)
-        assert np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz)
-        assert np.array_equal(a.samples.orientation_id, b.samples.orientation_id)
+        a = sample_pre(200_000, SIGMA, seed=5, threads=1)
+        b = sample_pre(200_000, SIGMA, seed=5, threads=7)
+        assert np.array_equal(a.gss_ghz, b.gss_ghz)
+        assert np.array_equal(a.orientation_id, b.orientation_id)
 
     def test_prefix_stability(self):
         # counter-based streams: the first k samples never depend on n
-        a = sample_pre_deposition(1_000, SIGMA, PARAMS, seed=6)
-        b = sample_pre_deposition(70_000, SIGMA, PARAMS, seed=6)
-        assert np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz[:1_000])
+        a = sample_pre(1_000, SIGMA, seed=6)
+        b = sample_pre(70_000, SIGMA, seed=6)
+        assert np.array_equal(a.gss_ghz, b.gss_ghz[:1_000])
 
     def test_orientations_roughly_uniform(self):
-        res = sample_pre_deposition(40_000, SIGMA, PARAMS, seed=7)
-        counts = np.bincount(res.samples.orientation_id, minlength=4)
+        s = sample_pre(40_000, SIGMA, seed=7)
+        counts = np.bincount(s.orientation_id, minlength=4)
         assert counts.min() > 0.23 * 40_000
         assert counts.max() < 0.27 * 40_000
 
-    def test_positions_zero_for_pre(self):
-        res = sample_pre_deposition(10, SIGMA, PARAMS, seed=9)
-        assert np.all(res.samples.x_nm == 0.0)
-        assert np.all(res.samples.depth_nm == 0.0)
+    def test_pre_emitters_are_the_post_emitters(self, field):
+        # deposition strains the emitters; it does not move or turn them,
+        # nor change their intrinsic strain
+        pre = sample_pre(2_000, SIGMA, seed=9)
+        post = sample_post_deposition(2_000, CFG.position, field, PARAMS, intrinsic=SIGMA, seed=9)
+        for name in ("x_nm", "y_nm", "depth_nm", "orientation_id"):
+            assert np.array_equal(getattr(pre, name), getattr(post, name))
+        film = field.axial_strain(post.depth_nm)[:, None] * pop._film_response(field, PARAMS)[0]
+        np.testing.assert_allclose(post.eps_crystal - film, pre.eps_crystal, rtol=0, atol=1e-18)
 
     def test_n_zero_rejected(self):
         with pytest.raises(EmptyRequest):
-            sample_pre_deposition(0, SIGMA, PARAMS, seed=1)
+            sample_pre(0, SIGMA, seed=1)
 
 
 def test_n_beyond_the_counter_space_rejected(cfg, field):
@@ -134,12 +154,9 @@ def test_n_beyond_the_counter_space_rejected(cfg, field):
     # comes before any array of n is allocated
     n = 2 ** 55 + 1
     calls = [
-        lambda: sample_pre_deposition(n, SIGMA, PARAMS, seed=1),
         lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
                                        intrinsic=SIGMA, seed=1),
-        lambda: calibrate_sigma(119.0, n, seed=1),
-        lambda: calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, n, 1,
-                                      intrinsic=SIGMA),
+        lambda: ensemble(n, seed=1),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter, match=f"n must be <= {2 ** 55}, got {n}"):
@@ -150,17 +167,13 @@ def test_n_beyond_the_counter_space_rejected(cfg, field):
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
 def test_seed_outside_the_stream_root_space_rejected(cfg, field, seed):
     # seed_root reads seeds mod 2**64, so -1 would alias 2**64 - 1; the
-    # check comes before any draw (n = 2**55 could not be allocated), and
-    # before the floor return of calibrate_sigma
+    # check comes before any draw (n = 2**55 could not be allocated)
     n = 2 ** 55
     calls = [
-        lambda: sample_pre_deposition(n, SIGMA, PARAMS, seed=seed),
         lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
                                        intrinsic=SIGMA, seed=seed),
-        lambda: calibrate_sigma(119.0, n, seed=seed),
-        lambda: calibrate_sigma(46.0, 5, seed=seed),
-        lambda: calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, n, seed,
-                                      intrinsic=SIGMA),
+        lambda: ensemble(n, seed=seed),
+        lambda: ensemble(5, seed=seed),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -169,11 +182,8 @@ def test_seed_outside_the_stream_root_space_rejected(cfg, field, seed):
 
 
 class TestPostDeposition:
-    def test_zero_stress_no_intrinsic_pins_to_floor(self, cfg, zero_field):
-        res = sample_post_deposition(
-            400, cfg.position, zero_field, PARAMS, seed=1, intrinsic=FILM_ONLY
-        )
-        assert np.all(res.samples.gss_ghz == 46.0)
+    def test_zero_stress_no_intrinsic_pins_to_floor(self):
+        assert np.all(sample_pre(400, FILM_ONLY, seed=1).gss_ghz == 46.0)
 
     def test_thread_count_invariance(self, cfg, field):
         kw = dict(intrinsic=SIGMA, seed=2)
@@ -181,14 +191,13 @@ class TestPostDeposition:
                                    PARAMS, threads=1, **kw)
         b = sample_post_deposition(150_000, cfg.position, field,
                                    PARAMS, threads=5, **kw)
-        assert np.array_equal(a.samples.gss_ghz, b.samples.gss_ghz)
-        assert np.array_equal(a.samples.depth_nm, b.samples.depth_nm)
-        assert np.array_equal(a.samples.eps_crystal, b.samples.eps_crystal)
+        assert np.array_equal(a.gss_ghz, b.gss_ghz)
+        assert np.array_equal(a.depth_nm, b.depth_nm)
+        assert np.array_equal(a.eps_crystal, b.eps_crystal)
 
     def test_positions_inside_aperture_and_substrate(self, cfg, field):
         pos = cfg.position
-        res = sample_post_deposition(20_000, pos, field, PARAMS, seed=3, intrinsic=SIGMA)
-        s = res.samples
+        s = sample_post_deposition(20_000, pos, field, PARAMS, seed=3, intrinsic=SIGMA)
         assert np.all(np.abs(s.x_nm) <= pos.aperture_x_nm / 2)
         assert np.all(np.abs(s.y_nm) <= pos.aperture_y_nm / 2)
         assert np.all(s.depth_nm >= 0.0)
@@ -200,8 +209,8 @@ class TestPostDeposition:
     def test_depth_distribution_matches_straggle(self, cfg, field):
         pos = cfg.position
         res = sample_post_deposition(100_000, pos, field, PARAMS, seed=4, intrinsic=SIGMA)
-        assert res.samples.depth_nm.mean() == pytest.approx(35.0, abs=0.2)
-        assert res.samples.depth_nm.std() == pytest.approx(10.0, abs=0.2)
+        assert res.depth_nm.mean() == pytest.approx(35.0, abs=0.2)
+        assert res.depth_nm.std() == pytest.approx(10.0, abs=0.2)
 
     def test_degenerate_geometry_raises(self, cfg, field):
         pos = PositionDistribution(
@@ -215,14 +224,13 @@ class TestPostDeposition:
         pos = cfg.position
         plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=FILM_ONLY)
         mixed = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=SIGMA)
-        assert mixed.summary.std_ghz > plain.summary.std_ghz
+        assert np.std(mixed.gss_ghz) > np.std(plain.gss_ghz)
 
     def test_two_orientation_classes_under_beam_strain(self, cfg, field):
         # unequal in-plane strain splits the four <111> axes into two pairs
-        res = sample_post_deposition(
+        s = sample_post_deposition(
             20_000, cfg.position, field, PARAMS, seed=8, intrinsic=FILM_ONLY
         )
-        s = res.samples
         cls_a = np.isin(s.orientation_id, [0, 1])
         spread_within = max(
             s.gss_ghz[cls_a].std(), s.gss_ghz[~cls_a].std()
@@ -231,147 +239,108 @@ class TestPostDeposition:
         assert split > 5 * spread_within
 
 
-def _no_draw(*args, **kwargs):
-    raise AssertionError("the ensemble was drawn")
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("the ensemble was evaluated")
 
 
 class TestMonotoneCalibration:
     def test_mean_monotone_in_sigma(self):
         means = [
-            sample_pre_deposition(
-                30_000, IntrinsicStrainModel(s), PARAMS, seed=11
-            ).summary.mean_ghz
+            np.mean(sample_pre(30_000, IntrinsicStrainModel(s), seed=11).gss_ghz)
             for s in np.linspace(0.0, 4e-5, 9)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
 
-    def test_mean_monotone_in_stress(self, cfg):
-        pos = cfg.position
-        means = []
-        for stress in np.linspace(0.0, 1200.0, 7):
-            stack = cfg.stack
-            stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-            res = sample_post_deposition(
-                30_000, pos, solve_beam_state(stack), PARAMS, seed=12, intrinsic=SIGMA
-            )
-            means.append(res.summary.mean_ghz)
+    def test_mean_monotone_in_stress(self):
+        means = [np.mean(sample_at(30_000, stress, SIGMA, seed=12).gss_ghz)
+                 for stress in np.linspace(0.0, 1200.0, 7)]
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_convergence_with_n(self):
-        a = sample_pre_deposition(40_000, SIGMA, PARAMS, seed=13)
-        b = sample_pre_deposition(80_000, SIGMA, PARAMS, seed=13)
-        bound = 3.0 * a.summary.std_ghz / math.sqrt(40_000)
-        assert abs(b.summary.mean_ghz - a.summary.mean_ghz) < bound
+        a = summarize(sample_pre(40_000, SIGMA, seed=13).gss_ghz)
+        b = summarize(sample_pre(80_000, SIGMA, seed=13).gss_ghz)
+        bound = 3.0 * a.std_ghz / math.sqrt(40_000)
+        assert abs(b.mean_ghz - a.mean_ghz) < bound
 
     def test_calibrate_sigma_floor_target(self):
-        sigma, gss = calibrate_sigma(46.0, 1000, seed=14)
+        sigma, gss = calibrate_sigma(46.0, ensemble(1000, seed=14))
         assert sigma == 0.0
         assert np.all(gss == 46.0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_calibrate_sigma_floor_target_checks_n(self, n):
-        # the floor shortcut draws nothing but still validates the request
+        # a fit takes its emitters from an ensemble, whose draw validates n
         with pytest.raises(EmptyRequest):
-            calibrate_sigma(46.0, n, seed=14)
+            ensemble(n, seed=14)
 
     def test_calibrate_sigma_below_floor(self):
         with pytest.raises(Infeasible):
-            calibrate_sigma(30.0, 1000, seed=15)
+            calibrate_sigma(30.0, ensemble(1000, seed=15))
 
     def test_calibrate_sigma_hits_target_and_is_deterministic(self):
-        s1, gss1 = calibrate_sigma(119.0, 50_000, seed=16)
-        s2, gss2 = calibrate_sigma(119.0, 50_000, seed=16)
+        s1, gss1 = calibrate_sigma(119.0, ensemble(50_000, seed=16))
+        s2, gss2 = calibrate_sigma(119.0, ensemble(50_000, seed=16))
         assert s1 == s2
         assert np.array_equal(gss1, gss2)
-        res = sample_pre_deposition(50_000, IntrinsicStrainModel(s1), PARAMS, seed=16)
-        assert abs(res.summary.mean_ghz - 119.0) <= 0.5
+        gss = sample_pre(50_000, IntrinsicStrainModel(s1), seed=16).gss_ghz
+        assert abs(np.mean(gss) - 119.0) <= 0.5
 
     def test_calibrate_sigma_thread_invariant(self):
-        s1, gss1 = calibrate_sigma(119.0, 50_000, seed=17, threads=1)
-        s2, gss2 = calibrate_sigma(119.0, 50_000, seed=17, threads=6)
+        s1, gss1 = calibrate_sigma(119.0, ensemble(50_000, seed=17, threads=1))
+        s2, gss2 = calibrate_sigma(119.0, ensemble(50_000, seed=17, threads=6))
         assert s1 == s2
         assert np.array_equal(gss1, gss2)
 
-    def test_calibrate_stress_floor_target(self, cfg):
-        stress, gss = calibrate_film_stress(
-            46.0, cfg.stack, cfg.position,
-            PARAMS, 1000, seed=18, intrinsic=FILM_ONLY,
-        )
+    def test_calibrate_stress_floor_target(self):
+        stress, gss = calibrate_film_stress(46.0, ensemble(1000, seed=18), FILM_ONLY)
         assert stress == 0.0
         assert np.all(gss == 46.0)
 
-    def test_calibrate_stress_below_floor(self, cfg):
+    def test_calibrate_stress_below_floor(self):
         with pytest.raises(Infeasible):
-            calibrate_film_stress(
-                10.0, cfg.stack, cfg.position,
-                PARAMS, 1000, seed=19, intrinsic=SIGMA,
-            )
+            calibrate_film_stress(10.0, ensemble(1000, seed=19), SIGMA)
 
     @pytest.mark.parametrize("kwargs", [{}, {"n": 1000}])
     def test_calibrate_stress_has_no_default_n_or_seed(self, cfg, kwargs):
+        # a fit's n and seed are its ensemble's, which has no default for either
         with pytest.raises(TypeError):
-            calibrate_film_stress(608.0, cfg.stack, cfg.position, PARAMS, **kwargs)
+            draw_ensemble(stack=cfg.stack, pos=cfg.position, params=PARAMS, **kwargs)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf])
     def test_calibrate_sigma_non_finite_target(self, target, monkeypatch):
-        # rejected before the ensemble is drawn
-        monkeypatch.setattr(kernels, "draw_pre_block", _no_draw)
+        # rejected before the ensemble is evaluated
+        draw = ensemble(1000, seed=15)
+        monkeypatch.setattr(pop.Ensemble, "gss", _no_evaluation)
         with pytest.raises(Infeasible, match="not finite"):
-            calibrate_sigma(target, 1000, seed=15)
+            calibrate_sigma(target, draw)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf])
-    def test_calibrate_stress_non_finite_target(self, cfg, target, monkeypatch):
-        monkeypatch.setattr(kernels, "draw_post_block", _no_draw)
+    def test_calibrate_stress_non_finite_target(self, target, monkeypatch):
+        draw = ensemble(1000, seed=19)
+        monkeypatch.setattr(pop.Ensemble, "gss", _no_evaluation)
         with pytest.raises(Infeasible, match="not finite"):
-            calibrate_film_stress(
-                target, cfg.stack, cfg.position,
-                PARAMS, 1000, seed=19, intrinsic=SIGMA,
-            )
+            calibrate_film_stress(target, draw, SIGMA)
 
-    def test_calibrate_stress_hits_target(self, cfg):
-        pos = cfg.position
-        stack = cfg.stack
-        stress, _ = calibrate_film_stress(
-            608.0, stack, pos, PARAMS, 50_000, seed=20, intrinsic=SIGMA,
-        )
-        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-        res = sample_post_deposition(
-            50_000, pos, solve_beam_state(stack), PARAMS, seed=20, intrinsic=SIGMA,
-        )
-        assert abs(res.summary.mean_ghz - 608.0) <= 0.5
+    def test_calibrate_stress_hits_target(self):
+        stress, _ = calibrate_film_stress(608.0, ensemble(50_000, seed=20), SIGMA)
+        gss = sample_at(50_000, stress, SIGMA, seed=20).gss_ghz
+        assert abs(np.mean(gss) - 608.0) <= 0.5
 
     def test_thicker_film_needs_less_stress(self, cfg):
-        pos = cfg.position
         base = cfg.stack
         thick = replace(base, film=replace(base.film, thickness_nm=120.0))
-        s_base, _ = calibrate_film_stress(400.0, base, pos, PARAMS, 20_000, seed=21,
-                                          intrinsic=SIGMA)
-        s_thick, _ = calibrate_film_stress(400.0, thick, pos, PARAMS, 20_000, seed=21,
-                                           intrinsic=SIGMA)
+        s_base, _ = calibrate_film_stress(400.0, ensemble(20_000, 21, base), SIGMA)
+        s_thick, _ = calibrate_film_stress(400.0, ensemble(20_000, 21, thick), SIGMA)
         assert s_thick < s_base
 
-    def test_cdf_dominance_post_over_pre(self, cfg):
+    def test_cdf_dominance_post_over_pre(self):
         # calibrated configs: the strained population stochastically
         # dominates above 200 GHz
-        sigma, _ = calibrate_sigma(119.0, 100_000, seed=22)
-        pre = sample_pre_deposition(
-            100_000, IntrinsicStrainModel(sigma), PARAMS, seed=22
-        )
-        pos = cfg.position
-        stack = cfg.stack
-        stress, _ = calibrate_film_stress(
-            608.0, stack, pos, PARAMS, 100_000, seed=22,
-            intrinsic=IntrinsicStrainModel(sigma),
-        )
-        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-        post = sample_post_deposition(
-            100_000, pos, solve_beam_state(stack), PARAMS, seed=22,
-            intrinsic=IntrinsicStrainModel(sigma),
-        )
+        draw = ensemble(100_000, seed=22)
+        sigma, pre = calibrate_sigma(119.0, draw)
+        _, post = calibrate_film_stress(608.0, draw, IntrinsicStrainModel(sigma))
         for g in np.linspace(200.0, 1500.0, 27):
-            p_pre = np.mean(pre.samples.gss_ghz >= g)
-            p_post = np.mean(post.samples.gss_ghz >= g)
-            assert p_post >= p_pre
+            assert np.mean(post >= g) >= np.mean(pre >= g)
 
 
 # six strain components at the scale of the calibrated ensembles
@@ -416,9 +385,7 @@ class TestCouplingTables:
     )
     @settings(max_examples=60, deadline=None)
     def test_film_rows_match_core(self, cfg, stress, depth_fraction, o):
-        stack = cfg.stack
-        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-        field = solve_beam_state(stack)
+        field = solve_beam_state(cfg.stack.with_film_stress(stress))
         depth = depth_fraction * field.depth_max_nm
         eyy = float(field.axial_strain(depth))
         film_crystal, film_rows = pop._film_response(field, PARAMS)
@@ -440,13 +407,12 @@ class TestCouplingTables:
     def test_stored_tensors_reproduce_the_splitting(self, cfg, field):
         # crystal-frame tensors written by the samplers give back each
         # sample's splitting through the scalar core chain
-        ensembles = [sample_pre_deposition(64, SIGMA, PARAMS, seed=31)] + [
+        ensembles = [sample_pre(64, SIGMA, seed=31)] + [
             sample_post_deposition(64, cfg.position, field, PARAMS,
                                    seed=31, intrinsic=intrinsic)
             for intrinsic in (FILM_ONLY, SIGMA)
         ]
-        for res in ensembles:
-            s = res.samples
+        for s in ensembles:
             for i in range(len(s)):
                 eps = StrainTensor(*s.eps_crystal[i], frame=Frame.CRYSTAL)
                 gss = splitting_from_strain(eps, ORIENTATIONS[s.orientation_id[i]], PARAMS)
@@ -474,21 +440,24 @@ def _crystal_to_defect_maps():
 
 
 @pytest.mark.parametrize("phase", ["pre", "post"])
-def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(zero_field, cfg, phase):
-    # the sampler writes sigma D[o] Q^T z'; taken back to the defect frame by
-    # core, its six components are iid Normal(0, sigma^2) at n = 1e6: each
+def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(field, cfg, phase):
+    # the sampler writes sigma D[o] Q^T z' (plus the film part after
+    # deposition, taken off here); taken back to the defect frame by core,
+    # its six components are iid Normal(0, sigma^2) at n = 1e6: each
     # variance within 4 SEM of sigma^2, each cross-covariance and mean
-    # within 4 SEM of 0 (zero film stress leaves intrinsic strain alone)
+    # within 4 SEM of 0
     n, sigma = 1_000_000, SIGMA.sigma
     if phase == "pre":
-        s = sample_pre_deposition(n, SIGMA, PARAMS, seed=41).samples
+        s = sample_pre(n, SIGMA, seed=41)
+        intrinsic = s.eps_crystal
     else:
-        s = sample_post_deposition(n, cfg.position, zero_field, PARAMS,
-                                   seed=41, intrinsic=SIGMA).samples
+        s = sample_post_deposition(n, cfg.position, field, PARAMS, seed=41, intrinsic=SIGMA)
+        film_crystal = pop._film_response(field, PARAMS)[0]
+        intrinsic = s.eps_crystal - field.axial_strain(s.depth_nm)[:, None] * film_crystal
     e = np.empty((n, 6))
     for o, to_defect in enumerate(_crystal_to_defect_maps()):
         sel = s.orientation_id == o
-        e[sel] = s.eps_crystal[sel] @ to_defect.T / sigma
+        e[sel] = intrinsic[sel] @ to_defect.T / sigma
     cov = e.T @ e / n
     # a unit normal's mean square has variance 2/n, a product of two 1/n
     sem = np.where(np.eye(6, dtype=bool), math.sqrt(2.0 / n), math.sqrt(1.0 / n))
@@ -497,19 +466,17 @@ def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(zero_field, cfg, 
 
 
 class TestCachedCalibrationMeans:
-    """Calibration steps evaluate cached couplings instead of re-sampling;
-    each step's ensemble is the sampler's, bit for bit, so its mean is
-    the sampler's mean."""
+    """Calibration steps evaluate one ensemble's cached couplings instead of
+    re-sampling; each step's gss is the sampler's, bit for bit, so its mean
+    is the sampler's mean."""
 
     N = 4096
 
     @given(sigma=st.floats(1e-6, 5e-5), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=15, deadline=None)
     def test_pre_mean_matches_sampler(self, sigma, seed):
-        gss_at = pop._pre_gss(self.N, seed, PARAMS, None)
-        want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS,
-                                     seed).samples.gss_ghz
-        assert np.array_equal(gss_at(sigma), want)
+        want = sample_pre(self.N, IntrinsicStrainModel(sigma), seed).gss_ghz
+        assert np.array_equal(ensemble(self.N, seed).gss(sigma, 0.0), want)
 
     @given(
         stress=st.floats(0.0, 2000.0),
@@ -518,29 +485,19 @@ class TestCachedCalibrationMeans:
     )
     @example(stress=700.0, sigma=0.0, seed=0)  # film strain only
     @settings(max_examples=15, deadline=None)
-    def test_post_mean_matches_sampler(self, cfg, stress, sigma, seed):
-        stack, pos = cfg.stack, cfg.position
-        intrinsic = IntrinsicStrainModel(sigma)
-        gss_at = pop._post_gss(stack, pos, PARAMS, self.N, seed, intrinsic, None)
-        trial = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-        want = sample_post_deposition(
-            self.N, pos, solve_beam_state(trial), PARAMS, seed=seed, intrinsic=intrinsic,
-        ).samples.gss_ghz
-        assert np.array_equal(gss_at(stress), want)
+    def test_post_mean_matches_sampler(self, stress, sigma, seed):
+        want = sample_at(self.N, stress, IntrinsicStrainModel(sigma), seed).gss_ghz
+        assert np.array_equal(ensemble(self.N, seed).gss(sigma, stress), want)
 
     @pytest.mark.parametrize("phase", ["pre", "post"])
-    def test_pair_only_draw_is_thread_invariant(self, cfg, phase):
+    def test_pair_only_draw_is_thread_invariant(self, phase):
         n = 2 * kernels.CHUNK + 7
+        stress = 0.0 if phase == "pre" else 700.0
+        one, two = (ensemble(n, 35, threads=threads).gss(SIGMA.sigma, stress)
+                    for threads in (1, 2))
+        assert np.array_equal(one, two)
 
-        def gss(threads):
-            if phase == "pre":
-                return pop._pre_gss(n, 35, PARAMS, threads)(SIGMA.sigma)
-            return pop._post_gss(cfg.stack, cfg.position, PARAMS, n, 35, SIGMA,
-                                 threads)(700.0)
-
-        assert np.array_equal(gss(1), gss(2))
-
-    def test_calibrations_draw_once_and_never_resample(self, cfg, monkeypatch):
+    def test_calibrations_draw_once_and_never_resample(self, monkeypatch):
         def resampled(*args, **kwargs):
             raise AssertionError("a calibration step re-sampled the ensemble")
 
@@ -552,37 +509,28 @@ class TestCachedCalibrationMeans:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(pop, "sample_pre_deposition", resampled)
         monkeypatch.setattr(pop, "sample_post_deposition", resampled)
-        for name in ("draw_pre_block", "draw_post_block", "_orientation_np"):
+        for name in ("draw_post_block", "_orientation_np"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "_normal_pairs_np",
                             counted("pairs", kernels._normal_pairs_np))
-        sigma, _ = calibrate_sigma(119.0, self.N, seed=32)
-        calibrate_film_stress(
-            608.0, cfg.stack, cfg.position, PARAMS,
-            self.N, seed=32, intrinsic=IntrinsicStrainModel(sigma),
-        )
-        # n fits in one chunk: one draw call per calibration, each drawing
-        # one Box-Muller pair per emitter; only the post fit draws orientations
-        assert calls == ["draw_pre_block", ("pairs", 1),
-                         "draw_post_block", "_orientation_np", ("pairs", 1)]
+        draw = ensemble(self.N, seed=32)
+        sigma, _ = calibrate_sigma(119.0, draw)
+        calibrate_film_stress(608.0, draw, IntrinsicStrainModel(sigma))
+        # n fits in one chunk: one draw call for both fits, drawing one
+        # Box-Muller pair per emitter
+        assert calls == ["draw_post_block", "_orientation_np", ("pairs", 1)]
 
     @pytest.mark.parametrize("target", [46.0, 119.0])
     @pytest.mark.parametrize("threads", [None, 2])
     def test_sigma_fit_returns_the_sampled_ensemble(self, target, threads):
-        sigma, gss = calibrate_sigma(target, self.N, seed=33, threads=threads)
-        want = sample_pre_deposition(self.N, IntrinsicStrainModel(sigma), PARAMS, 33)
-        assert np.array_equal(gss, want.samples.gss_ghz)
+        sigma, gss = calibrate_sigma(target, ensemble(self.N, 33, threads=threads))
+        want = sample_pre(self.N, IntrinsicStrainModel(sigma), 33)
+        assert np.array_equal(gss, want.gss_ghz)
 
     @pytest.mark.parametrize("target,sigma", [(46.0, 0.0), (608.0, SIGMA.sigma)])
-    def test_stress_fit_returns_the_sampled_ensemble(self, cfg, target, sigma):
-        stack, pos = cfg.stack, cfg.position
+    def test_stress_fit_returns_the_sampled_ensemble(self, target, sigma):
         intrinsic = IntrinsicStrainModel(sigma)
-        stress, gss = calibrate_film_stress(target, stack, pos, PARAMS, self.N, seed=34,
-                                            intrinsic=intrinsic)
-        stack = replace(stack, film=replace(stack.film, intrinsic_stress_mpa=stress))
-        want = sample_post_deposition(
-            self.N, pos, solve_beam_state(stack), PARAMS, seed=34, intrinsic=intrinsic,
-        )
-        assert np.array_equal(gss, want.samples.gss_ghz)
+        stress, gss = calibrate_film_stress(target, ensemble(self.N, seed=34), intrinsic)
+        want = sample_at(self.N, stress, intrinsic, seed=34)
+        assert np.array_equal(gss, want.gss_ghz)

@@ -3,10 +3,9 @@
 The golden file is written by running this module as a script
 (``PYTHONPATH=src python tests/test_report_golden.py``), so a later change
 shows its drift against it instead of asserting it away. It was last
-written when the intrinsic draw changed to one Box-Muller pair per
-emitter on a phase-keyed stream; the operating temperatures then moved by
-at most 1.5e-6 K, the drift of the closed-form solve from the bisection
-that wrote the earlier file. The tolerances are fixed here, not fitted to
+written when the ensemble before deposition became the same draw of
+emitters as after it, at zero film stress, on one stream per seed; the
+operating temperatures of ``top_vs_gss.csv`` did not move. The tolerances are fixed here, not fitted to
 any drift:
 
 - operating temperatures (``top_vs_gss.csv``): 1e-5 K absolute;
