@@ -4,9 +4,11 @@ The draw stage (rejection-sampled positions, orientations, counter-based
 normals) runs once per ensemble: three Box-Muller pairs per emitter for a
 sample's tensors, one pair for an ensemble kept for calibration, which
 reads the splitting only. The evaluation stage (coupling tables applied to
-the draws, then the splitting) is what every calibration step repeats, at
-zero film stress for the sigma fit and at a trial stress for the stress
-fit. The draws run here as single unchunked blocks, the evaluation as
+the draws, then the splitting) runs once per Newton step of a calibration,
+at zero film stress for the sigma fit and at a trial stress for the stress
+fit, and a step also reads the mean's exact slope from the same pass: the
+lines with the slope next to the plain ones show what it adds per step.
+The draws run here as single unchunked blocks, the evaluation as
 ``Ensemble.gss`` runs it, all on one thread. Last, one
 CSV_BLOCK_ROWS block of a sample is turned into CSV text by the numpy
 writer and by per-row ``%`` formatting.
@@ -62,7 +64,11 @@ def main():
     _, _, depth, o, z, _ = draw(0, n)
     ensemble = pop.draw_ensemble(n, cfg.stack, pos, params, 12345)
     line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)
+    line("  with d mean / d sigma",
+         best_of(lambda: ensemble.gss(sigma, 0.0, _slope="sigma"), repeats), n)
     line("splitting at 700 MPa", best_of(lambda: ensemble.gss(sigma, 700.0), repeats), n)
+    line("  with d mean / d stress",
+         best_of(lambda: ensemble.gss(sigma, 700.0, _slope="stress"), repeats), n)
     line("crystal tensors: film + 6x6 map",
          best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
                  + (sigma * kernels.apply_maps(to_crystal, o, z)).T, repeats), n)

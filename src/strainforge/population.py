@@ -12,9 +12,11 @@ widens the post-deposition ensemble; sigma = 0 leaves film strain only.
 
 Sampling is counter based per sample index, so an ensemble is a pure
 function of (inputs, seed): results are bit-identical for any thread
-count or chunking. Calibration inverts the monotone map from model scale
-(intrinsic sigma, or film stress) to ensemble mean under common random
-numbers.
+count or chunking. Calibration fits a model scale (intrinsic sigma, or
+film stress) to an ensemble mean under common random numbers by Newton's
+method: each splitting is the norm of an affine map of the scale, so the
+mean is convex in it, and the pass that gives the mean gives its exact
+slope.
 
 The splitting sees strain only through the two linear couplings (alpha,
 beta). Film strain is the axial strain e_yy(depth) times a fixed tensor,
@@ -26,9 +28,9 @@ orthonormal basis whose first two rows are W's rows normalized, leaves
 them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
 s the row norms: the splitting reads the first Box-Muller pair alone, and
 a written tensor is sigma Q^T z'. Every sample is thus
-``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``. An ``Ensemble``
-keeps depth, orientation and that pair; its gss at any (sigma, stress)
-equals the sampler's there, bit for bit.
+``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``, written once in
+``_splitting``. An ``Ensemble`` keeps depth, orientation and that pair;
+its gss at any (sigma, stress) equals the sampler's there, bit for bit.
 """
 
 from __future__ import annotations
@@ -195,6 +197,25 @@ def _unit_couplings(s, z):
     return s[:, None] * z[:, :2].T
 
 
+def _splitting(lam, eyy, film, sigma, unit, slope=None):
+    """Splittings of one chunk, sqrt(lam^2 + 4 |c|^2) with couplings
+    c = e_yy F + sigma u, from the axial strains eyy (m,), the film
+    couplings F (2, m) per unit e_yy and the intrinsic couplings u (2, m)
+    per unit sigma.
+
+    ``slope`` "sigma" or "stress" also returns the chunk's sum of
+    4 a . c / gss, with a = u or e_yy F: the sum of d gss / d sigma, or of
+    d gss / d stress times the stress (e_yy is linear in film stress).
+    """
+    film = eyy * film
+    couplings = film + sigma * unit
+    gss = _kernels.splitting(lam, couplings)
+    if slope is None:
+        return gss
+    a = unit if slope == "sigma" else film
+    return gss, 4.0 * np.sum((a * couplings).sum(axis=0) / gss)
+
+
 def _film_response(field: StrainField, params: SivParameters):
     """Film strain per unit axial strain e_yy: its crystal-frame 6-vector
     and its (alpha, beta) for each orientation, shape (2, 4)."""
@@ -275,8 +296,8 @@ def sample_post_deposition(
     def block(lo, hi):
         x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
         eyy = field.axial_strain(dep)
-        couplings = eyy * np.take(film_rows, o, axis=1) + sigma * _unit_couplings(s, z)
-        gss[lo:hi] = _kernels.splitting(params.lambda_so_ghz, couplings)
+        gss[lo:hi] = _splitting(params.lambda_so_ghz, eyy, np.take(film_rows, o, axis=1),
+                                sigma, _unit_couplings(s, z))
         eps[lo:hi] = eyy[:, None] * film_crystal
         eps[lo:hi] += (sigma * _kernels.apply_maps(to_crystal, o, z)).T
         ori[lo:hi] = o
@@ -292,9 +313,12 @@ class Ensemble:
     reads: depth, orientation and the intrinsic couplings per unit sigma.
 
     ``gss(sigma, stress_mpa)`` solves the beam at that film stress and
-    evaluates the splitting chunk by chunk with the sampler's own formula,
-    into a fresh array equal to ``sample_post_deposition``'s gss in that
-    field at that sigma, to the last bit.
+    evaluates the splitting chunk by chunk with the sampler's own
+    ``_splitting``, into a fresh array equal to ``sample_post_deposition``'s
+    gss in that field at that sigma, to the last bit. The fits pass
+    ``_slope`` ("sigma" or "stress") to get (gss, d mean / d scale) from the
+    same pass; the slope's per-chunk sums are added in chunk order, so it
+    is the same for any thread count.
     """
 
     def __init__(self, stack, params, depth, ori, unit, threads):
@@ -307,19 +331,23 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self._depth)
 
-    def gss(self, sigma: float, stress_mpa: float) -> np.ndarray:
+    def gss(self, sigma: float, stress_mpa: float, *, _slope=None):
         # one solve per call (~45 us): a scaled unit-stress field is not bit-exact
         field = solve_beam_state(self.stack.with_film_stress(stress_mpa))
-        gss = np.empty(len(self))
+        n = len(self)
+        gss = np.empty(n)
+        partial = np.zeros(-(-n // _kernels.CHUNK))
 
         def evaluate(lo, hi):
-            eyy = field.axial_strain(self._depth[lo:hi])
-            film = np.take(self._film_rows, self._ori[lo:hi], axis=1)
-            couplings = eyy * film + sigma * self._unit[:, lo:hi]
-            gss[lo:hi] = _kernels.splitting(self.lambda_so_ghz, couplings)
+            out = _splitting(self.lambda_so_ghz, field.axial_strain(self._depth[lo:hi]),
+                             np.take(self._film_rows, self._ori[lo:hi], axis=1),
+                             sigma, self._unit[:, lo:hi], _slope)
+            gss[lo:hi], partial[lo // _kernels.CHUNK] = out if _slope else (out, 0.0)
 
-        _kernels.run_blocks(len(self), evaluate, self._threads)
-        return gss
+        _kernels.run_blocks(n, evaluate, self._threads)
+        if _slope is None:
+            return gss
+        return gss, float(partial.sum()) / n / (stress_mpa if _slope == "stress" else 1.0)
 
 
 def draw_ensemble(
@@ -350,73 +378,52 @@ def draw_ensemble(
     return Ensemble(stack, params, depth, ori, unit, threads)
 
 
-def _monotone_root(f, target, lo, hi, f_lo, f_hi, tol):
-    """Root of monotone f - target on [lo, hi] by Illinois regula falsi."""
-    g_lo = f_lo - target
-    g_hi = f_hi - target
-    if abs(g_lo) <= tol:
-        return lo
-    if abs(g_hi) <= tol:
-        return hi
-    side = 0
-    x = lo
-    for _ in range(80):
-        x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        gx = f(x) - target
-        if abs(gx) <= tol:
-            return x
-        if gx > 0:
-            hi, g_hi = x, gx
-            if side == 1:
-                g_lo *= 0.5
-            side = 1
-        else:
-            lo, g_lo = x, gx
-            if side == -1:
-                g_hi *= 0.5
-            side = -1
-        if hi - lo <= 1e-14 * max(abs(hi), 1.0):
-            break
-    return x
-
-
-# tolerance of a calibration on the ensemble mean
+# tolerance of a calibration on the ensemble mean, and the most Newton
+# steps a fit takes to meet it
 _TOL_GHZ = 0.05
+_MAX_STEPS = 40
 
 
-def _check_target(target_mean_ghz, lam):
-    if target_mean_ghz < lam:
-        raise Infeasible(
-            f"target mean {target_mean_ghz} GHz is below the floor {lam} GHz"
-        )
-    if not math.isfinite(target_mean_ghz):
-        raise Infeasible(f"target mean {target_mean_ghz} GHz is not finite")
+def _fit(ensemble, at, wrt, target, x, cap, unreachable):
+    """(x, gss) where the mean of ``ensemble.gss(*at(x))`` is within
+    _TOL_GHZ of ``target``, by Newton's method in the scale ``wrt``
+    ("sigma" or "stress") from the start ``x``.
 
-
-def _fit(gss_at, target, lo, f_lo, hi, cap, unreachable):
-    """Scale whose ensemble mean hits ``target``, and the ensemble there.
-
-    Doubles ``hi`` until its mean reaches the target (Infeasible with
-    ``unreachable`` past ``cap``), then runs ``_monotone_root`` on the
-    bracket. Returns (scale, gss at scale).
+    Each gss is the norm of an affine map of the scale, so the mean is
+    convex in it: a step lands at or above the root, and the steps after
+    it fall to it. A step is clipped to ``cap``, so the cap is evaluated;
+    a mean below the target there raises Infeasible with ``unreachable``.
+    A target at the spin-orbit floor, or one a step takes to a scale <= 0
+    (at or below the mean at zero), gets scale 0 if the mean there is
+    within the tolerance.
     """
-    last = [None, None]
-
-    def mean_at(scale):
-        last[:] = scale, gss_at(scale)
-        return float(np.mean(last[1]))
-
-    f_hi = mean_at(hi)
-    while f_hi < target:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > cap:
-            raise Infeasible(unreachable)
-        f_hi = mean_at(hi)
-    scale = _monotone_root(mean_at, target, lo, hi, f_lo, f_hi, _TOL_GHZ)
-    return scale, last[1] if last[0] == scale else gss_at(scale)
+    lam = ensemble.lambda_so_ghz
+    if target < lam:
+        raise Infeasible(f"target mean {target} GHz is below the floor {lam} GHz")
+    if not math.isfinite(target):
+        raise Infeasible(f"target mean {target} GHz is not finite")
+    if target > lam * (1.0 + 1e-12):
+        for _ in range(_MAX_STEPS):
+            gss, slope = ensemble.gss(*at(x), _slope=wrt)
+            g = float(np.mean(gss)) - target
+            if abs(g) <= _TOL_GHZ:
+                return x, gss
+            if g < 0.0 and x == cap:
+                raise Infeasible(unreachable)
+            if slope > 0.0:
+                x = min(x - g / slope, cap)
+            else:
+                # left of the mean's minimum: a target above the mean here
+                # lies to its right, one below it is under the mean at zero
+                x = cap if g < 0.0 else 0.0
+            if not x > 0.0:
+                break
+        else:
+            raise Infeasible(f"no fit within {_MAX_STEPS} Newton steps")
+    gss = ensemble.gss(*at(0.0))
+    if abs(float(np.mean(gss)) - target) <= _TOL_GHZ:
+        return 0.0, gss
+    raise Infeasible("target mean lies below the zero-stress ensemble mean")
 
 
 def calibrate_sigma(target_mean_ghz: float, ensemble: Ensemble) -> tuple[float, np.ndarray]:
@@ -424,17 +431,12 @@ def calibrate_sigma(target_mean_ghz: float, ensemble: Ensemble) -> tuple[float, 
     stress) hits the target, and the gss there: (sigma,
     ``ensemble.gss(sigma, 0.0)``).
 
-    The mean is continuous and strictly increasing in sigma under common
-    random numbers, so a bracketing root find converges cleanly. Raises
-    Infeasible for targets below the spin-orbit floor.
+    Newton's method on the mean, convex in sigma, with its exact slope,
+    from sigma = 1e-5 and capped at 1e-2. Raises Infeasible for targets
+    below the spin-orbit floor or above the mean at the cap.
     """
-    lam = ensemble.lambda_so_ghz
-    _check_target(target_mean_ghz, lam)
-    if target_mean_ghz <= lam * (1.0 + 1e-12):
-        return 0.0, ensemble.gss(0.0, 0.0)
-    return _fit(lambda sigma: ensemble.gss(sigma, 0.0), target_mean_ghz,
-                0.0, lam, 1e-5, 1e-2,
-                "target mean unreachable within the small-strain regime")
+    return _fit(ensemble, lambda sigma: (sigma, 0.0), "sigma", target_mean_ghz,
+                1e-5, 1e-2, "target mean unreachable within the small-strain regime")
 
 
 def calibrate_film_stress(
@@ -443,19 +445,12 @@ def calibrate_film_stress(
     intrinsic: IntrinsicStrainModel,
 ) -> tuple[float, np.ndarray]:
     """Equivalent film stress (MPa) whose ensemble mean at the intrinsic
-    sigma hits the target, by the same monotone root find as
-    calibrate_sigma, and the gss there: (stress,
-    ``ensemble.gss(intrinsic.sigma, stress)``)."""
-    _check_target(target_mean_ghz, ensemble.lambda_so_ghz)
+    sigma hits the target, and the gss there: (stress,
+    ``ensemble.gss(intrinsic.sigma, stress)``).
 
-    def gss_at(stress_mpa):
-        return ensemble.gss(intrinsic.sigma, stress_mpa)
-
-    gss = gss_at(0.0)
-    f_lo = float(np.mean(gss))
-    if target_mean_ghz <= f_lo + _TOL_GHZ:
-        if target_mean_ghz >= f_lo - _TOL_GHZ:
-            return 0.0, gss
-        raise Infeasible("target mean lies below the zero-stress ensemble mean")
-    return _fit(gss_at, target_mean_ghz, 0.0, f_lo, 500.0, 1e6,
-                "target mean unreachable at physical film stresses")
+    The Newton fit of calibrate_sigma, from 500 MPa and capped at 1e6 MPa.
+    A target within the tolerance of the zero-stress mean, if no step
+    meets it first, gives stress 0; one below that mean raises Infeasible.
+    """
+    return _fit(ensemble, lambda stress: (intrinsic.sigma, stress), "stress",
+                target_mean_ghz, 500.0, 1e6, "target mean unreachable at physical film stresses")

@@ -3,10 +3,10 @@
 The golden file is written by running this module as a script
 (``PYTHONPATH=src python tests/test_report_golden.py``), so a later change
 shows its drift against it instead of asserting it away. It was last
-written when the ensemble before deposition became the same draw of
-emitters as after it, at zero film stress, on one stream per seed; the
-operating temperatures of ``top_vs_gss.csv`` did not move. The tolerances are fixed here, not fitted to
-any drift:
+written when both calibrations became Newton fits on the exact slope of
+the ensemble mean, which end at other points within the same 0.05 GHz
+tolerance; the operating temperatures of ``top_vs_gss.csv`` did not
+move. The tolerances are fixed here, not fitted to any drift:
 
 - operating temperatures (``top_vs_gss.csv``): 1e-5 K absolute;
 - operability fractions (``operability.csv`` and the ``p_*`` summary
