@@ -58,10 +58,14 @@ def main():
     film_crystal, _ = pop._film_response(field, params)
 
     print(f"one ensemble (n = {n:,})")
-    draw, draw_pair = (pop._draw_post(12345, pos, field.cross_section, k) for k in (3, 1))
-    line("draw: positions + o + 3 pairs", best_of(lambda: draw(0, n), repeats), n)
-    line("draw: positions + o + 1 pair", best_of(lambda: draw_pair(0, n), repeats), n)
-    _, _, depth, o, z, _ = draw(0, n)
+    root = kernels.seed_root(12345)
+
+    def draw(n_pairs):
+        return kernels.draw_post_block(0, n, root, n_pairs, field.cross_section, pos)
+
+    line("draw: positions + o + 3 pairs", best_of(lambda: draw(3), repeats), n)
+    line("draw: positions + o + 1 pair", best_of(lambda: draw(1), repeats), n)
+    _, _, depth, o, z, _ = draw(3)
     ensemble = pop.draw_ensemble(n, cfg.stack, pos, params, 12345)
     line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)
     line("  with d mean / d sigma",
@@ -71,7 +75,7 @@ def main():
          best_of(lambda: ensemble.gss(sigma, 700.0, _slope="stress"), repeats), n)
     line("crystal tensors: film + 6x6 map",
          best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
-                 + (sigma * kernels.apply_maps(to_crystal, o, z)).T, repeats), n)
+                 + (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T, repeats), n)
     print(f"\nmean gss at 700 MPa: {float(np.mean(ensemble.gss(sigma, 700.0))):.3f} GHz")
 
     rows = min(n, CSV_BLOCK_ROWS)

@@ -1,13 +1,14 @@
-"""Hot numerical kernels: counter-based draws and the splitting evaluation.
+"""Counter-based draws and the chunk runner.
 
-Sampling runs in two stages. The draw stage produces everything random
-and nothing else: implantation positions, orientation ids and Box-Muller
-pairs of unit normals, none of which depends on the intrinsic sigma or
-the film stress. A full intrinsic tensor takes three pairs; the splitting
-reads only the first, so an ensemble kept for calibration draws one. The
-evaluation stage maps those draws through linear coupling tables and
-evaluates the splitting. The sampler runs both stages per chunk; an
-ensemble is drawn once and evaluated at any (sigma, film stress).
+Sampling runs in two stages. The draw stage, here, produces everything
+random and nothing else: implantation positions, orientation ids and
+Box-Muller pairs of unit normals, none of which depends on the intrinsic
+sigma or the film stress. A full intrinsic tensor takes three pairs; the
+splitting reads only the first, so an ensemble kept for calibration draws
+one. The evaluation stage, in ``population``, maps those draws through
+linear coupling tables and evaluates the splitting: the sampler runs both
+stages per chunk; an ensemble is drawn once and evaluated at any (sigma,
+film stress).
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -25,8 +26,6 @@ __all__ = [
     "MAX_POSITION_ATTEMPTS",
     "run_blocks",
     "draw_post_block",
-    "apply_maps",
-    "splitting",
 ]
 
 # Fixed per-sample draw budget; rejection resampling stays well inside it.
@@ -43,21 +42,22 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def run_blocks(n: int, fn, threads: int | None) -> int:
-    """Apply fn(lo, hi) over fixed-size chunks; sum integer returns.
+def run_blocks(n: int, fn, threads: int | None) -> list:
+    """Apply fn(lo, hi) over fixed-size chunks; return each chunk's result,
+    in chunk order.
 
-    Output is identical for any thread count: chunk boundaries are fixed
-    and every kernel writes disjoint per-index slices. ``threads`` None
-    runs serially; otherwise it must be at least 1.
+    Output is identical for any thread count: chunk boundaries are fixed,
+    every caller writes disjoint per-index slices, and a caller that
+    reduces the results does so in chunk order. ``threads`` None runs
+    serially; otherwise it must be at least 1.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     if threads is None or threads <= 1 or len(bounds) == 1:
-        return sum(int(fn(lo, hi) or 0) for lo, hi in bounds)
+        return [fn(lo, hi) for lo, hi in bounds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda b: fn(*b), bounds))
-    return sum(int(r or 0) for r in results)
+        return list(pool.map(lambda b: fn(*b), bounds))
 
 
 def seed_root(seed: int) -> np.uint64:
@@ -70,10 +70,6 @@ def seed_root(seed: int) -> np.uint64:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return np.uint64(z ^ (z >> 31))
 
-
-# ---------------------------------------------------------------------------
-# draw stage
-# ---------------------------------------------------------------------------
 
 def _u01_np(root: np.uint64, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) for an array of uint64 counters."""
@@ -107,13 +103,13 @@ def _base(lo, hi):
     return np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
 
 
-def _point_in_poly_np(py, pz, y, z):
-    """Vectorized crossing-number containment for points (y, z)."""
+def _point_in_poly_np(verts, y, z):
+    """Vectorized crossing-number containment of points (y, z) in the
+    polygon of (y, z) vertices ``verts``."""
     inside = np.zeros(y.shape, dtype=bool)
-    n = len(py)
+    n = len(verts)
     for i in range(n):
-        y0, z0 = py[i], pz[i]
-        y1, z1 = py[(i + 1) % n], pz[(i + 1) % n]
+        (y0, z0), (y1, z1) = verts[i], verts[(i + 1) % n]
         hit = (z0 > z) != (z1 > z)
         if z1 != z0:
             y_cross = y0 + (z - z0) * (y1 - y0) / (z1 - z0)
@@ -121,8 +117,9 @@ def _point_in_poly_np(py, pz, y, z):
     return inside
 
 
-def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean, dstrag):
-    """Scale-free draws of implanted emitters [lo, hi).
+def draw_post_block(lo, hi, root, n_pairs, cs, pos):
+    """Scale-free draws of implanted emitters [lo, hi) of the stream
+    ``root`` in the cross-section ``cs``, under the position model ``pos``.
 
     Positions are rejection sampled until they land inside the substrate;
     a sample that fails every attempt gets NaN lateral coordinates and the
@@ -136,6 +133,8 @@ def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean,
     x = np.empty(n)
     y = np.empty(n)
     dep = np.empty(n)
+    verts, z_top = cs.vertices_nm, cs.z_top_nm
+    dmean = pos.depth_mean_nm
     for attempt in range(MAX_POSITION_ATTEMPTS):
         if pend.size == 0:
             break
@@ -146,10 +145,10 @@ def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean,
         u1 = _u01_np(root, bs + off + np.uint64(2))
         u2 = _u01_np(root, bs + off + np.uint64(3))
         zn = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        cx = (ux - 0.5) * ax
-        cy = (uy - 0.5) * ay
-        cd = dmean + dstrag * zn
-        ok = (cd >= 0.0) & _point_in_poly_np(poly_y, poly_z, cy, z_top - cd)
+        cx = (ux - 0.5) * pos.aperture_x_nm
+        cy = (uy - 0.5) * pos.aperture_y_nm
+        cd = dmean + pos.depth_straggle_nm * zn
+        ok = (cd >= 0.0) & _point_in_poly_np(verts, cy, z_top - cd)
         sel = pend[ok]
         x[sel] = cx[ok]
         y[sel] = cy[ok]
@@ -163,19 +162,3 @@ def draw_post_block(lo, hi, root, n_pairs, poly_y, poly_z, z_top, ax, ay, dmean,
     z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, n_pairs)
     return x, y, dep, o, z, int(pend.size)
 
-
-# ---------------------------------------------------------------------------
-# evaluation stage
-# ---------------------------------------------------------------------------
-
-def apply_maps(maps, o, z):
-    """Per-sample linear maps: column i of the (r, m) result is
-    maps[o[i]] @ z[i], for maps of shape (4, r, 6) and z of shape (m, 6)."""
-    return np.einsum("mk,mjk->jm", z, maps[o])
-
-
-def splitting(lam, couplings):
-    """Ground-state splitting sqrt(lam^2 + 4 (alpha^2 + beta^2)) in GHz of
-    per-sample couplings (alpha, beta), shape (2, m)."""
-    alpha, beta = couplings
-    return np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))

@@ -209,7 +209,8 @@ def _splitting(lam, eyy, film, sigma, unit, slope=None):
     """
     film = eyy * film
     couplings = film + sigma * unit
-    gss = _kernels.splitting(lam, couplings)
+    alpha, beta = couplings
+    gss = np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))
     if slope is None:
         return gss
     a = unit if slope == "sigma" else film
@@ -240,24 +241,20 @@ def _check_draw(n, seed):
         raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _draw_post(seed, pos: PositionDistribution, cs, n_pairs):
-    """draw_post_block with the stream of ``seed``, the pair count, the
-    geometry and the position model bound."""
+def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
+    """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
+    by chunk, with ``n_pairs`` Box-Muller pairs each, and hand each chunk's
+    draws to ``keep(lo, hi, x, y, depth, o, z)``. Raises DegenerateGeometry
+    if any emitter failed substrate containment. Callers run _check_draw
+    before they allocate n rows."""
     root = _kernels.seed_root(seed)
-    poly_y = np.ascontiguousarray(cs.vertices_nm[:, 0])
-    poly_z = np.ascontiguousarray(cs.vertices_nm[:, 1])
 
-    def draw(lo, hi):
-        return _kernels.draw_post_block(
-            lo, hi, root, n_pairs, poly_y, poly_z, cs.z_top_nm,
-            pos.aperture_x_nm, pos.aperture_y_nm,
-            pos.depth_mean_nm, pos.depth_straggle_nm,
-        )
+    def block(lo, hi):
+        *draws, n_fail = _kernels.draw_post_block(lo, hi, root, n_pairs, cs, pos)
+        keep(lo, hi, *draws)
+        return n_fail
 
-    return draw
-
-
-def _raise_failures(n_fail: int) -> None:
+    n_fail = sum(_kernels.run_blocks(n, block, threads))
     if n_fail:
         raise DegenerateGeometry(
             f"{n_fail} samples failed substrate containment after "
@@ -288,23 +285,20 @@ def sample_post_deposition(
     _check_draw(n, seed)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
-    draw = _draw_post(seed, pos, field.cross_section, _TENSOR_PAIRS)
     film_crystal, film_rows = _film_response(field, params)
     s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
     sigma = intrinsic.sigma
 
-    def block(lo, hi):
-        x[lo:hi], y[lo:hi], dep, o, z, n_fail = draw(lo, hi)
+    def keep(lo, hi, x_nm, y_nm, dep, o, z):
+        x[lo:hi], y[lo:hi], depth[lo:hi], ori[lo:hi] = x_nm, y_nm, dep, o
         eyy = field.axial_strain(dep)
         gss[lo:hi] = _splitting(params.lambda_so_ghz, eyy, np.take(film_rows, o, axis=1),
                                 sigma, _unit_couplings(s, z))
         eps[lo:hi] = eyy[:, None] * film_crystal
-        eps[lo:hi] += (sigma * _kernels.apply_maps(to_crystal, o, z)).T
-        ori[lo:hi] = o
-        depth[lo:hi] = dep
-        return n_fail
+        # column i of the (6, m) einsum is to_crystal[o[i]] @ z[i]
+        eps[lo:hi] += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
 
-    _raise_failures(_kernels.run_blocks(n, block, threads))
+    _draw(n, seed, field.cross_section, pos, _TENSOR_PAIRS, threads, keep)
     return EmitterSamples(x, y, depth, ori, eps, gss)
 
 
@@ -336,18 +330,18 @@ class Ensemble:
         field = solve_beam_state(self.stack.with_film_stress(stress_mpa))
         n = len(self)
         gss = np.empty(n)
-        partial = np.zeros(-(-n // _kernels.CHUNK))
 
         def evaluate(lo, hi):
             out = _splitting(self.lambda_so_ghz, field.axial_strain(self._depth[lo:hi]),
                              np.take(self._film_rows, self._ori[lo:hi], axis=1),
                              sigma, self._unit[:, lo:hi], _slope)
-            gss[lo:hi], partial[lo // _kernels.CHUNK] = out if _slope else (out, 0.0)
+            gss[lo:hi], partial = out if _slope else (out, None)
+            return partial
 
-        _kernels.run_blocks(n, evaluate, self._threads)
+        partials = _kernels.run_blocks(n, evaluate, self._threads)
         if _slope is None:
             return gss
-        return gss, float(partial.sum()) / n / (stress_mpa if _slope == "stress" else 1.0)
+        return gss, float(np.sum(partials)) / n / (stress_mpa if _slope == "stress" else 1.0)
 
 
 def draw_ensemble(
@@ -363,18 +357,16 @@ def draw_ensemble(
     for evaluation at any (sigma, film stress): positions, orientations and
     the first Box-Muller pair of each intrinsic tensor."""
     _check_draw(n, seed)
-    draw_block = _draw_post(seed, pos, stack.cross_section, _SPLITTING_PAIRS)
     s = _intrinsic_norms(params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
 
-    def draw(lo, hi):
-        _, _, depth[lo:hi], ori[lo:hi], z, n_fail = draw_block(lo, hi)
+    def keep(lo, hi, x_nm, y_nm, dep, o, z):
+        depth[lo:hi], ori[lo:hi] = dep, o
         unit[:, lo:hi] = _unit_couplings(s, z)
-        return n_fail
 
-    _raise_failures(_kernels.run_blocks(n, draw, threads))
+    _draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep)
     return Ensemble(stack, params, depth, ori, unit, threads)
 
 

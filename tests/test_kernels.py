@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +46,33 @@ class TestCounterRng:
 
 class TestRunBlocks:
     def test_covers_range_once(self):
-        seen = np.zeros(200_001, dtype=int)
+        n = 200_001
+        sizes = [min(kernels.CHUNK, n - lo) for lo in range(0, n, kernels.CHUNK)]
+        for threads in (None, 1, 3):
+            seen = np.zeros(n, dtype=int)
+
+            def fn(lo, hi):
+                seen[lo:hi] += 1
+                return hi - lo
+
+            assert kernels.run_blocks(n, fn, threads=threads) == sizes
+            assert np.all(seen == 1)
+
+    def test_results_in_chunk_order_when_chunks_finish_out_of_order(self):
+        # four chunks on three threads; the earlier a chunk, the longer it sleeps
+        n = 3 * kernels.CHUNK + 5
+        finished = []
+        lock = threading.Lock()
 
         def fn(lo, hi):
-            seen[lo:hi] += 1
-            return hi - lo
+            k = lo // kernels.CHUNK
+            time.sleep(0.1 * (3 - k))
+            with lock:
+                finished.append(k)
+            return k
 
-        total = kernels.run_blocks(200_001, fn, threads=3)
-        assert total == 200_001
-        assert np.all(seen == 1)
+        assert kernels.run_blocks(n, fn, threads=3) == [0, 1, 2, 3]
+        assert finished != [0, 1, 2, 3]
 
     def test_single_thread_path(self):
         calls = []
@@ -83,13 +103,7 @@ class TestChunkIndependence:
         n = 600
 
         def run(lo, hi):
-            return kernels.draw_post_block(
-                lo, hi, root, 3,
-                np.ascontiguousarray(cs.vertices_nm[:, 0]),
-                np.ascontiguousarray(cs.vertices_nm[:, 1]), cs.z_top_nm,
-                pos.aperture_x_nm, pos.aperture_y_nm,
-                pos.depth_mean_nm, pos.depth_straggle_nm,
-            )
+            return kernels.draw_post_block(lo, hi, root, 3, cs, pos)
 
         edges = [0, *sorted(cuts), n]
         whole = run(0, n)
@@ -106,14 +120,53 @@ class TestPairCount:
     counters."""
 
     def test_post_pair_is_the_first_of_three(self, cfg):
-        from strainforge.population import _draw_post
-
-        one, three = (_draw_post(5, cfg.position, cfg.stack.cross_section, n_pairs)(10, 700)
+        root = kernels.seed_root(5)
+        one, three = (kernels.draw_post_block(10, 700, root, n_pairs,
+                                              cfg.stack.cross_section, cfg.position)
                       for n_pairs in (1, 3))
         for i in (0, 1, 2, 3, 5):
             assert np.array_equal(one[i], three[i])
         assert three[4].shape == (690, 6)
         assert np.array_equal(one[4], three[4][:, :2])
+
+
+class TestCounterBudget:
+    """Emitter i reads only counters [i, i + 1) * DRAWS_PER_SAMPLE, however
+    many position attempts it takes: its draws depend on no other emitter,
+    which is what makes them thread and chunk invariant."""
+
+    @pytest.mark.parametrize("depth_mean_nm,depth_straggle_nm", [
+        (35.0, 40.0),  # about one attempt-0 depth in five is above the surface
+        (1e5, 0.0),  # far below the apex: every attempt fails
+    ])
+    def test_emitter_reads_only_its_own_counters(self, cfg, monkeypatch,
+                                                 depth_mean_nm, depth_straggle_nm):
+        from strainforge.population import _TENSOR_PAIRS, PositionDistribution
+
+        read = []
+        u01 = kernels._u01_np
+
+        def recorded(root, counters):
+            read.append(counters.copy())
+            return u01(root, counters)
+
+        monkeypatch.setattr(kernels, "_u01_np", recorded)
+        pos = PositionDistribution(depth_mean_nm=depth_mean_nm,
+                                   depth_straggle_nm=depth_straggle_nm)
+        root = kernels.seed_root(11)
+        budget = kernels.DRAWS_PER_SAMPLE
+        retried = 0
+        # one emitter per block, so every counter read belongs to it
+        for i in range(1000, 1100):
+            read.clear()
+            kernels.draw_post_block(i, i + 1, root, _TENSOR_PAIRS,
+                                    cfg.stack.cross_section, pos)
+            counters = np.concatenate(read)
+            assert np.all(counters >= np.uint64(i * budget))
+            assert np.all(counters < np.uint64((i + 1) * budget))
+            offsets = counters - np.uint64(i * budget)
+            retried += bool(np.any((offsets >= 4) & (offsets < 4 * kernels.MAX_POSITION_ATTEMPTS)))
+        assert retried > 0
 
 
 def test_kernel_micro_benchmark_runs():

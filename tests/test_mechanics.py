@@ -125,10 +125,7 @@ class TestSectionProperties:
         for cs in (cs, rectangle(80.0, 40.0), cfg.stack.cross_section):
             y = rng.uniform(-60.0, 60.0, 500)
             depth = rng.uniform(-10.0, 1.2 * cs.depth_extent_nm, 500)
-            got = kernels._point_in_poly_np(
-                np.ascontiguousarray(cs.vertices_nm[:, 0]),
-                np.ascontiguousarray(cs.vertices_nm[:, 1]), y, cs.z_top_nm - depth,
-            )
+            got = kernels._point_in_poly_np(cs.vertices_nm, y, cs.z_top_nm - depth)
             want = [point_in_section(cs, yi, di) for yi, di in zip(y, depth)]
             assert got.tolist() == want
             assert 0 < sum(want) < len(want)
