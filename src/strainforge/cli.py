@@ -283,30 +283,31 @@ def _cmd_spectra(args, cfg: Config) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise StrainforgeError(f"not a directory: {directory}")
-    files = sorted(directory.glob("*.csv"))
+    out_path = Path(args.out)
+    pooled_path = out_path.with_name(out_path.stem + "_pooled.csv")
+    # a rerun into the same directory must not read this run's own output
+    here = directory.resolve()
+    written = {p.name for p in (out_path, pooled_path) if p.parent.resolve() == here}
+    files = sorted(f for f in directory.glob("*.csv") if f.name not in written)
     if not files:
         raise StrainforgeError(f"no .csv spectra found in {directory}")
-    batch = [
-        spectra.load_spectrum(f, label=f.name, batch_tag=args.batch_tag)
-        for f in files
-    ]
-    assignments = [
-        spectra.classify_and_extract(
-            spectra.detect_peaks(spec, cfg.smoothing_window, cfg.min_prominence)
-        )
-        for spec in batch
-    ]
-    records = [
-        {
-            "file": spec.label,
-            "batch_tag": spec.batch_tag,
+    records, assignments = [], []
+    for f in files:
+        try:
+            peaks = spectra.detect_peaks(
+                spectra.load_spectrum(f), cfg.smoothing_window, cfg.min_prominence)
+        except StrainforgeError as exc:
+            raise type(exc)(f"{f.name}: {exc}") from exc
+        assignment = spectra.classify_and_extract(peaks)
+        assignments.append(assignment)
+        records.append({
+            "file": f.name,
+            "batch_tag": args.batch_tag,
             "n_peaks": len(assignment.peaks),
             "is_single_emitter": assignment.is_single_emitter,
             "gss_ghz": assignment.gss_ghz,
             "peaks": [asdict(p) for p in assignment.peaks],
-        }
-        for spec, assignment in zip(batch, assignments)
-    ]
+        })
 
     try:
         stats = spectra.batch_gss_stats(assignments)
@@ -321,7 +322,6 @@ def _cmd_spectra(args, cfg: Config) -> int:
     except NoSingleEmitters:
         gss_stats = None
 
-    out_path = Path(args.out)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "batch_tag": args.batch_tag,
@@ -330,18 +330,12 @@ def _cmd_spectra(args, cfg: Config) -> int:
     }
     _write_atomic(out_path, _json_text(payload))
 
-    pooled = spectra.pool_transitions(batch, assignments)
-    hists = [pooled[tag] for tag in sorted(pooled)]
-    chunks = _csv_chunks(
+    edges, density = spectra.pool_transitions(assignments)
+    _write_atomic(pooled_path, _csv_chunks(
         "batch_tag,bin_left_ghz,bin_right_ghz,density",
-        [[h.batch_tag for h in hists for _ in h.density],
-         np.concatenate([h.edges_ghz[:-1] for h in hists]),
-         np.concatenate([h.edges_ghz[1:] for h in hists]),
-         np.concatenate([h.density for h in hists])],
+        [[args.batch_tag] * density.size, edges[:-1], edges[1:], density],
         "%s,%r,%r,%r",
-    )
-    pooled_path = out_path.with_name(out_path.stem + "_pooled.csv")
-    _write_atomic(pooled_path, chunks)
+    ))
     sys.stdout.write(_json_text({"out": str(out_path), "pooled": str(pooled_path)}))
     return 0
 

@@ -53,7 +53,6 @@ class Spectrum:
     frequencies_ghz: np.ndarray
     intensities: np.ndarray
     label: str = ""
-    batch_tag: str = ""
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -100,11 +99,7 @@ class EmitterAssignment:
             raise ValueError("gss must be present iff single emitter with >= 2 peaks")
 
 
-_HEADER_AXES = {
-    "frequency_ghz": "frequency_ghz",
-    "frequency_thz": "frequency_thz",
-    "wavelength_nm": "wavelength_nm",
-}
+_HEADER_AXES = ("frequency_ghz", "frequency_thz", "wavelength_nm")
 
 
 def _to_ghz(values: np.ndarray, axis: str) -> np.ndarray:
@@ -134,9 +129,8 @@ def _parse_lines(text: str) -> tuple[str, np.ndarray, np.ndarray]:
             y = float(cells[1])
         except ValueError:
             if lineno == 1 and not raw_x:
-                key = cells[0].lower()
-                if key in _HEADER_AXES:
-                    axis = _HEADER_AXES[key]
+                if cells[0].lower() in _HEADER_AXES:
+                    axis = cells[0].lower()
                     continue
                 raise ParseError(
                     f"line 1: unrecognized header column {cells[0]!r}"
@@ -165,7 +159,7 @@ def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
     axis = "frequency_ghz"
     cells = [c.strip() for c in first.split(",") if c.strip() != ""]
     if len(cells) == 2 and cells[0].lower() in _HEADER_AXES:
-        axis = _HEADER_AXES[cells[0].lower()]
+        axis = cells[0].lower()
         lines = lines[1:]
     if not any(line.strip() for line in lines):  # loadtxt warns on no rows
         return None
@@ -181,7 +175,7 @@ def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
     return axis, x, y
 
 
-def load_spectrum(source, label: str = "", batch_tag: str = "") -> Spectrum:
+def load_spectrum(source, label: str = "") -> Spectrum:
     """Read a two-column CSV (frequency/wavelength, intensity).
 
     The header row is optional; when present, its first column name picks
@@ -212,7 +206,7 @@ def load_spectrum(source, label: str = "", batch_tag: str = "") -> Spectrum:
     if axis != "frequency_ghz":
         meta["converted"] = f"{axis} -> frequency_ghz"
     try:
-        return Spectrum(freqs, intens, label=label, batch_tag=batch_tag, metadata=meta)
+        return Spectrum(freqs, intens, label=label, metadata=meta)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -341,44 +335,26 @@ def classify_and_extract(peaks: list[Peak]) -> EmitterAssignment:
     return EmitterAssignment(peaks=ordered, is_single_emitter=single, gss_ghz=gss)
 
 
-@dataclass(frozen=True)
-class PooledHistogram:
-    batch_tag: str
-    n_peaks: int
-    edges_ghz: np.ndarray
-    density: np.ndarray
-
-
 def pool_transitions(
-    batch: list[Spectrum], assignments: list[EmitterAssignment]
-) -> dict[str, PooledHistogram]:
-    """All detected peak centers pooled into one normalized histogram per
-    batch tag, with no attempt to tell the four optical lines apart.
-    ``assignments`` holds each spectrum's classified lines, in batch order."""
-    if not batch:
+    assignments: list[EmitterAssignment],
+) -> tuple[np.ndarray, np.ndarray]:
+    """All detected peak centers of a batch pooled into one normalized
+    histogram, with no attempt to tell the four optical lines apart, as
+    (bin edges in GHz, density). A batch with no peaks gives two empty
+    arrays."""
+    if not assignments:
         raise EmptyRequest("empty spectrum batch")
-    centers: dict[str, list[float]] = {}
-    for spec, assignment in zip(batch, assignments, strict=True):
-        centers.setdefault(spec.batch_tag, []).extend(p.center_ghz for p in assignment.peaks)
-    out = {}
-    for tag, vals in centers.items():
-        if vals:
-            arr = np.asarray(vals)
-            edges = np.histogram_bin_edges(arr, bins="fd")
-            density, edges = np.histogram(arr, bins=edges, density=True)
-        else:
-            edges = np.array([])
-            density = np.array([])
-        out[tag] = PooledHistogram(
-            batch_tag=tag, n_peaks=len(vals), edges_ghz=edges, density=density
-        )
-    return out
+    centers = np.array([p.center_ghz for a in assignments for p in a.peaks])
+    if not centers.size:
+        return np.array([]), np.array([])
+    edges = np.histogram_bin_edges(centers, bins="fd")
+    density, edges = np.histogram(centers, bins=edges, density=True)
+    return edges, density
 
 
 @dataclass(frozen=True)
 class BatchGssStats:
     summary: EnsembleSummary
-    gss_values_ghz: np.ndarray
     n_spectra: int
     n_single_emitters: int
 
@@ -394,10 +370,8 @@ def batch_gss_stats(assignments: list[EmitterAssignment]) -> BatchGssStats:
         raise NoSingleEmitters(
             "no spectrum in the batch yielded a single-emitter splitting"
         )
-    arr = np.asarray(values)
     return BatchGssStats(
-        summary=summarize(arr),
-        gss_values_ghz=arr,
+        summary=summarize(np.asarray(values)),
         n_spectra=len(assignments),
         n_single_emitters=len(single),
     )

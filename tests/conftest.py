@@ -199,7 +199,6 @@ def synth_spectrum(
     shape="lorentzian",
     baseline_sigmas=2.0,
     label="",
-    batch_tag="",
 ):
     """Synthetic PL trace with known line positions; ground-truth oracle
     for the peak detection tests."""
@@ -215,4 +214,4 @@ def synth_spectrum(
     baseline = baseline_sigmas * noise_sigma
     intens = signal + baseline + rng.normal(0.0, noise_sigma, freqs.size)
     intens = np.clip(intens, 0.0, None)
-    return Spectrum(freqs, intens, label=label, batch_tag=batch_tag)
+    return Spectrum(freqs, intens, label=label)

@@ -477,7 +477,7 @@ class TestSpectraCommand:
 
     def test_detects_each_spectrum_once(self, tmp_path, capsys, monkeypatch):
         # records, batch statistics and the pooled histogram share one
-        # detection pass
+        # detection pass, and each spectrum is detected before the next loads
         rng = np.random.default_rng(29)
         spec_dir = tmp_path / "specs"
         spec_dir.mkdir()
@@ -485,19 +485,77 @@ class TestSpectraCommand:
             s = synth_spectrum(rng, [406600.0, 406800.0 + 50.0 * i], fwhm_ghz=15.0,
                                snr=30.0, f_lo=406300.0, f_hi=407400.0, n_points=2200)
             write_spectrum(s, spec_dir / f"s{i}.csv")
-        detected = []
-        detect = spectra.detect_peaks
+        events = []
+        load, detect = spectra.load_spectrum, spectra.detect_peaks
 
-        def counted(spec, *args):
-            detected.append(spec.label)
+        def counted_load(source, *args, **kwargs):
+            spec = load(source, *args, **kwargs)
+            events.append(("load", spec.label))
+            return spec
+
+        def counted_detect(spec, *args):
+            events.append(("detect", spec.label))
             return detect(spec, *args)
 
-        monkeypatch.setattr(spectra, "detect_peaks", counted)
+        monkeypatch.setattr(spectra, "load_spectrum", counted_load)
+        monkeypatch.setattr(spectra, "detect_peaks", counted_detect)
         out = tmp_path / "stats.json"
         assert run(["spectra", "--dir", str(spec_dir), "--batch-tag", "post",
                     "--out", str(out)]) == 0
-        assert detected == ["s0.csv", "s1.csv", "s2.csv"]
+        assert events == [(kind, f"s{i}.csv") for i in range(3)
+                          for kind in ("load", "detect")]
         assert json.loads(out.read_text())["gss_stats"]["n_gss_values"] == 3
+
+    @pytest.mark.parametrize("bad, window", [
+        ("frequency_ghz,intensity\n406000.0,1.0\nabc,3\n", None),  # ParseError
+        ("frequency_ghz,intensity\n", None),  # too few points: ParseError
+        ("".join(f"{406000.0 + i % 17!r},1.0\n" for i in range(18)), None),  # DuplicateAbscissa
+        ("".join(f"{406000.0 + i!r},1.0\n" for i in range(18)), 21),  # InvalidParameter
+    ], ids=["non-numeric", "header-only", "duplicate", "shorter-than-window"])
+    def test_error_names_its_file(self, tmp_path, capsys, bad, window):
+        rng = np.random.default_rng(37)
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        for i in (0, 1, 3):
+            s = synth_spectrum(rng, [406600.0, 406900.0], fwhm_ghz=15.0, snr=30.0,
+                               f_lo=406300.0, f_hi=407400.0, n_points=2200)
+            write_spectrum(s, spec_dir / f"spec{i:04d}.csv")
+        (spec_dir / "spec0002.csv").write_text(bad)
+        argv = ["spectra", "--dir", str(spec_dir), "--batch-tag", "post",
+                "--out", str(tmp_path / "out" / "stats.json")]
+        if window is not None:
+            cfg = tmp_path / "window.json"
+            cfg.write_text(json.dumps({"spectra": {"smoothing_window": window}}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert _one_line_error(err)
+        assert err.startswith("error: spec0002.csv: ")
+        assert not (tmp_path / "out").exists()
+
+    # the last case gives --dir relative and --out absolute, which match
+    # only once resolved
+    @pytest.mark.parametrize("out_name, spec_arg", [
+        ("stats.json", None), ("stats.csv", None), ("stats.json", "specs")])
+    def test_rerun_skips_its_own_output(self, tmp_path, capsys, monkeypatch,
+                                        out_name, spec_arg):
+        rng = np.random.default_rng(41)
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        for i in range(3):
+            s = synth_spectrum(rng, [406600.0, 406800.0 + 50.0 * i], fwhm_ghz=15.0,
+                               snr=30.0, f_lo=406300.0, f_hi=407400.0, n_points=2200)
+            write_spectrum(s, spec_dir / f"s{i}.csv")
+        monkeypatch.chdir(tmp_path)
+        out = spec_dir / out_name
+        pooled = spec_dir / "stats_pooled.csv"
+        argv = ["spectra", "--dir", spec_arg or str(spec_dir), "--batch-tag", "x",
+                "--out", str(out)]
+        assert run(argv) == 0
+        first = out.read_bytes(), pooled.read_bytes(), capsys.readouterr().out
+        assert run(argv) == 0
+        assert (out.read_bytes(), pooled.read_bytes(), capsys.readouterr().out) == first
+        assert len(json.loads(first[0])["records"]) == 3
 
     @pytest.mark.parametrize("tag", ["run,7", 'say "hi"', "a\rb", "a\nb"])
     def test_unsafe_batch_tag_rejected_before_writing(self, tmp_path, capsys, tag):

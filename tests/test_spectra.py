@@ -430,13 +430,9 @@ class TestClassifyAndExtract:
 class TestPoolTransitions:
     def test_identical_single_line_spectra_concentrate(self):
         rng = np.random.default_rng(71)
-        one = synth_spectrum(rng, [406700.0], fwhm_ghz=20.0, snr=30.0,
-                             batch_tag="pre")
-        batch = [one] * 8
-        pooled = pool_transitions(batch, assign(batch))
-        hist = pooled["pre"]
-        assert hist.n_peaks == 8
-        mass = hist.density * np.diff(hist.edges_ghz)
+        one = synth_spectrum(rng, [406700.0], fwhm_ghz=20.0, snr=30.0)
+        edges, density = pool_transitions(assign([one] * 8))
+        mass = density * np.diff(edges)
         assert mass.max() == pytest.approx(1.0, abs=1e-9)
 
     def test_wider_batch_has_wider_histogram(self):
@@ -444,28 +440,26 @@ class TestPoolTransitions:
         tight, spread = [], []
         for i in range(24):
             c = 406700.0 + 10.0 * rng.standard_normal()
-            tight.append(synth_spectrum(rng, [c], batch_tag="a", snr=30.0))
+            tight.append(synth_spectrum(rng, [c], snr=30.0))
             c = 406700.0 + 50.0 * rng.standard_normal()
-            spread.append(synth_spectrum(rng, [c], batch_tag="b", snr=30.0))
-        pooled = pool_transitions(tight + spread, assign(tight + spread))
+            spread.append(synth_spectrum(rng, [c], snr=30.0))
 
-        def hist_std(h):
-            mids = 0.5 * (h.edges_ghz[:-1] + h.edges_ghz[1:])
-            w = h.density * np.diff(h.edges_ghz)
+        def hist_std(batch):
+            edges, density = pool_transitions(assign(batch))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            w = density * np.diff(edges)
             mean = np.sum(mids * w)
             return np.sqrt(np.sum(w * (mids - mean) ** 2))
 
-        assert hist_std(pooled["b"]) >= 4.0 * hist_std(pooled["a"])
+        assert hist_std(spread) >= 4.0 * hist_std(tight)
+
+    def test_no_peaks_gives_empty_histogram(self):
+        edges, density = pool_transitions([classify_and_extract([])] * 3)
+        assert edges.size == 0 and density.size == 0
 
     def test_empty_batch(self):
         with pytest.raises(EmptyRequest):
-            pool_transitions([], [])
-
-    def test_assignments_must_pair_with_spectra(self):
-        rng = np.random.default_rng(61)
-        batch = [synth_spectrum(rng, [406700.0], snr=30.0) for _ in range(3)]
-        with pytest.raises(ValueError):
-            pool_transitions(batch, assign(batch)[:2])
+            pool_transitions([])
 
 
 class TestBatchGssStats:
@@ -480,10 +474,11 @@ class TestBatchGssStats:
             )
             for i, g in enumerate(truth)
         ]
-        stats = batch_gss_stats(assign(batch))
+        assignments = assign(batch)
+        stats = batch_gss_stats(assignments)
         assert stats.n_spectra == 11
         assert stats.n_single_emitters == 11
-        vals = stats.gss_values_ghz
+        vals = np.array([a.gss_ghz for a in assignments])
         assert np.allclose(np.sort(vals), truth, atol=7.5)  # half linewidth
         assert stats.summary.mean_ghz == pytest.approx(np.mean(vals), rel=1e-12)
         assert stats.summary.std_ghz == pytest.approx(np.std(vals, ddof=1), rel=1e-12)
