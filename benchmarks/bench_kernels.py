@@ -3,11 +3,13 @@
 The draw stage (rejection-sampled positions, orientations, counter-based
 normals) runs once per ensemble: three Box-Muller pairs per emitter for a
 sample's tensors, one pair for an ensemble kept for calibration, which
-reads the splitting only. The evaluation stage (coupling tables applied to
-the draws, then the splitting) runs once per Newton step of a calibration,
-at zero film stress for the sigma fit and at a trial stress for the stress
-fit, and a step also reads the mean's exact slope from the same pass: the
-lines with the slope next to the plain ones show what it adds per step.
+reads the splitting only. The share of emitters placed by the first
+position attempt says how much of the draw the retries can cost. The
+evaluation stage (coupling tables applied to the draws, then the
+splitting) runs once per Newton step of a calibration, at zero film
+stress for the sigma fit and at a trial stress for the stress fit, and a
+step also reads the mean's exact slope from the same pass: the lines with
+the slope next to the plain ones show what it adds per step.
 The draws run here as single unchunked blocks, the evaluation as
 ``Ensemble.gss`` runs it, all on one thread. Last, one
 CSV_BLOCK_ROWS block of a sample is turned into CSV text by the numpy
@@ -65,7 +67,10 @@ def main():
 
     line("draw: positions + o + 3 pairs", best_of(lambda: draw(3), repeats), n)
     line("draw: positions + o + 1 pair", best_of(lambda: draw(1), repeats), n)
-    _, _, depth, o, z, _ = draw(3)
+    base = np.arange(n, dtype=np.uint64) * np.uint64(kernels.DRAWS_PER_SAMPLE)
+    inside = kernels._position_attempt(root, base, 0, field.cross_section, pos)[3]
+    print(f"  placed at attempt 0: {inside.mean():.2%} of emitters")
+    _, _, depth, o, z = draw(3)
     ensemble = pop.draw_ensemble(n, cfg.stack, pos, params, 12345)
     line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)
     line("  with d mean / d sigma",

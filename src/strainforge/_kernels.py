@@ -1,14 +1,15 @@
 """Counter-based draws and the chunk runner.
 
 Sampling runs in two stages. The draw stage, here, produces everything
-random and nothing else: implantation positions, orientation ids and
-Box-Muller pairs of unit normals, none of which depends on the intrinsic
-sigma or the film stress. A full intrinsic tensor takes three pairs; the
-splitting reads only the first, so an ensemble kept for calibration draws
-one. The evaluation stage, in ``population``, maps those draws through
-linear coupling tables and evaluates the splitting: the sampler runs both
-stages per chunk; an ensemble is drawn once and evaluated at any (sigma,
-film stress).
+random and nothing else: implantation positions (attempt 0 fills a
+chunk's outputs, and a chunk that cannot place an emitter raises),
+orientation ids and Box-Muller pairs of unit normals, none of which
+depends on the intrinsic sigma or the film stress. A full intrinsic
+tensor takes three pairs; the splitting reads only the first, so an
+ensemble kept for calibration draws one. The evaluation stage, in
+``population``, maps those draws through linear coupling tables and
+evaluates the splitting: the sampler runs both stages per chunk; an
+ensemble is drawn once and evaluated at any (sigma, film stress).
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -22,8 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import DegenerateGeometry
+
 __all__ = [
-    "MAX_POSITION_ATTEMPTS",
     "run_blocks",
     "draw_post_block",
 ]
@@ -65,9 +67,9 @@ def seed_root(seed: int) -> np.uint64:
     step, a bijection of [0, 2**64), so distinct seeds in that range root
     distinct streams."""
     mask = 0xFFFFFFFFFFFFFFFF
-    z = ((int(seed) & mask) + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z = ((int(seed) & mask) + int(_GOLDEN)) & mask
+    z = ((z ^ (z >> 30)) * int(_MIX1)) & mask
+    z = ((z ^ (z >> 27)) * int(_MIX2)) & mask
     return np.uint64(z ^ (z >> 31))
 
 
@@ -99,10 +101,6 @@ def _orientation_np(root, counters):
     return np.minimum((_u01_np(root, counters) * 4.0).astype(np.int64), 3)
 
 
-def _base(lo, hi):
-    return np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
-
-
 def _point_in_poly_np(verts, y, z):
     """Vectorized crossing-number containment of points (y, z) in the
     polygon of (y, z) vertices ``verts``."""
@@ -117,48 +115,47 @@ def _point_in_poly_np(verts, y, z):
     return inside
 
 
+def _position_attempt(root, counters, attempt, cs, pos):
+    """Position attempt ``attempt`` of the emitters whose draws start at
+    ``counters``: (x, y, depth, inside the substrate)."""
+    off = np.uint64(4 * attempt)
+    ux = _u01_np(root, counters + off)
+    uy = _u01_np(root, counters + off + np.uint64(1))
+    u1 = _u01_np(root, counters + off + np.uint64(2))
+    u2 = _u01_np(root, counters + off + np.uint64(3))
+    zn = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    x = (ux - 0.5) * pos.aperture_x_nm
+    y = (uy - 0.5) * pos.aperture_y_nm
+    depth = pos.depth_mean_nm + pos.depth_straggle_nm * zn
+    inside = (depth >= 0.0) & _point_in_poly_np(cs.vertices_nm, y, cs.z_top_nm - depth)
+    return x, y, depth, inside
+
+
 def draw_post_block(lo, hi, root, n_pairs, cs, pos):
     """Scale-free draws of implanted emitters [lo, hi) of the stream
     ``root`` in the cross-section ``cs``, under the position model ``pos``.
 
     Positions are rejection sampled until they land inside the substrate;
-    a sample that fails every attempt gets NaN lateral coordinates and the
-    mean depth and is counted. Returns (x, y, depth, orientation ids,
-    ``n_pairs`` Box-Muller pairs of intrinsic normals (m, 2 n_pairs),
-    failure count).
+    attempts after the first redraw only the emitters still outside, and
+    one that fails every attempt raises DegenerateGeometry. Returns (x, y,
+    depth, orientation ids, ``n_pairs`` Box-Muller pairs (m, 2 n_pairs)).
     """
-    n = hi - lo
-    base = _base(lo, hi)
-    pend = np.arange(n)
-    x = np.empty(n)
-    y = np.empty(n)
-    dep = np.empty(n)
-    verts, z_top = cs.vertices_nm, cs.z_top_nm
-    dmean = pos.depth_mean_nm
-    for attempt in range(MAX_POSITION_ATTEMPTS):
+    base = np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
+    x, y, dep, inside = _position_attempt(root, base, 0, cs, pos)
+    pend = np.flatnonzero(~inside)
+    for attempt in range(1, MAX_POSITION_ATTEMPTS):
         if pend.size == 0:
             break
-        off = np.uint64(4 * attempt)
-        bs = base[pend]
-        ux = _u01_np(root, bs + off)
-        uy = _u01_np(root, bs + off + np.uint64(1))
-        u1 = _u01_np(root, bs + off + np.uint64(2))
-        u2 = _u01_np(root, bs + off + np.uint64(3))
-        zn = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        cx = (ux - 0.5) * pos.aperture_x_nm
-        cy = (uy - 0.5) * pos.aperture_y_nm
-        cd = dmean + pos.depth_straggle_nm * zn
-        ok = (cd >= 0.0) & _point_in_poly_np(verts, cy, z_top - cd)
+        cx, cy, cd, ok = _position_attempt(root, base[pend], attempt, cs, pos)
         sel = pend[ok]
-        x[sel] = cx[ok]
-        y[sel] = cy[ok]
-        dep[sel] = cd[ok]
+        x[sel], y[sel], dep[sel] = cx[ok], cy[ok], cd[ok]
         pend = pend[~ok]
-    x[pend] = np.nan
-    y[pend] = np.nan
-    dep[pend] = dmean
+    if pend.size:
+        raise DegenerateGeometry(
+            f"{pend.size} of emitters [{lo}, {hi}) failed substrate containment "
+            f"after {MAX_POSITION_ATTEMPTS} attempts each"
+        )
 
     o = _orientation_np(root, base + np.uint64(4 * MAX_POSITION_ATTEMPTS))
     z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, n_pairs)
-    return x, y, dep, o, z, int(pend.size)
-
+    return x, y, dep, o, z

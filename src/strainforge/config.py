@@ -164,10 +164,10 @@ def load_config(path: str | Path | None = None) -> Config:
         return default_config()
     path = Path(path)
     try:
-        user = json.loads(path.read_text())
+        user = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")

@@ -50,7 +50,7 @@ from .core import (
     eg_couplings,
     rotate_strain,
 )
-from .errors import DegenerateGeometry, EmptyRequest, Infeasible, InvalidParameter
+from .errors import EmptyRequest, Infeasible, InvalidParameter
 from .mechanics import (
     LayerStack,
     StrainField,
@@ -244,22 +244,12 @@ def _check_draw(n, seed):
 def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
     """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
     by chunk, with ``n_pairs`` Box-Muller pairs each, and hand each chunk's
-    draws to ``keep(lo, hi, x, y, depth, o, z)``. Raises DegenerateGeometry
-    if any emitter failed substrate containment. Callers run _check_draw
+    draws to ``keep(lo, hi, x, y, depth, o, z)``. A chunk's containment
+    failure propagates, the first in chunk order. Callers run _check_draw
     before they allocate n rows."""
     root = _kernels.seed_root(seed)
-
-    def block(lo, hi):
-        *draws, n_fail = _kernels.draw_post_block(lo, hi, root, n_pairs, cs, pos)
-        keep(lo, hi, *draws)
-        return n_fail
-
-    n_fail = sum(_kernels.run_blocks(n, block, threads))
-    if n_fail:
-        raise DegenerateGeometry(
-            f"{n_fail} samples failed substrate containment after "
-            f"{_kernels.MAX_POSITION_ATTEMPTS} attempts each"
-        )
+    _kernels.run_blocks(n, lambda lo, hi: keep(
+        lo, hi, *_kernels.draw_post_block(lo, hi, root, n_pairs, cs, pos)), threads)
 
 
 def sample_post_deposition(

@@ -187,8 +187,10 @@ def load_spectrum(source, label: str = "") -> Spectrum:
     if isinstance(source, (str, Path)):
         if not label:
             label = Path(source).name
-        with open(source, "r", newline="") as fh:
-            text = fh.read()
+        try:
+            text = Path(source).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
     else:
         text = source.read() if hasattr(source, "read") else str(source)
     axis, raw_x, raw_y = _parse_fast(text) or _parse_lines(text)

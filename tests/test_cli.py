@@ -76,6 +76,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert _one_line_error(err) and "substrate containment" in err
 
+    def test_containment_failure_names_the_first_chunk_at_any_thread_count(
+            self, tmp_path, capsys):
+        # with two chunks, the short second one fails first on two threads
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"position": {"depth_mean_nm": 5000.0}}))
+        n = kernels.CHUNK + 1
+        for threads in ("1", "2"):
+            out = tmp_path / f"s{threads}.csv"
+            assert run(["sample", "--phase", "post", "--n", str(n), "--threads", threads,
+                        "--out", str(out), "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {kernels.CHUNK} of emitters [0, {kernels.CHUNK}) failed substrate "
+                f"containment after {kernels.MAX_POSITION_ATTEMPTS} attempts each\n")
+            assert not out.exists()
+
     def test_n_beyond_the_counter_space_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         n = 2 ** 55 + 1
@@ -115,15 +130,18 @@ class TestExitCodes:
         ('{"monte_carlo": {"seed": -3}}',
          ["sample", "--phase", "pre", "--n", "5", "--out", "{out}/s.csv"],
          "error: monte_carlo.seed must be in [0, 2**64)"),
+        (b"\xff\xfe{}", ["top", "--gss-ghz", "600"],
+         "error: config {bad} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte"),
     ])
     def test_config_value_error_is_one_line(self, tmp_path, capsys, text, command, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "out"
         argv = [a.format(out=out) for a in command] + ["--config", str(bad)]
         assert run(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == message + "\n"
+        assert captured.err == message.format(bad=bad) + "\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -511,7 +529,8 @@ class TestSpectraCommand:
         ("frequency_ghz,intensity\n", None),  # too few points: ParseError
         ("".join(f"{406000.0 + i % 17!r},1.0\n" for i in range(18)), None),  # DuplicateAbscissa
         ("".join(f"{406000.0 + i!r},1.0\n" for i in range(18)), 21),  # InvalidParameter
-    ], ids=["non-numeric", "header-only", "duplicate", "shorter-than-window"])
+        (b"\xff\xfe\x00garbage", None),  # not UTF-8: ParseError
+    ], ids=["non-numeric", "header-only", "duplicate", "shorter-than-window", "not-utf8"])
     def test_error_names_its_file(self, tmp_path, capsys, bad, window):
         rng = np.random.default_rng(37)
         spec_dir = tmp_path / "specs"
@@ -520,7 +539,7 @@ class TestSpectraCommand:
             s = synth_spectrum(rng, [406600.0, 406900.0], fwhm_ghz=15.0, snr=30.0,
                                f_lo=406300.0, f_hi=407400.0, n_points=2200)
             write_spectrum(s, spec_dir / f"spec{i:04d}.csv")
-        (spec_dir / "spec0002.csv").write_text(bad)
+        (spec_dir / "spec0002.csv").write_bytes(bad if isinstance(bad, bytes) else bad.encode())
         argv = ["spectra", "--dir", str(spec_dir), "--batch-tag", "post",
                 "--out", str(tmp_path / "out" / "stats.json")]
         if window is not None:
@@ -528,9 +547,9 @@ class TestSpectraCommand:
             cfg.write_text(json.dumps({"spectra": {"smoothing_window": window}}))
             argv += ["--config", str(cfg)]
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert _one_line_error(err)
-        assert err.startswith("error: spec0002.csv: ")
+        captured = capsys.readouterr()
+        assert _one_line_error(captured.err) and captured.out == ""
+        assert captured.err.startswith("error: spec0002.csv: ")
         assert not (tmp_path / "out").exists()
 
     # the last case gives --dir relative and --out absolute, which match

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
+from strainforge.errors import DegenerateGeometry
 
 
 class TestCounterRng:
@@ -108,10 +110,8 @@ class TestChunkIndependence:
         edges = [0, *sorted(cuts), n]
         whole = run(0, n)
         parts = [run(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        assert whole[-1] == sum(p[-1] for p in parts)
         for i in range(5):
-            joined = np.concatenate([p[i] for p in parts])
-            assert np.array_equal(whole[i], joined, equal_nan=True)
+            assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
 
 
 class TestPairCount:
@@ -124,7 +124,7 @@ class TestPairCount:
         one, three = (kernels.draw_post_block(10, 700, root, n_pairs,
                                               cfg.stack.cross_section, cfg.position)
                       for n_pairs in (1, 3))
-        for i in (0, 1, 2, 3, 5):
+        for i in range(4):
             assert np.array_equal(one[i], three[i])
         assert three[4].shape == (690, 6)
         assert np.array_equal(one[4], three[4][:, :2])
@@ -135,12 +135,14 @@ class TestCounterBudget:
     many position attempts it takes: its draws depend on no other emitter,
     which is what makes them thread and chunk invariant."""
 
-    @pytest.mark.parametrize("depth_mean_nm,depth_straggle_nm", [
-        (35.0, 40.0),  # about one attempt-0 depth in five is above the surface
-        (1e5, 0.0),  # far below the apex: every attempt fails
+    @pytest.mark.parametrize("depth_mean_nm,depth_straggle_nm,fails", [
+        # about one attempt-0 depth in five is above the surface
+        pytest.param(35.0, 40.0, False, id="35.0-40.0"),
+        # far below the apex: every attempt fails
+        pytest.param(1e5, 0.0, True, id="100000.0-0.0"),
     ])
     def test_emitter_reads_only_its_own_counters(self, cfg, monkeypatch,
-                                                 depth_mean_nm, depth_straggle_nm):
+                                                 depth_mean_nm, depth_straggle_nm, fails):
         from strainforge.population import _TENSOR_PAIRS, PositionDistribution
 
         read = []
@@ -159,14 +161,25 @@ class TestCounterBudget:
         # one emitter per block, so every counter read belongs to it
         for i in range(1000, 1100):
             read.clear()
-            kernels.draw_post_block(i, i + 1, root, _TENSOR_PAIRS,
-                                    cfg.stack.cross_section, pos)
+            with pytest.raises(DegenerateGeometry) if fails else contextlib.nullcontext():
+                kernels.draw_post_block(i, i + 1, root, _TENSOR_PAIRS,
+                                        cfg.stack.cross_section, pos)
             counters = np.concatenate(read)
             assert np.all(counters >= np.uint64(i * budget))
             assert np.all(counters < np.uint64((i + 1) * budget))
             offsets = counters - np.uint64(i * budget)
             retried += bool(np.any((offsets >= 4) & (offsets < 4 * kernels.MAX_POSITION_ATTEMPTS)))
         assert retried > 0
+
+
+def test_containment_failure_names_its_chunk(cfg):
+    from strainforge.population import PositionDistribution
+
+    pos = PositionDistribution(depth_mean_nm=1e5, depth_straggle_nm=0.0)
+    with pytest.raises(DegenerateGeometry) as exc:
+        kernels.draw_post_block(5, 8, kernels.seed_root(3), 1, cfg.stack.cross_section, pos)
+    assert str(exc.value) == ("3 of emitters [5, 8) failed substrate containment "
+                              f"after {kernels.MAX_POSITION_ATTEMPTS} attempts each")
 
 
 def test_kernel_micro_benchmark_runs():
