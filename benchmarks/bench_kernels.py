@@ -54,10 +54,11 @@ def main():
     cfg = default_config()
     params = cfg.siv
     pos = cfg.position
+    stress = cfg.stack.film.intrinsic_stress_mpa
     field = solve_beam_state(cfg.stack)
     sigma = 1.5e-5
     to_crystal = pop._intrinsic_to_crystal(params)
-    film_crystal, _ = pop._film_response(field, params)
+    film_crystal, _ = pop._film_response(cfg.stack, params)
 
     print(f"one ensemble (n = {n:,})")
     root = kernels.seed_root(12345)
@@ -84,8 +85,8 @@ def main():
     print(f"\nmean gss at 700 MPa: {float(np.mean(ensemble.gss(sigma, 700.0))):.3f} GHz")
 
     rows = min(n, CSV_BLOCK_ROWS)
-    s = pop.sample_post_deposition(rows, pos, field, params,
-                                   intrinsic=cfg.intrinsic, seed=12345)
+    s = pop.sample_post_deposition(rows, cfg.stack, pos, params, 12345,
+                                   sigma=cfg.sigma_unstrained, stress_mpa=stress)
     cols = [np.arange(rows), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
             *s.eps_crystal.T, s.gss_ghz]
     fmt = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7

@@ -29,7 +29,6 @@ from .mechanics import (
 )
 from .population import (
     Ensemble,
-    IntrinsicStrainModel,
     PositionDistribution,
     calibrate_film_stress,
     calibrate_sigma,

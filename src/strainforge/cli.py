@@ -25,7 +25,6 @@ from .config import Config, load_config
 from .errors import NoSingleEmitters, StrainforgeError
 from .mechanics import solve_beam_state, strain_at
 from .population import (
-    IntrinsicStrainModel,
     calibrate_film_stress,
     calibrate_sigma,
     draw_ensemble,
@@ -163,10 +162,10 @@ def _cmd_sample(args, cfg: Config) -> int:
     from . import _csvtext  # imported here so that other commands need not compile it
 
     # before deposition: the same emitters in the beam at zero film stress
-    stack = cfg.stack if args.phase == "post" else cfg.stack.with_film_stress(0.0)
+    stress = cfg.stack.film.intrinsic_stress_mpa if args.phase == "post" else 0.0
     s = sample_post_deposition(
-        args.n, cfg.position, solve_beam_state(stack), cfg.siv,
-        intrinsic=cfg.intrinsic, seed=args.seed, threads=args.threads,
+        args.n, cfg.stack, cfg.position, cfg.siv, args.seed,
+        sigma=cfg.sigma_unstrained, stress_mpa=stress, threads=args.threads,
     )
     chunks = _csvtext.csv_chunks(
         "index,x_nm,y_nm,depth_nm,orientation_id,"
@@ -192,7 +191,7 @@ def _cmd_calibrate(args, cfg: Config) -> int:
         key, (value, _) = "sigma_unstrained", calibrate_sigma(args.target_ghz, ensemble)
     else:
         key, (value, _) = "film_stress_mpa", calibrate_film_stress(
-            args.target_ghz, ensemble, cfg.intrinsic)
+            args.target_ghz, ensemble, cfg.sigma_unstrained)
     sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
                                  "n": args.n, "seed": args.seed, key: value}))
     return 0
@@ -209,9 +208,9 @@ def report(cfg: Config, seed: int, n: int | None = None,
     """Run the full calibrated-model pipeline and write the figure data.
 
     Draws one ensemble of emitters, calibrates the intrinsic strain spread
-    to the pre-deposition measured mean (at zero film stress) and the film
-    stress to the post-deposition one, reports the ensemble at the two
-    points the calibrations end on, solves
+    to the pre-deposition measured mean (at zero film stress) and, at that
+    sigma, the film stress to the post-deposition one, reports the
+    ensemble at the two points the calibrations end on, solves
     per-emitter operating temperatures, and emits gss_pdf.csv,
     top_vs_gss.csv, operability.csv, and summary.json.
     """
@@ -221,8 +220,7 @@ def report(cfg: Config, seed: int, n: int | None = None,
 
     ensemble = draw_ensemble(n, cfg.stack, cfg.position, cfg.siv, seed, threads=threads)
     sigma, pre_gss = calibrate_sigma(PRE_TARGET_MEAN_GHZ, ensemble)
-    stress, post_gss = calibrate_film_stress(
-        POST_TARGET_MEAN_GHZ, ensemble, IntrinsicStrainModel(sigma))
+    stress, post_gss = calibrate_film_stress(POST_TARGET_MEAN_GHZ, ensemble, sigma)
     del ensemble  # its arrays (25 MB at n = 1e6) would add to the T_op stage's peak RSS
     pre, post = summarize(pre_gss), summarize(post_gss)
 

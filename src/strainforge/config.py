@@ -19,7 +19,7 @@ import numpy as np
 from .core import SivParameters
 from .errors import ConfigError, InvalidGeometry
 from .mechanics import CrossSection, Layer, LayerStack
-from .population import IntrinsicStrainModel, PositionDistribution
+from .population import PositionDistribution
 from .thermal import ThermalReference
 
 __all__ = ["Config", "load_config", "default_config"]
@@ -93,7 +93,7 @@ class Config:
     siv: SivParameters
     stack: LayerStack
     position: PositionDistribution
-    intrinsic: IntrinsicStrainModel
+    sigma_unstrained: float
     thermal: ThermalReference
     smoothing_window: int
     min_prominence: float
@@ -127,7 +127,7 @@ def _build(data: dict, source: str) -> Config:
             siv=SivParameters(**data["siv"]),
             stack=_layer_stack(data["mechanics"]),
             position=PositionDistribution(**data["position"]),
-            intrinsic=IntrinsicStrainModel(sigma=data["population"]["sigma_unstrained"]),
+            sigma_unstrained=data["population"]["sigma_unstrained"],
             thermal=ThermalReference(**data["thermal"]),
             smoothing_window=data["spectra"]["smoothing_window"],
             min_prominence=data["spectra"]["min_prominence_fraction"],
@@ -137,6 +137,8 @@ def _build(data: dict, source: str) -> Config:
         )
     except (ValueError, TypeError, InvalidGeometry) as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.sigma_unstrained < 0:
+        raise ConfigError("population.sigma_unstrained must be >= 0")
     if cfg.default_n < 1:
         raise ConfigError("monte_carlo.n must be >= 1")
     if not 0 <= cfg.default_seed < 2 ** 64:

@@ -31,12 +31,13 @@ a written tensor is sigma Q^T z'. Every sample is thus
 ``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``, written once in
 ``_splitting``. An ``Ensemble`` keeps depth, orientation and that pair;
 its gss at any (sigma, stress) equals the sampler's there, bit for bit.
+Both check the two scales alike: sigma finite and >= 0, stress finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from .mechanics import (
 )
 
 __all__ = [
-    "IntrinsicStrainModel",
     "PositionDistribution",
     "EmitterSamples",
     "EnsembleSummary",
@@ -71,18 +71,6 @@ __all__ = [
     "calibrate_film_stress",
     "summarize",
 ]
-
-
-@dataclass(frozen=True)
-class IntrinsicStrainModel:
-    """IID zero-mean normal distribution for each defect-frame strain
-    component."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -197,17 +185,17 @@ def _unit_couplings(s, z):
     return s[:, None] * z[:, :2].T
 
 
-def _splitting(lam, eyy, film, sigma, unit, slope=None):
-    """Splittings of one chunk, sqrt(lam^2 + 4 |c|^2) with couplings
-    c = e_yy F + sigma u, from the axial strains eyy (m,), the film
-    couplings F (2, m) per unit e_yy and the intrinsic couplings u (2, m)
-    per unit sigma.
+def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None):
+    """Splittings of one chunk of emitters at depths ``depth`` (m,) with
+    orientations ``ori`` (m,) in ``field``: sqrt(lam^2 + 4 |c|^2) with
+    couplings c = e_yy F[o] + sigma u, from the film couplings F (2, 4)
+    per unit e_yy and the intrinsic couplings u (2, m) per unit sigma.
 
     ``slope`` "sigma" or "stress" also returns the chunk's sum of
-    4 a . c / gss, with a = u or e_yy F: the sum of d gss / d sigma, or of
-    d gss / d stress times the stress (e_yy is linear in film stress).
+    4 a . c / gss, with a = u or e_yy F[o]: the sum of d gss / d sigma, or
+    of d gss / d stress times the stress (e_yy is linear in film stress).
     """
-    film = eyy * film
+    film = field.axial_strain(depth) * np.take(film_rows, ori, axis=1)
     couplings = film + sigma * unit
     alpha, beta = couplings
     gss = np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))
@@ -217,10 +205,13 @@ def _splitting(lam, eyy, film, sigma, unit, slope=None):
     return gss, 4.0 * np.sum((a * couplings).sum(axis=0) / gss)
 
 
-def _film_response(field: StrainField, params: SivParameters):
+def _film_response(stack: LayerStack, params: SivParameters):
     """Film strain per unit axial strain e_yy: its crystal-frame 6-vector
-    and its (alpha, beta) for each orientation, shape (2, 4)."""
-    unit_field = replace(field, membrane_strain=_UNIT, curvature_per_nm=0.0)
+    and its (alpha, beta) for each orientation, shape (2, 4). Both depend
+    on the stack's biaxiality factor and substrate Poisson ratio alone, so
+    no beam solve is needed."""
+    unit_field = StrainField(_UNIT, 0.0, 0.0, stack.biaxiality_factor,
+                             stack.substrate.poisson_ratio, stack.cross_section)
     eps = beam_to_crystal(strain_at(unit_field, 0.0))
     rows = np.stack([_couplings(defect_frame_strain(eps, o), params)
                      for o in ORIENTATIONS], axis=1)
@@ -241,6 +232,17 @@ def _check_draw(n, seed):
         raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
 
 
+def _field_at(stack: LayerStack, sigma, stress_mpa) -> StrainField:
+    """The beam of ``stack`` at film stress ``stress_mpa``, once both scales
+    pass the domain check every evaluation shares: sigma finite and >= 0,
+    the stress finite."""
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
+    if not math.isfinite(stress_mpa):
+        raise InvalidParameter(f"film stress must be finite, got {stress_mpa} MPa")
+    return solve_beam_state(stack.with_film_stress(stress_mpa))
+
+
 def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
     """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
     by chunk, with ``n_pairs`` Box-Muller pairs each, and hand each chunk's
@@ -254,41 +256,42 @@ def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
 
 def sample_post_deposition(
     n: int,
+    stack: LayerStack,
     pos: PositionDistribution,
-    field: StrainField,
     params: SivParameters,
-    *,
-    intrinsic: IntrinsicStrainModel,
     seed: int,
+    *,
+    sigma: float,
+    stress_mpa: float,
     threads: int | None = None,
 ) -> EmitterSamples:
-    """Emitters of ``draw_ensemble`` in the strain field ``field``, with
-    their positions, orientations, crystal-frame tensors and splittings.
+    """The emitters of ``draw_ensemble(n, stack, pos, params, seed)`` at
+    intrinsic spread ``sigma`` and film stress ``stress_mpa``, with their
+    positions, orientations, crystal-frame tensors and splittings; the
+    splittings are ``Ensemble.gss(sigma, stress_mpa)``, bit for bit.
 
     Each sample draws an implantation position (rejected until it lands
     inside the substrate), evaluates the depth-dependent beam strain, maps
     it through a uniformly drawn <111> orientation, adds an intrinsic
     random tensor (drawn in the defect frame), and computes the splitting.
-    In the field at zero film stress this is the ensemble before
-    deposition.
+    At zero film stress this is the ensemble before deposition.
     """
     _check_draw(n, seed)
+    field = _field_at(stack, sigma, stress_mpa)
     gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
     x, y, depth = np.empty(n), np.empty(n), np.empty(n)
-    film_crystal, film_rows = _film_response(field, params)
+    film_crystal, film_rows = _film_response(stack, params)
     s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
-    sigma = intrinsic.sigma
 
     def keep(lo, hi, x_nm, y_nm, dep, o, z):
         x[lo:hi], y[lo:hi], depth[lo:hi], ori[lo:hi] = x_nm, y_nm, dep, o
-        eyy = field.axial_strain(dep)
-        gss[lo:hi] = _splitting(params.lambda_so_ghz, eyy, np.take(film_rows, o, axis=1),
+        gss[lo:hi] = _splitting(params.lambda_so_ghz, field, film_rows, dep, o,
                                 sigma, _unit_couplings(s, z))
-        eps[lo:hi] = eyy[:, None] * film_crystal
+        eps[lo:hi] = field.axial_strain(dep)[:, None] * film_crystal
         # column i of the (6, m) einsum is to_crystal[o[i]] @ z[i]
         eps[lo:hi] += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
 
-    _draw(n, seed, field.cross_section, pos, _TENSOR_PAIRS, threads, keep)
+    _draw(n, seed, stack.cross_section, pos, _TENSOR_PAIRS, threads, keep)
     return EmitterSamples(x, y, depth, ori, eps, gss)
 
 
@@ -298,17 +301,17 @@ class Ensemble:
 
     ``gss(sigma, stress_mpa)`` solves the beam at that film stress and
     evaluates the splitting chunk by chunk with the sampler's own
-    ``_splitting``, into a fresh array equal to ``sample_post_deposition``'s
-    gss in that field at that sigma, to the last bit. The fits pass
-    ``_slope`` ("sigma" or "stress") to get (gss, d mean / d scale) from the
-    same pass; the slope's per-chunk sums are added in chunk order, so it
-    is the same for any thread count.
+    ``_splitting``, into a fresh array equal to the gss of
+    ``sample_post_deposition`` at that (sigma, stress_mpa), to the last
+    bit. The fits pass ``_slope`` ("sigma" or "stress") to get (gss,
+    d mean / d scale) from the same pass; the slope's per-chunk sums are
+    added in chunk order, so it is the same for any thread count.
     """
 
     def __init__(self, stack, params, depth, ori, unit, threads):
         self.stack = stack
         self.lambda_so_ghz = params.lambda_so_ghz
-        self._film_rows = _film_response(solve_beam_state(stack), params)[1]
+        self._film_rows = _film_response(stack, params)[1]
         self._depth, self._ori, self._unit = depth, ori, unit
         self._threads = threads
 
@@ -317,14 +320,13 @@ class Ensemble:
 
     def gss(self, sigma: float, stress_mpa: float, *, _slope=None):
         # one solve per call (~45 us): a scaled unit-stress field is not bit-exact
-        field = solve_beam_state(self.stack.with_film_stress(stress_mpa))
+        field = _field_at(self.stack, sigma, stress_mpa)
         n = len(self)
         gss = np.empty(n)
 
         def evaluate(lo, hi):
-            out = _splitting(self.lambda_so_ghz, field.axial_strain(self._depth[lo:hi]),
-                             np.take(self._film_rows, self._ori[lo:hi], axis=1),
-                             sigma, self._unit[:, lo:hi], _slope)
+            out = _splitting(self.lambda_so_ghz, field, self._film_rows, self._depth[lo:hi],
+                             self._ori[lo:hi], sigma, self._unit[:, lo:hi], _slope)
             gss[lo:hi], partial = out if _slope else (out, None)
             return partial
 
@@ -421,18 +423,15 @@ def calibrate_sigma(target_mean_ghz: float, ensemble: Ensemble) -> tuple[float, 
                 1e-5, 1e-2, "target mean unreachable within the small-strain regime")
 
 
-def calibrate_film_stress(
-    target_mean_ghz: float,
-    ensemble: Ensemble,
-    intrinsic: IntrinsicStrainModel,
-) -> tuple[float, np.ndarray]:
+def calibrate_film_stress(target_mean_ghz: float, ensemble: Ensemble,
+                          sigma: float) -> tuple[float, np.ndarray]:
     """Equivalent film stress (MPa) whose ensemble mean at the intrinsic
-    sigma hits the target, and the gss there: (stress,
-    ``ensemble.gss(intrinsic.sigma, stress)``).
+    spread ``sigma`` hits the target, and the gss there: (stress,
+    ``ensemble.gss(sigma, stress)``).
 
     The Newton fit of calibrate_sigma, from 500 MPa and capped at 1e6 MPa.
     A target within the tolerance of the zero-stress mean, if no step
     meets it first, gives stress 0; one below that mean raises Infeasible.
     """
-    return _fit(ensemble, lambda stress: (intrinsic.sigma, stress), "stress",
+    return _fit(ensemble, lambda stress: (sigma, stress), "stress",
                 target_mean_ghz, 500.0, 1e6, "target mean unreachable at physical film stresses")

@@ -18,7 +18,6 @@ from strainforge.config import default_config
 from strainforge.core import EgCouplings, SivParameters, ground_state_splitting
 from strainforge.mechanics import Layer, LayerStack, solve_beam_state, strain_at
 from strainforge.population import (
-    IntrinsicStrainModel,
     calibrate_film_stress,
     calibrate_sigma,
     draw_ensemble,
@@ -61,19 +60,24 @@ def calibrated(cfg):
     sigma, pre_gss = calibrate_sigma(119.0, ensemble)
     t_pre = time.perf_counter() - t0
 
-    intrinsic = IntrinsicStrainModel(sigma)
     t0 = time.perf_counter()
-    stress, post_gss = calibrate_film_stress(608.0, ensemble, intrinsic)
-    field = solve_beam_state(cfg.stack.with_film_stress(stress))
-    post = sample_post_deposition(N, pos, field, params, seed=SEED, intrinsic=intrinsic)
+    stress, post_gss = calibrate_film_stress(608.0, ensemble, sigma)
+    post = sample_post_deposition(N, cfg.stack, pos, params, SEED, sigma=sigma, stress_mpa=stress)
     t_post = time.perf_counter() - t0
     assert np.array_equal(post.gss_ghz, post_gss)
 
     return {
         "sigma": sigma, "pre": summarize(pre_gss), "pre_gss": pre_gss, "t_pre": t_pre,
         "stress": stress, "post": summarize(post_gss), "post_samples": post,
-        "t_post": t_post, "field": field, "params": params,
+        "t_post": t_post, "params": params,
     }
+
+
+@pytest.fixture(scope="module")
+def calibrated_field(calibrated, cfg):
+    """The beam at the calibrated film stress, which the quadrature oracles
+    and C5 read."""
+    return solve_beam_state(cfg.stack.with_film_stress(calibrated["stress"]))
 
 
 def test_c01_unstrained_floor():
@@ -142,8 +146,7 @@ def test_post_at_zero_stress_matches_pre_oracle(calibrated, cfg):
     n = 200_000
     sigma = calibrated["sigma"]
     post = summarize(sample_post_deposition(
-        n, cfg.position, solve_beam_state(cfg.stack.with_film_stress(0.0)), PARAMS,
-        seed=SEED, intrinsic=IntrinsicStrainModel(sigma)).gss_ghz)
+        n, cfg.stack, cfg.position, PARAMS, SEED, sigma=sigma, stress_mpa=0.0).gss_ghz)
     mean, _, _ = intrinsic_gss_moments(sigma, PARAMS)
     z_mean = (post.mean_ghz - mean) / post.sem_ghz
     check("post at 0 MPa vs quadrature", abs(z_mean) <= 4.0,
@@ -163,10 +166,10 @@ def test_c04_post_deposition_calibration(calibrated):
           f"std {std:.2f} GHz (249 +-30%), runtime {t:.1f} s (< 120)")
 
 
-def test_post_ensemble_matches_quadrature_oracle(calibrated, cfg):
+def test_post_ensemble_matches_quadrature_oracle(calibrated, calibrated_field, cfg):
     # n = infinity moments in the calibrated field at the calibrated sigma
     post = calibrated["post"]
-    mean, std, m4 = post_gss_moments(calibrated["field"], calibrated["sigma"],
+    mean, std, m4 = post_gss_moments(calibrated_field, calibrated["sigma"],
                                      PARAMS, cfg.position)
     se_std = math.sqrt((m4 - std ** 4) / (4.0 * std * std * post.n))
     z_mean = (post.mean_ghz - mean) / post.sem_ghz
@@ -177,7 +180,7 @@ def test_post_ensemble_matches_quadrature_oracle(calibrated, cfg):
           f"std {post.std_ghz:.3f} vs {std:.3f} GHz ({z_std:+.1f} SE), within 4")
 
 
-def test_operability_fractions_match_quadrature_oracle(calibrated, cfg):
+def test_operability_fractions_match_quadrature_oracle(calibrated, calibrated_field, cfg):
     # T_op rises strictly with gss on [lambda, max gss], so P(T_op >= T) is
     # P(gss >= g_T) with g_T from one root find, and that tail is exact
     gss = calibrated["post_samples"].gss_ghz
@@ -188,7 +191,7 @@ def test_operability_fractions_match_quadrature_oracle(calibrated, cfg):
     readings, ok = [], True
     for temp in (1.5, 2.0):
         g_t = brentq(lambda g: operational_temperature(g, ref) - temp, lam, hi, xtol=1e-12)
-        p = post_gss_tail(calibrated["field"], calibrated["sigma"], PARAMS, cfg.position, g_t)
+        p = post_gss_tail(calibrated_field, calibrated["sigma"], PARAMS, cfg.position, g_t)
         p_mc = float(np.mean(top >= temp))
         sem = math.sqrt(p * (1.0 - p) / gss.size)
         z = (p_mc - p) / sem
@@ -200,7 +203,7 @@ def test_operability_fractions_match_quadrature_oracle(calibrated, cfg):
     check("operability fractions vs quadrature", ok, ", ".join(readings) + ", within 4")
 
 
-def test_c05_mechanics_fidelity(calibrated, cfg):
+def test_c05_mechanics_fidelity(calibrated_field):
     # independent classical bilayer oracle on a rectangular section
     w, t_s, t_f, stress_mpa, b = 200.0, 400.0, 2.0, 500.0, 1.0
     cs = sf.CrossSection(np.array(
@@ -223,7 +226,7 @@ def test_c05_mechanics_fidelity(calibrated, cfg):
     kappa_oracle = num / den
     kappa_err = abs(abs(field.curvature_per_nm) - kappa_oracle) / kappa_oracle
 
-    eps35 = strain_at(calibrated["field"], 35.0)
+    eps35 = strain_at(calibrated_field, 35.0)
     ok = kappa_err <= 0.01 and abs(eps35.eps_yy) > 1e-4
     check("C5 mechanics fidelity", ok,
           f"bilayer curvature rel err {kappa_err:.2e} (<= 1%), "

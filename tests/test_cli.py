@@ -13,15 +13,16 @@ from conftest import csv_rows, splitting_from_strain, synth_spectrum, write_spec
 from strainforge.cli import _write_atomic, run
 from strainforge.config import default_config, load_config
 from strainforge.core import ORIENTATIONS, Frame, StrainTensor
-from strainforge.mechanics import solve_beam_state
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
 
 
-def _field(cfg, phase):
-    """The beam the emitters of ``sample --phase`` sit in: the configured
-    one after deposition, zero film stress before it."""
-    return solve_beam_state(cfg.stack if phase == "post" else cfg.stack.with_film_stress(0.0))
+def _sample(cfg, phase, n, seed):
+    """The library's draw behind ``sample --phase``: the configured film
+    stress after deposition, zero before it."""
+    stress = cfg.stack.film.intrinsic_stress_mpa if phase == "post" else 0.0
+    return pop.sample_post_deposition(n, cfg.stack, cfg.position, cfg.siv, seed,
+                                      sigma=cfg.sigma_unstrained, stress_mpa=stress)
 
 
 @pytest.fixture
@@ -133,6 +134,9 @@ class TestExitCodes:
         (b"\xff\xfe{}", ["top", "--gss-ghz", "600"],
          "error: config {bad} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
          "in position 0: invalid start byte"),
+        ('{"population": {"sigma_unstrained": -1e-5}}',
+         ["sample", "--phase", "post", "--n", "5", "--out", "{out}/s.csv"],
+         "error: population.sigma_unstrained must be >= 0"),
     ])
     def test_config_value_error_is_one_line(self, tmp_path, capsys, text, command, message):
         bad = tmp_path / "bad.json"
@@ -291,10 +295,7 @@ class TestSampleCommand:
         out = tmp_path / "samples.csv"
         assert run(["sample", "--phase", phase, "--n", "500", "--seed", "3",
                     "--out", str(out), "--config", fast_config]) == 0
-        cfg = load_config(fast_config)
-        params = cfg.siv
-        s = pop.sample_post_deposition(500, cfg.position, _field(cfg, phase), params,
-                                       intrinsic=cfg.intrinsic, seed=3)
+        s = _sample(load_config(fast_config), phase, 500, 3)
         table = np.column_stack([
             np.arange(len(s), dtype=float), s.x_nm, s.y_nm, s.depth_nm,
             s.orientation_id.astype(float), s.eps_crystal, s.gss_ghz,
@@ -312,9 +313,7 @@ class TestSampleCommand:
         out = tmp_path / "samples.csv"
         assert run(["sample", "--phase", phase, "--n", "5000", "--seed", str(seed),
                     "--out", str(out)]) == 0
-        cfg = load_config(None)
-        s = pop.sample_post_deposition(5000, cfg.position, _field(cfg, phase), cfg.siv,
-                                       intrinsic=cfg.intrinsic, seed=seed)
+        s = _sample(load_config(None), phase, 5000, seed)
         header, body = out.read_bytes().split(b"\n", 1)
         assert header == (b"index,x_nm,y_nm,depth_nm,orientation_id,"
                           b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz")
@@ -627,7 +626,6 @@ class TestEnvConfig:
 OTHER_SETTINGS = {"monte_carlo": {"n": 20000, "seed": 5},
                   "population": {"sigma_unstrained": 0.0},
                   "thermal": {"gss_ref_ghz": 600.0, "temp_ref_k": 1.8}}
-FILM_ONLY = pop.IntrinsicStrainModel(0.0)
 OTHER_REF = thermal.ThermalReference(600.0, 1.8)
 
 
@@ -644,8 +642,9 @@ class TestNonDefaultSettings:
         assert run(["sample", "--phase", "post", "--n", "2000", "--seed", "3",
                     "--out", str(out), "--config", other_config]) == 0
         cfg = load_config(other_config)
-        s = pop.sample_post_deposition(2000, cfg.position, solve_beam_state(cfg.stack),
-                                       cfg.siv, intrinsic=FILM_ONLY, seed=3)
+        assert cfg.sigma_unstrained == 0.0
+        s = pop.sample_post_deposition(2000, cfg.stack, cfg.position, cfg.siv, 3, sigma=0.0,
+                                       stress_mpa=cfg.stack.film.intrinsic_stress_mpa)
         assert out.read_bytes().split(b"\n", 1)[1] == csv_rows(
             [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
              *s.eps_crystal.T, s.gss_ghz],
@@ -658,9 +657,9 @@ class TestNonDefaultSettings:
                     "--n", "4096", "--config", other_config]) == 0
         cfg = load_config(other_config)
         ensemble = pop.draw_ensemble(4096, cfg.stack, cfg.position, cfg.siv, 5)
-        stress, _ = pop.calibrate_film_stress(608.0, ensemble, FILM_ONLY)
+        stress, _ = pop.calibrate_film_stress(608.0, ensemble, 0.0)
         with_intrinsic, _ = pop.calibrate_film_stress(608.0, ensemble,
-                                                      default_config().intrinsic)
+                                                      default_config().sigma_unstrained)
         assert stress != with_intrinsic
         assert json.loads(capsys.readouterr().out)["film_stress_mpa"] == stress
 
@@ -671,8 +670,7 @@ class TestNonDefaultSettings:
         cfg = load_config(other_config)
         ensemble = pop.draw_ensemble(4096, cfg.stack, cfg.position, cfg.siv, 5)
         sigma, _ = pop.calibrate_sigma(cli.PRE_TARGET_MEAN_GHZ, ensemble)
-        stress, post_gss = pop.calibrate_film_stress(
-            cli.POST_TARGET_MEAN_GHZ, ensemble, pop.IntrinsicStrainModel(sigma))
+        stress, post_gss = pop.calibrate_film_stress(cli.POST_TARGET_MEAN_GHZ, ensemble, sigma)
         top_post = thermal.operational_temperature_batch(post_gss, OTHER_REF)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["sigma_unstrained_calibrated"] == sigma

@@ -84,7 +84,7 @@ class TestOverrides:
         ("siv", "lambda_so_ghz", 0, "lambda_so_ghz must be positive"),
         ("mechanics", "film", {"thickness_nm": -1}, "thickness_nm must be positive"),
         ("position", "aperture_x_nm", 0, "aperture dimensions must be positive"),
-        ("population", "sigma_unstrained", -1, "sigma must be finite and >= 0"),
+        ("population", "sigma_unstrained", -1, "population.sigma_unstrained must be >= 0"),
         ("thermal", "temp_ref_k", 0,
          "reference splitting and temperature must be positive"),
         # the upward rate always uses the Bose-Einstein occupation

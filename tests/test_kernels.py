@@ -191,7 +191,10 @@ def test_kernel_micro_benchmark_runs():
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, str(bench), "--n", "1000", "--repeats", "1"],
+        [sys.executable, str(bench), "--n", "2000", "--repeats", "1"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+    headers = [line for line in out.stdout.splitlines() if line and not line.startswith(" ")]
+    assert [h.split(" (")[0].split(":")[0] for h in headers] == [
+        "one ensemble", "mean gss at 700 MPa", "sample CSV text"]

@@ -21,7 +21,6 @@ from strainforge.errors import DegenerateGeometry, EmptyRequest, Infeasible, Inv
 from strainforge.mechanics import beam_to_crystal, solve_beam_state, strain_at
 from strainforge.config import default_config
 from strainforge.population import (
-    IntrinsicStrainModel,
     PositionDistribution,
     calibrate_film_stress,
     calibrate_sigma,
@@ -31,21 +30,16 @@ from strainforge.population import (
 )
 
 PARAMS = SivParameters()
-SIGMA = IntrinsicStrainModel(1.5e-5)
-FILM_ONLY = IntrinsicStrainModel(0.0)
+SIGMA = 1.5e-5
+FILM_ONLY = 0.0  # sigma with film strain only
 CFG = default_config()
+POST = CFG.stack.film.intrinsic_stress_mpa  # the configured film stress
 
 
-def sample_at(n, stress, model, seed, threads=None):
-    """The sampler in the beam at film stress ``stress``."""
-    field = solve_beam_state(CFG.stack.with_film_stress(stress))
-    return sample_post_deposition(n, CFG.position, field, PARAMS,
-                                  intrinsic=model, seed=seed, threads=threads)
-
-
-def sample_pre(n, model, seed, threads=None):
-    """The emitters before deposition: the sampler at zero film stress."""
-    return sample_at(n, 0.0, model, seed, threads)
+def sample(n, sigma, seed, stress_mpa=0.0, threads=None, pos=CFG.position):
+    """The sampler on the default stack; zero film stress is before deposition."""
+    return sample_post_deposition(n, CFG.stack, pos, PARAMS, seed,
+                                  sigma=sigma, stress_mpa=stress_mpa, threads=threads)
 
 
 def ensemble(n, seed, stack=CFG.stack, threads=None):
@@ -54,6 +48,7 @@ def ensemble(n, seed, stack=CFG.stack, threads=None):
 
 @pytest.fixture(scope="module")
 def field(cfg):
+    """The beam at the configured film stress, for checks against the samples."""
     return solve_beam_state(cfg.stack)
 
 
@@ -90,7 +85,7 @@ class TestSummarize:
             summarize([])
 
     def test_summary_recomputable_from_samples(self):
-        gss = sample_pre(5_000, SIGMA, seed=99).gss_ghz
+        gss = sample(5_000, SIGMA, seed=99).gss_ghz
         s = summarize(gss)
         assert (s.mean_ghz, s.std_ghz, s.n) == (np.mean(gss), np.std(gss, ddof=1), 5_000)
         assert s.sem_ghz == s.std_ghz / math.sqrt(5_000)
@@ -100,36 +95,36 @@ class TestPreDeposition:
     """Before deposition: the same emitters in the beam at zero film stress."""
 
     def test_zero_sigma_pins_all_to_floor(self):
-        s = sample_pre(500, IntrinsicStrainModel(0.0), seed=1)
+        s = sample(500, 0.0, seed=1)
         assert np.all(s.gss_ghz == 46.0)
         assert np.all(s.eps_crystal == 0.0)
 
     def test_floor_holds(self):
-        s = sample_pre(20_000, SIGMA, seed=2)
+        s = sample(20_000, SIGMA, seed=2)
         assert np.all(s.gss_ghz >= PARAMS.lambda_so_ghz)
 
     def test_deterministic_per_seed(self):
-        a = sample_pre(5_000, SIGMA, seed=3)
-        b = sample_pre(5_000, SIGMA, seed=3)
-        c = sample_pre(5_000, SIGMA, seed=4)
+        a = sample(5_000, SIGMA, seed=3)
+        b = sample(5_000, SIGMA, seed=3)
+        c = sample(5_000, SIGMA, seed=4)
         assert np.array_equal(a.gss_ghz, b.gss_ghz)
         assert np.array_equal(a.eps_crystal, b.eps_crystal)
         assert not np.array_equal(a.gss_ghz, c.gss_ghz)
 
     def test_thread_count_invariance(self):
-        a = sample_pre(200_000, SIGMA, seed=5, threads=1)
-        b = sample_pre(200_000, SIGMA, seed=5, threads=7)
+        a = sample(200_000, SIGMA, seed=5, threads=1)
+        b = sample(200_000, SIGMA, seed=5, threads=7)
         assert np.array_equal(a.gss_ghz, b.gss_ghz)
         assert np.array_equal(a.orientation_id, b.orientation_id)
 
     def test_prefix_stability(self):
         # counter-based streams: the first k samples never depend on n
-        a = sample_pre(1_000, SIGMA, seed=6)
-        b = sample_pre(70_000, SIGMA, seed=6)
+        a = sample(1_000, SIGMA, seed=6)
+        b = sample(70_000, SIGMA, seed=6)
         assert np.array_equal(a.gss_ghz, b.gss_ghz[:1_000])
 
     def test_orientations_roughly_uniform(self):
-        s = sample_pre(40_000, SIGMA, seed=7)
+        s = sample(40_000, SIGMA, seed=7)
         counts = np.bincount(s.orientation_id, minlength=4)
         assert counts.min() > 0.23 * 40_000
         assert counts.max() < 0.27 * 40_000
@@ -137,25 +132,24 @@ class TestPreDeposition:
     def test_pre_emitters_are_the_post_emitters(self, field):
         # deposition strains the emitters; it does not move or turn them,
         # nor change their intrinsic strain
-        pre = sample_pre(2_000, SIGMA, seed=9)
-        post = sample_post_deposition(2_000, CFG.position, field, PARAMS, intrinsic=SIGMA, seed=9)
+        pre = sample(2_000, SIGMA, seed=9)
+        post = sample(2_000, SIGMA, 9, POST)
         for name in ("x_nm", "y_nm", "depth_nm", "orientation_id"):
             assert np.array_equal(getattr(pre, name), getattr(post, name))
-        film = field.axial_strain(post.depth_nm)[:, None] * pop._film_response(field, PARAMS)[0]
+        film = field.axial_strain(post.depth_nm)[:, None] * pop._film_response(CFG.stack, PARAMS)[0]
         np.testing.assert_allclose(post.eps_crystal - film, pre.eps_crystal, rtol=0, atol=1e-18)
 
     def test_n_zero_rejected(self):
         with pytest.raises(EmptyRequest):
-            sample_pre(0, SIGMA, seed=1)
+            sample(0, SIGMA, seed=1)
 
 
-def test_n_beyond_the_counter_space_rejected(cfg, field):
+def test_n_beyond_the_counter_space_rejected():
     # counters i * 512 + j of samples i < 2**55 fit in a uint64; the check
     # comes before any array of n is allocated
     n = 2 ** 55 + 1
     calls = [
-        lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
-                                       intrinsic=SIGMA, seed=1),
+        lambda: sample(n, SIGMA, 1, POST),
         lambda: ensemble(n, seed=1),
     ]
     for call in calls:
@@ -165,13 +159,12 @@ def test_n_beyond_the_counter_space_rejected(cfg, field):
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
-def test_seed_outside_the_stream_root_space_rejected(cfg, field, seed):
+def test_seed_outside_the_stream_root_space_rejected(seed):
     # seed_root reads seeds mod 2**64, so -1 would alias 2**64 - 1; the
     # check comes before any draw (n = 2**55 could not be allocated)
     n = 2 ** 55
     calls = [
-        lambda: sample_post_deposition(n, cfg.position, field, PARAMS,
-                                       intrinsic=SIGMA, seed=seed),
+        lambda: sample(n, SIGMA, seed, POST),
         lambda: ensemble(n, seed=seed),
         lambda: ensemble(5, seed=seed),
     ]
@@ -181,23 +174,39 @@ def test_seed_outside_the_stream_root_space_rejected(cfg, field, seed):
         assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
+BAD_SCALES = ([(sigma, 0.0) for sigma in (math.nan, math.inf, -math.inf, -1e-5)]
+              + [(SIGMA, stress) for stress in (math.nan, math.inf, -math.inf)])
+
+
+@pytest.mark.parametrize("sigma,stress", BAD_SCALES)
+@pytest.mark.parametrize("api", ["sampler", "ensemble"])
+def test_scales_outside_the_domain_rejected(api, sigma, stress):
+    # one domain check for every evaluation: sigma finite and >= 0, the film
+    # stress finite; the sampler checks before it allocates its n rows
+    # (n = 2**55 could not be allocated)
+    draw = ensemble(5, seed=1)
+    bad = "sigma must be finite and >= 0" if stress == 0.0 else "film stress must be finite"
+    with pytest.raises(InvalidParameter, match=bad):
+        if api == "sampler":
+            sample(2 ** 55, sigma, 1, stress)
+        else:
+            draw.gss(sigma, stress)
+
+
 class TestPostDeposition:
     def test_zero_stress_no_intrinsic_pins_to_floor(self):
-        assert np.all(sample_pre(400, FILM_ONLY, seed=1).gss_ghz == 46.0)
+        assert np.all(sample(400, FILM_ONLY, seed=1).gss_ghz == 46.0)
 
-    def test_thread_count_invariance(self, cfg, field):
-        kw = dict(intrinsic=SIGMA, seed=2)
-        a = sample_post_deposition(150_000, cfg.position, field,
-                                   PARAMS, threads=1, **kw)
-        b = sample_post_deposition(150_000, cfg.position, field,
-                                   PARAMS, threads=5, **kw)
+    def test_thread_count_invariance(self):
+        a = sample(150_000, SIGMA, 2, POST, threads=1)
+        b = sample(150_000, SIGMA, 2, POST, threads=5)
         assert np.array_equal(a.gss_ghz, b.gss_ghz)
         assert np.array_equal(a.depth_nm, b.depth_nm)
         assert np.array_equal(a.eps_crystal, b.eps_crystal)
 
     def test_positions_inside_aperture_and_substrate(self, cfg, field):
         pos = cfg.position
-        s = sample_post_deposition(20_000, pos, field, PARAMS, seed=3, intrinsic=SIGMA)
+        s = sample(20_000, SIGMA, 3, POST)
         assert np.all(np.abs(s.x_nm) <= pos.aperture_x_nm / 2)
         assert np.all(np.abs(s.y_nm) <= pos.aperture_y_nm / 2)
         assert np.all(s.depth_nm >= 0.0)
@@ -206,31 +215,27 @@ class TestPostDeposition:
         for i in range(0, 20_000, 997):
             assert point_in_section(cs, s.y_nm[i], s.depth_nm[i])
 
-    def test_depth_distribution_matches_straggle(self, cfg, field):
-        pos = cfg.position
-        res = sample_post_deposition(100_000, pos, field, PARAMS, seed=4, intrinsic=SIGMA)
+    def test_depth_distribution_matches_straggle(self):
+        res = sample(100_000, SIGMA, 4, POST)
         assert res.depth_nm.mean() == pytest.approx(35.0, abs=0.2)
         assert res.depth_nm.std() == pytest.approx(10.0, abs=0.2)
 
-    def test_degenerate_geometry_raises(self, cfg, field):
+    def test_degenerate_geometry_raises(self):
         pos = PositionDistribution(
             aperture_x_nm=60, aperture_y_nm=60,
             depth_mean_nm=5000.0, depth_straggle_nm=1.0,
         )
         with pytest.raises(DegenerateGeometry):
-            sample_post_deposition(50, pos, field, PARAMS, seed=5, intrinsic=SIGMA)
+            sample(50, SIGMA, 5, POST, pos=pos)
 
-    def test_intrinsic_widens_distribution(self, cfg, field):
-        pos = cfg.position
-        plain = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=FILM_ONLY)
-        mixed = sample_post_deposition(50_000, pos, field, PARAMS, seed=6, intrinsic=SIGMA)
+    def test_intrinsic_widens_distribution(self):
+        plain = sample(50_000, FILM_ONLY, 6, POST)
+        mixed = sample(50_000, SIGMA, 6, POST)
         assert np.std(mixed.gss_ghz) > np.std(plain.gss_ghz)
 
-    def test_two_orientation_classes_under_beam_strain(self, cfg, field):
+    def test_two_orientation_classes_under_beam_strain(self):
         # unequal in-plane strain splits the four <111> axes into two pairs
-        s = sample_post_deposition(
-            20_000, cfg.position, field, PARAMS, seed=8, intrinsic=FILM_ONLY
-        )
+        s = sample(20_000, FILM_ONLY, 8, POST)
         cls_a = np.isin(s.orientation_id, [0, 1])
         spread_within = max(
             s.gss_ghz[cls_a].std(), s.gss_ghz[~cls_a].std()
@@ -246,19 +251,19 @@ def _no_evaluation(*args, **kwargs):
 class TestMonotoneCalibration:
     def test_mean_monotone_in_sigma(self):
         means = [
-            np.mean(sample_pre(30_000, IntrinsicStrainModel(s), seed=11).gss_ghz)
+            np.mean(sample(30_000, s, seed=11).gss_ghz)
             for s in np.linspace(0.0, 4e-5, 9)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_mean_monotone_in_stress(self):
-        means = [np.mean(sample_at(30_000, stress, SIGMA, seed=12).gss_ghz)
+        means = [np.mean(sample(30_000, SIGMA, 12, stress).gss_ghz)
                  for stress in np.linspace(0.0, 1200.0, 7)]
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_convergence_with_n(self):
-        a = summarize(sample_pre(40_000, SIGMA, seed=13).gss_ghz)
-        b = summarize(sample_pre(80_000, SIGMA, seed=13).gss_ghz)
+        a = summarize(sample(40_000, SIGMA, seed=13).gss_ghz)
+        b = summarize(sample(80_000, SIGMA, seed=13).gss_ghz)
         bound = 3.0 * a.std_ghz / math.sqrt(40_000)
         assert abs(b.mean_ghz - a.mean_ghz) < bound
 
@@ -282,7 +287,7 @@ class TestMonotoneCalibration:
         s2, gss2 = calibrate_sigma(119.0, ensemble(50_000, seed=16))
         assert s1 == s2
         assert np.array_equal(gss1, gss2)
-        gss = sample_pre(50_000, IntrinsicStrainModel(s1), seed=16).gss_ghz
+        gss = sample(50_000, s1, seed=16).gss_ghz
         assert abs(np.mean(gss) - 119.0) <= 0.5
 
     @pytest.mark.parametrize("fit", ["sigma", "stress"])
@@ -328,7 +333,7 @@ class TestMonotoneCalibration:
 
     def test_calibrate_stress_hits_target(self):
         stress, _ = calibrate_film_stress(608.0, ensemble(50_000, seed=20), SIGMA)
-        gss = sample_at(50_000, stress, SIGMA, seed=20).gss_ghz
+        gss = sample(50_000, SIGMA, 20, stress).gss_ghz
         assert abs(np.mean(gss) - 608.0) <= 0.5
 
     def test_thicker_film_needs_less_stress(self, cfg):
@@ -343,7 +348,7 @@ class TestMonotoneCalibration:
         # dominates above 200 GHz
         draw = ensemble(100_000, seed=22)
         sigma, pre = calibrate_sigma(119.0, draw)
-        _, post = calibrate_film_stress(608.0, draw, IntrinsicStrainModel(sigma))
+        _, post = calibrate_film_stress(608.0, draw, sigma)
         for g in np.linspace(200.0, 1500.0, 27):
             assert np.mean(post >= g) >= np.mean(pre >= g)
 
@@ -396,7 +401,7 @@ class TestCouplingTables:
         field = solve_beam_state(cfg.stack.with_film_stress(stress))
         depth = depth_fraction * field.depth_max_nm
         eyy = float(field.axial_strain(depth))
-        film_crystal, film_rows = pop._film_response(field, PARAMS)
+        film_crystal, film_rows = pop._film_response(cfg.stack, PARAMS)
         eps = beam_to_crystal(strain_at(field, depth))
         np.testing.assert_allclose(eyy * film_crystal, eps.components,
                                    rtol=1e-12, atol=1e-12 * abs(eyy))
@@ -412,13 +417,11 @@ class TestCouplingTables:
         got = pop._DEFECT_TO_CRYSTAL[o] @ e
         assert np.max(np.abs(got - want.components)) <= 1e-18
 
-    def test_stored_tensors_reproduce_the_splitting(self, cfg, field):
+    def test_stored_tensors_reproduce_the_splitting(self):
         # crystal-frame tensors written by the samplers give back each
         # sample's splitting through the scalar core chain
-        ensembles = [sample_pre(64, SIGMA, seed=31)] + [
-            sample_post_deposition(64, cfg.position, field, PARAMS,
-                                   seed=31, intrinsic=intrinsic)
-            for intrinsic in (FILM_ONLY, SIGMA)
+        ensembles = [sample(64, SIGMA, seed=31)] + [
+            sample(64, sigma, 31, POST) for sigma in (FILM_ONLY, SIGMA)
         ]
         for s in ensembles:
             for i in range(len(s)):
@@ -432,7 +435,7 @@ def test_post_oracle_needs_the_aperture_inside_the_section(cfg, field):
     # at some integrated depth would make rejection cut laterally too
     wide = replace(cfg.position, aperture_y_nm=900.0)
     with pytest.raises(AssertionError, match="aperture"):
-        post_gss_moments(field, SIGMA.sigma, PARAMS, wide)
+        post_gss_moments(field, SIGMA, PARAMS, wide)
 
 
 def _crystal_to_defect_maps():
@@ -454,13 +457,13 @@ def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(field, cfg, phase
     # its six components are iid Normal(0, sigma^2) at n = 1e6: each
     # variance within 4 SEM of sigma^2, each cross-covariance and mean
     # within 4 SEM of 0
-    n, sigma = 1_000_000, SIGMA.sigma
+    n, sigma = 1_000_000, SIGMA
     if phase == "pre":
-        s = sample_pre(n, SIGMA, seed=41)
+        s = sample(n, SIGMA, seed=41)
         intrinsic = s.eps_crystal
     else:
-        s = sample_post_deposition(n, cfg.position, field, PARAMS, seed=41, intrinsic=SIGMA)
-        film_crystal = pop._film_response(field, PARAMS)[0]
+        s = sample(n, SIGMA, 41, POST)
+        film_crystal = pop._film_response(cfg.stack, PARAMS)[0]
         intrinsic = s.eps_crystal - field.axial_strain(s.depth_nm)[:, None] * film_crystal
     e = np.empty((n, 6))
     for o, to_defect in enumerate(_crystal_to_defect_maps()):
@@ -483,25 +486,28 @@ class TestCachedCalibrationMeans:
     @given(sigma=st.floats(1e-6, 5e-5), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=15, deadline=None)
     def test_pre_mean_matches_sampler(self, sigma, seed):
-        want = sample_pre(self.N, IntrinsicStrainModel(sigma), seed).gss_ghz
+        want = sample(self.N, sigma, seed, 0.0).gss_ghz
         assert np.array_equal(ensemble(self.N, seed).gss(sigma, 0.0), want)
 
     @given(
-        stress=st.floats(0.0, 2000.0),
+        # film stresses of either sign: a compressive film strains too
+        stress=st.floats(-2000.0, 2000.0),
         sigma=st.just(0.0) | st.floats(1e-6, 5e-5),
         seed=st.integers(0, 2 ** 32),
     )
     @example(stress=700.0, sigma=0.0, seed=0)  # film strain only
+    @example(stress=0.0, sigma=SIGMA, seed=0)  # before deposition
+    @example(stress=-350.0, sigma=SIGMA, seed=0)  # a compressive film
     @settings(max_examples=15, deadline=None)
     def test_post_mean_matches_sampler(self, stress, sigma, seed):
-        want = sample_at(self.N, stress, IntrinsicStrainModel(sigma), seed).gss_ghz
+        want = sample(self.N, sigma, seed, stress).gss_ghz
         assert np.array_equal(ensemble(self.N, seed).gss(sigma, stress), want)
 
     @pytest.mark.parametrize("phase", ["pre", "post"])
     def test_pair_only_draw_is_thread_invariant(self, phase):
         n = 2 * kernels.CHUNK + 7
         stress = 0.0 if phase == "pre" else 700.0
-        one, two = (ensemble(n, 35, threads=threads).gss(SIGMA.sigma, stress)
+        one, two = (ensemble(n, 35, threads=threads).gss(SIGMA, stress)
                     for threads in (1, 2))
         assert np.array_equal(one, two)
 
@@ -524,7 +530,7 @@ class TestCachedCalibrationMeans:
                             counted("pairs", kernels._normal_pairs_np))
         draw = ensemble(self.N, seed=32)
         sigma, _ = calibrate_sigma(119.0, draw)
-        calibrate_film_stress(608.0, draw, IntrinsicStrainModel(sigma))
+        calibrate_film_stress(608.0, draw, sigma)
         # n fits in one chunk: one draw call for both fits, drawing one
         # Box-Muller pair per emitter
         assert calls == ["draw_post_block", "_orientation_np", ("pairs", 1)]
@@ -533,14 +539,13 @@ class TestCachedCalibrationMeans:
     @pytest.mark.parametrize("threads", [None, 2])
     def test_sigma_fit_returns_the_sampled_ensemble(self, target, threads):
         sigma, gss = calibrate_sigma(target, ensemble(self.N, 33, threads=threads))
-        want = sample_pre(self.N, IntrinsicStrainModel(sigma), 33)
+        want = sample(self.N, sigma, 33)
         assert np.array_equal(gss, want.gss_ghz)
 
-    @pytest.mark.parametrize("target,sigma", [(46.0, 0.0), (608.0, SIGMA.sigma)])
+    @pytest.mark.parametrize("target,sigma", [(46.0, 0.0), (608.0, SIGMA)])
     def test_stress_fit_returns_the_sampled_ensemble(self, target, sigma):
-        intrinsic = IntrinsicStrainModel(sigma)
-        stress, gss = calibrate_film_stress(target, ensemble(self.N, seed=34), intrinsic)
-        want = sample_at(self.N, stress, intrinsic, seed=34)
+        stress, gss = calibrate_film_stress(target, ensemble(self.N, seed=34), sigma)
+        want = sample(self.N, sigma, 34, stress)
         assert np.array_equal(gss, want.gss_ghz)
 
 
@@ -548,11 +553,11 @@ class TestCachedCalibrationMeans:
 # sampler's gss at a scale, the ensemble's gss at a scale, the cap)
 FITS = {
     "sigma": (calibrate_sigma,
-              lambda n, x, seed: sample_pre(n, IntrinsicStrainModel(x), seed).gss_ghz,
+              lambda n, x, seed: sample(n, x, seed).gss_ghz,
               lambda draw, x: draw.gss(x, 0.0), 1e-2),
     "stress": (lambda target, draw: calibrate_film_stress(target, draw, SIGMA),
-               lambda n, x, seed: sample_at(n, x, SIGMA, seed).gss_ghz,
-               lambda draw, x: draw.gss(SIGMA.sigma, x), 1e6),
+               lambda n, x, seed: sample(n, SIGMA, seed, x).gss_ghz,
+               lambda draw, x: draw.gss(SIGMA, x), 1e6),
 }
 UNREACHABLE = {"sigma": "unreachable within the small-strain regime",
                "stress": "unreachable at physical film stresses"}
@@ -609,7 +614,7 @@ class TestNewtonFit:
         _, _, gss_at, _ = FITS[fit]
         draw = ensemble(self.N, seed=37)
         x = 1.5e-5 if fit == "sigma" else 650.0
-        sigma, stress = (x, 0.0) if fit == "sigma" else (SIGMA.sigma, x)
+        sigma, stress = (x, 0.0) if fit == "sigma" else (SIGMA, x)
         gss, slope = draw.gss(sigma, stress, _slope=fit)
         assert np.array_equal(gss, gss_at(draw, x))
         h = 1e-6 * x
@@ -623,13 +628,13 @@ class TestNewtonFit:
         # negative. A higher target lies right of the minimum and is found; a
         # lower one is below the zero-stress mean, as before
         draw = ensemble(1, seed=1)
-        intrinsic = IntrinsicStrainModel(1e-4)
-        assert draw.gss(intrinsic.sigma, 500.0, _slope="stress")[1] < 0.0
+        sigma = 1e-4
+        assert draw.gss(sigma, 500.0, _slope="stress")[1] < 0.0
         if not found:
             with pytest.raises(Infeasible, match="below the zero-stress"):
-                calibrate_film_stress(target, draw, intrinsic)
+                calibrate_film_stress(target, draw, sigma)
             return
-        stress, gss = calibrate_film_stress(target, draw, intrinsic)
+        stress, gss = calibrate_film_stress(target, draw, sigma)
         assert stress > 500.0
         assert abs(gss[0] - target) <= pop._TOL_GHZ
 
