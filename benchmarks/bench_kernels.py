@@ -12,8 +12,8 @@ step also reads the mean's exact slope from the same pass: the lines with
 the slope next to the plain ones show what it adds per step.
 The draws run here as single unchunked blocks, the evaluation as
 ``Ensemble.gss`` runs it, all on one thread. Last, one
-CSV_BLOCK_ROWS block of a sample is turned into CSV text by the numpy
-writer and by per-row ``%`` formatting.
+CSV_BLOCK_ROWS block of the sampler's first chunk is turned into CSV
+text by the numpy writer and by per-row ``%`` formatting.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
 """
@@ -85,8 +85,8 @@ def main():
     print(f"\nmean gss at 700 MPa: {float(np.mean(ensemble.gss(sigma, 700.0))):.3f} GHz")
 
     rows = min(n, CSV_BLOCK_ROWS)
-    s = pop.sample_post_deposition(rows, cfg.stack, pos, params, 12345,
-                                   sigma=cfg.sigma_unstrained, stress_mpa=stress)
+    s = next(pop.sample_chunks(rows, cfg.stack, pos, params, 12345,
+                               sigma=cfg.sigma_unstrained, stress_mpa=stress))
     cols = [np.arange(rows), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
             *s.eps_crystal.T, s.gss_ghz]
     fmt = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7

@@ -33,6 +33,7 @@ from .population import (
     calibrate_film_stress,
     calibrate_sigma,
     draw_ensemble,
+    sample_chunks,
     sample_post_deposition,
     summarize,
 )

@@ -170,11 +170,3 @@ def format_rows(columns, row_format: str) -> bytes:
         text[row, j, :30] = _ascii(kinds[j] % columns[j][row].item(), 30)
     return text.tobytes().translate(None, b"\0")
 
-
-def csv_chunks(header: str, columns, row_format: str, block_rows: int):
-    """A CSV table as byte chunks: the header line, then ``format_rows``
-    of each block of ``block_rows`` rows."""
-    yield (header + "\n").encode()
-    columns = [np.asarray(c) for c in columns]
-    for lo in range(0, len(columns[0]), block_rows):
-        yield format_rows([c[lo:lo + block_rows] for c in columns], row_format)

@@ -19,11 +19,12 @@ across threads.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, InvalidParameter
 
 __all__ = [
     "run_blocks",
@@ -34,8 +35,8 @@ __all__ = [
 DRAWS_PER_SAMPLE = 512
 MAX_POSITION_ATTEMPTS = 100
 
-# Fixed chunk size for thread-level parallelism. Per-sample values never
-# depend on chunk boundaries, so this only bounds working memory.
+# Fixed chunk size for thread-level parallelism. Per-sample values never depend
+# on chunk boundaries, so this only bounds working memory: a few chunks in flight.
 CHUNK = 65536
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -44,22 +45,32 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def run_blocks(n: int, fn, threads: int | None) -> list:
-    """Apply fn(lo, hi) over fixed-size chunks; return each chunk's result,
-    in chunk order.
+def run_blocks(n: int, fn, threads: int | None):
+    """Apply fn(lo, hi) over fixed-size chunks; yield each chunk's result
+    (or raise its exception) in chunk order.
 
     Output is identical for any thread count: chunk boundaries are fixed,
     every caller writes disjoint per-index slices, and a caller that
-    reduces the results does so in chunk order. ``threads`` None runs
-    serially; otherwise it must be at least 1.
-    """
+    reduces the results does so in chunk order. ``threads`` None or 1 runs
+    serially, and below 1 is rejected at the call; otherwise at most
+    ``threads`` chunks are submitted and not yet taken."""
     if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise InvalidParameter(f"threads must be at least 1, got {threads}")
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    if threads is None or threads <= 1 or len(bounds) == 1:
-        return [fn(lo, hi) for lo, hi in bounds]
+    if threads is None or threads == 1 or len(bounds) == 1:
+        return (fn(lo, hi) for lo, hi in bounds)
+    return _window(fn, bounds, threads)
+
+
+def _window(fn, bounds, threads):
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
+        window = deque()
+        for lo, hi in bounds:
+            window.append(pool.submit(fn, lo, hi))
+            if len(window) == threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def seed_root(seed: int) -> np.uint64:

@@ -28,7 +28,7 @@ from .population import (
     calibrate_film_stress,
     calibrate_sigma,
     draw_ensemble,
-    sample_post_deposition,
+    sample_chunks,
     summarize,
 )
 from .thermal import operability_curve, operational_temperature, operational_temperature_batch
@@ -69,7 +69,7 @@ def _write_atomic(path: Path, text) -> None:
 def _csv_chunks(header: str, columns, row_format: str):
     """A small CSV table as text chunks: the header line, then one chunk
     per block of CSV_BLOCK_ROWS rows, each row ``row_format % row``. The
-    ``sample`` table goes through ``_csvtext`` instead."""
+    ``sample`` table goes through ``_sample_csv`` instead."""
     yield header + "\n"
     columns = [np.asarray(c) for c in columns]
     row_format += "\n"
@@ -158,24 +158,35 @@ def _cmd_mechanics(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_sample(args, cfg: Config) -> int:
+def _sample_csv(chunks, gss):
+    """The ``sample`` table as byte chunks, from the sampler's ``chunks`` in
+    blocks of CSV_BLOCK_ROWS rows; only the splittings are kept, in ``gss``."""
     from . import _csvtext  # imported here so that other commands need not compile it
 
+    yield (b"index,x_nm,y_nm,depth_nm,orientation_id,"
+           b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz\n")
+    row_format, lo = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7, 0
+    for s in chunks:
+        hi = lo + len(s)
+        gss[lo:hi] = s.gss_ghz
+        columns = [np.arange(lo, hi), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
+                   *s.eps_crystal.T, s.gss_ghz]
+        for b in range(0, hi - lo, CSV_BLOCK_ROWS):
+            yield _csvtext.format_rows([c[b:b + CSV_BLOCK_ROWS] for c in columns], row_format)
+        del s, columns  # free the chunk before the next one is taken
+        lo = hi
+
+
+def _cmd_sample(args, cfg: Config) -> int:
     # before deposition: the same emitters in the beam at zero film stress
     stress = cfg.stack.film.intrinsic_stress_mpa if args.phase == "post" else 0.0
-    s = sample_post_deposition(
+    chunks = sample_chunks(
         args.n, cfg.stack, cfg.position, cfg.siv, args.seed,
         sigma=cfg.sigma_unstrained, stress_mpa=stress, threads=args.threads,
     )
-    chunks = _csvtext.csv_chunks(
-        "index,x_nm,y_nm,depth_nm,orientation_id,"
-        "eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz",
-        [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
-         *s.eps_crystal.T, s.gss_ghz],
-        "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7, CSV_BLOCK_ROWS,
-    )
-    _write_atomic(Path(args.out), chunks)
-    summary = summarize(s.gss_ghz)
+    gss = np.empty(args.n)  # the splittings alone are kept, for the summary
+    _write_atomic(Path(args.out), _sample_csv(chunks, gss))
+    summary = summarize(gss)
     sys.stdout.write(_json_text({
         "phase": args.phase, "n": summary.n, "seed": args.seed,
         "mean_ghz": summary.mean_ghz, "std_ghz": summary.std_ghz,

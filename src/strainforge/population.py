@@ -66,6 +66,7 @@ __all__ = [
     "EnsembleSummary",
     "Ensemble",
     "draw_ensemble",
+    "sample_chunks",
     "sample_post_deposition",
     "calibrate_sigma",
     "calibrate_film_stress",
@@ -245,28 +246,20 @@ def _field_at(stack: LayerStack, sigma, stress_mpa) -> StrainField:
 
 def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
     """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
-    by chunk, with ``n_pairs`` Box-Muller pairs each, and hand each chunk's
-    draws to ``keep(lo, hi, x, y, depth, o, z)``. A chunk's containment
-    failure propagates, the first in chunk order. Callers run _check_draw
-    before they allocate n rows."""
+    by chunk, with ``n_pairs`` Box-Muller pairs each; yield, in chunk order,
+    what ``keep(lo, hi, x, y, depth, o, z)`` returns in the chunk's worker.
+    A containment failure is raised when its chunk is taken, the first in
+    chunk order. Callers run _check_draw before they allocate n rows."""
     root = _kernels.seed_root(seed)
-    _kernels.run_blocks(n, lambda lo, hi: keep(
+    return _kernels.run_blocks(n, lambda lo, hi: keep(
         lo, hi, *_kernels.draw_post_block(lo, hi, root, n_pairs, cs, pos)), threads)
 
 
-def sample_post_deposition(
-    n: int,
-    stack: LayerStack,
-    pos: PositionDistribution,
-    params: SivParameters,
-    seed: int,
-    *,
-    sigma: float,
-    stress_mpa: float,
-    threads: int | None = None,
-) -> EmitterSamples:
+def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: SivParameters,
+                  seed: int, *, sigma: float, stress_mpa: float, threads: int | None = None):
     """The emitters of ``draw_ensemble(n, stack, pos, params, seed)`` at
-    intrinsic spread ``sigma`` and film stress ``stress_mpa``, with their
+    intrinsic spread ``sigma`` and film stress ``stress_mpa``, as one
+    ``EmitterSamples`` per fixed chunk of indices, in index order: their
     positions, orientations, crystal-frame tensors and splittings; the
     splittings are ``Ensemble.gss(sigma, stress_mpa)``, bit for bit.
 
@@ -274,25 +267,32 @@ def sample_post_deposition(
     inside the substrate), evaluates the depth-dependent beam strain, maps
     it through a uniformly drawn <111> orientation, adds an intrinsic
     random tensor (drawn in the defect frame), and computes the splitting.
-    At zero film stress this is the ensemble before deposition.
+    At zero film stress this is the ensemble before deposition. The
+    arguments are checked at the call, each chunk in a worker as it is due.
     """
     _check_draw(n, seed)
     field = _field_at(stack, sigma, stress_mpa)
-    gss, eps, ori = np.empty(n), np.empty((n, 6)), np.empty(n, dtype=np.int64)
-    x, y, depth = np.empty(n), np.empty(n), np.empty(n)
     film_crystal, film_rows = _film_response(stack, params)
     s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
 
     def keep(lo, hi, x_nm, y_nm, dep, o, z):
-        x[lo:hi], y[lo:hi], depth[lo:hi], ori[lo:hi] = x_nm, y_nm, dep, o
-        gss[lo:hi] = _splitting(params.lambda_so_ghz, field, film_rows, dep, o,
-                                sigma, _unit_couplings(s, z))
-        eps[lo:hi] = field.axial_strain(dep)[:, None] * film_crystal
+        gss = _splitting(params.lambda_so_ghz, field, film_rows, dep, o,
+                         sigma, _unit_couplings(s, z))
+        eps = field.axial_strain(dep)[:, None] * film_crystal
         # column i of the (6, m) einsum is to_crystal[o[i]] @ z[i]
-        eps[lo:hi] += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
+        eps += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
+        return EmitterSamples(x_nm, y_nm, dep, o, eps, gss)
 
-    _draw(n, seed, stack.cross_section, pos, _TENSOR_PAIRS, threads, keep)
-    return EmitterSamples(x, y, depth, ori, eps, gss)
+    return _draw(n, seed, stack.cross_section, pos, _TENSOR_PAIRS, threads, keep)
+
+
+def sample_post_deposition(n: int, stack: LayerStack, pos: PositionDistribution,
+                           params: SivParameters, seed: int, *, sigma: float,
+                           stress_mpa: float, threads: int | None = None) -> EmitterSamples:
+    """The chunks of ``sample_chunks`` with these arguments, joined."""
+    chunks = [vars(c).values() for c in sample_chunks(
+        n, stack, pos, params, seed, sigma=sigma, stress_mpa=stress_mpa, threads=threads)]
+    return EmitterSamples(*map(np.concatenate, zip(*chunks)))
 
 
 class Ensemble:
@@ -330,7 +330,7 @@ class Ensemble:
             gss[lo:hi], partial = out if _slope else (out, None)
             return partial
 
-        partials = _kernels.run_blocks(n, evaluate, self._threads)
+        partials = list(_kernels.run_blocks(n, evaluate, self._threads))
         if _slope is None:
             return gss
         return gss, float(np.sum(partials)) / n / (stress_mpa if _slope == "stress" else 1.0)
@@ -358,7 +358,7 @@ def draw_ensemble(
         depth[lo:hi], ori[lo:hi] = dep, o
         unit[:, lo:hi] = _unit_couplings(s, z)
 
-    _draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep)
+    list(_draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep))
     return Ensemble(stack, params, depth, ori, unit, threads)
 
 

@@ -155,7 +155,7 @@ def operational_temperature_batch(gss_ghz, ref: ThermalReference | None = None) 
     def block(lo, hi):
         out[lo:hi] = _solve_top(flat[lo:hi], ln0)
 
-    _kernels.run_blocks(flat.size, block, None)
+    list(_kernels.run_blocks(flat.size, block, None))
     return out.reshape(gss.shape)
 
 

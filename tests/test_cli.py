@@ -13,6 +13,7 @@ from conftest import csv_rows, splitting_from_strain, synth_spectrum, write_spec
 from strainforge.cli import _write_atomic, run
 from strainforge.config import default_config, load_config
 from strainforge.core import ORIENTATIONS, Frame, StrainTensor
+from strainforge.errors import DegenerateGeometry
 
 FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
 
@@ -346,6 +347,41 @@ class TestSampleCommand:
                             str(out), "--config", fast_config, "--threads", threads]) == 0
             assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_after_a_written_chunk_leaves_no_file(self, tmp_path, capsys,
+                                                          monkeypatch, threads):
+        # chunk 1 fails after chunk 0 was formatted and written: one error
+        # line, no partial table, no temp file, and a table already at
+        # --out is left as it was
+        from strainforge import _csvtext
+
+        draw, format_rows = kernels.draw_post_block, _csvtext.format_rows
+        formatted = []
+
+        def failing(lo, hi, *args):
+            if lo == kernels.CHUNK:
+                raise DegenerateGeometry("chunk 1 failed")
+            return draw(lo, hi, *args)
+
+        def counted(columns, row_format):
+            formatted.append(len(columns[0]))
+            return format_rows(columns, row_format)
+
+        monkeypatch.setattr(kernels, "draw_post_block", failing)
+        monkeypatch.setattr(_csvtext, "format_rows", counted)
+        out = tmp_path / "samples.csv"
+        for before in (None, b"an earlier table\n"):
+            if before:
+                out.write_bytes(before)
+            formatted.clear()
+            assert run(["sample", "--phase", "post", "--n", str(kernels.CHUNK + 10),
+                        "--threads", threads, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: chunk 1 failed\n"
+            assert sum(formatted) == kernels.CHUNK
+            assert [p.name for p in tmp_path.iterdir()] == (["samples.csv"] if before else [])
+            if before:
+                assert out.read_bytes() == before
+
 
 class TestCalibrateCommand:
     def test_sigma_floor(self, capsys, fast_config):
@@ -423,8 +459,9 @@ class TestReportCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
+        # sample_post_deposition joins the chunks of sample_chunks
         for module in (pop, cli):
-            monkeypatch.setattr(module, "sample_post_deposition", resampled)
+            monkeypatch.setattr(module, "sample_chunks", resampled)
         for name in ("draw_post_block", "_orientation_np"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "_normal_pairs_np",

@@ -2,16 +2,20 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import csv_rows
-from strainforge._csvtext import K_HI, K_LO, csv_chunks, format_rows
+import strainforge.cli as cli
+from strainforge._csvtext import K_HI, K_LO, format_rows
 from strainforge.cli import CSV_BLOCK_ROWS
+from strainforge.population import EmitterSamples
 
 G = "%.17g"
+SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7  # the sample table
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 bit_pattern = st.integers(0, 2 ** 64 - 1).map(
@@ -66,27 +70,47 @@ def test_mixed_int_and_float_columns(data):
     _check(columns, ",".join(kinds))
 
 
+def _chunk(rng, rows):
+    """A sampler chunk of ``rows`` emitters with random values."""
+    x, y, depth = (rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows) for _ in range(3))
+    return EmitterSamples(x, y, depth, rng.integers(0, 4, rows),
+                          rng.standard_normal((rows, 6)) * 1e-5, 46.0 + rng.random(rows) * 1e3)
+
+
+def _table(chunks):
+    """The sample table's columns, index first, joined over ``chunks``."""
+    cols = [np.concatenate(c) for c in zip(*(vars(s).values() for s in chunks))]
+    x, y, depth, ori, eps, gss = cols
+    return [np.arange(len(gss)), x, y, depth, ori, *eps.T, gss]
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3 * CSV_BLOCK_ROWS // 1024), st.integers(1, 700), st.integers(0, 2 ** 32 - 1))
-def test_blocks_of_any_size_join_to_the_table(block_rows, rows, seed):
+@given(st.integers(1, 3 * CSV_BLOCK_ROWS // 1024), st.lists(st.integers(1, 300), min_size=1,
+       max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_blocks_of_any_size_join_to_the_table(block_rows, sizes, seed):
+    # the sample CSV is written chunk by chunk, each chunk in blocks of
+    # CSV_BLOCK_ROWS rows; indices run on across chunks
     rng = np.random.default_rng(seed)
-    columns = [np.arange(rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows),
-               rng.integers(0, 12, rows).astype(np.int8)]
-    fmt = f"%d,{G},%d"
-    chunks = list(csv_chunks("a,b,c", columns, fmt, block_rows))
-    assert chunks[0] == b"a,b,c\n"
-    assert len(chunks) == 1 + -(-rows // block_rows)
-    assert b"".join(chunks[1:]) == csv_rows(columns, fmt)
+    chunks = [_chunk(rng, rows) for rows in sizes]
+    gss = np.full(sum(sizes), np.nan)
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        parts = list(cli._sample_csv(iter(chunks), gss))
+    assert parts[0] == (b"index,x_nm,y_nm,depth_nm,orientation_id,"
+                        b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz\n")
+    assert [len(p.splitlines()) for p in parts[1:]] == [
+        min(block_rows, rows - lo) for rows in sizes for lo in range(0, rows, block_rows)]
+    table = _table(chunks)
+    assert b"".join(parts[1:]) == csv_rows(table, SAMPLE_ROW)
+    assert np.array_equal(gss, table[-1])
 
 
 def test_table_longer_than_one_cli_block():
     rng = np.random.default_rng(7)
-    rows = CSV_BLOCK_ROWS + 3  # one full block and a short one
-    columns = [np.arange(rows), rng.standard_normal(rows), rng.random(rows) * 1e-5]
-    fmt = f"%d,{G},{G}"
-    chunks = list(csv_chunks("h", columns, fmt, CSV_BLOCK_ROWS))
-    assert [len(c.splitlines()) for c in chunks[1:]] == [CSV_BLOCK_ROWS, 3]
-    assert b"".join(chunks[1:]) == csv_rows(columns, fmt)
+    chunks = [_chunk(rng, CSV_BLOCK_ROWS + 3)]  # one full block and a short one
+    gss = np.empty(CSV_BLOCK_ROWS + 3)
+    parts = list(cli._sample_csv(iter(chunks), gss))
+    assert [len(p.splitlines()) for p in parts[1:]] == [CSV_BLOCK_ROWS, 3]
+    assert b"".join(parts[1:]) == csv_rows(_table(chunks), SAMPLE_ROW)
 
 
 def test_powers_of_ten_and_their_neighbours():

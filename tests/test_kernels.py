@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
-from strainforge.errors import DegenerateGeometry
+from strainforge.errors import DegenerateGeometry, InvalidParameter
 
 
 class TestCounterRng:
@@ -57,7 +57,7 @@ class TestRunBlocks:
                 seen[lo:hi] += 1
                 return hi - lo
 
-            assert kernels.run_blocks(n, fn, threads=threads) == sizes
+            assert list(kernels.run_blocks(n, fn, threads=threads)) == sizes
             assert np.all(seen == 1)
 
     def test_results_in_chunk_order_when_chunks_finish_out_of_order(self):
@@ -73,18 +73,65 @@ class TestRunBlocks:
                 finished.append(k)
             return k
 
-        assert kernels.run_blocks(n, fn, threads=3) == [0, 1, 2, 3]
+        assert list(kernels.run_blocks(n, fn, threads=3)) == [0, 1, 2, 3]
         assert finished != [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("threads", [None, 1, 2, 3])
+    def test_window_bounds_chunks_in_flight_behind_a_slow_consumer(self, threads):
+        # a chunk is in flight from the start of fn until the consumer takes
+        # it; chunks finish out of order (the later, the faster), and the
+        # consumer is slower than any of them
+        n = 7 * kernels.CHUNK + 1
+        lock = threading.Lock()
+        state = {"now": 0, "peak": 0}
+        started = []
+
+        def fn(lo, hi):
+            k = lo // kernels.CHUNK
+            with lock:
+                started.append(k)
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.004 * (7 - k))
+            return k
+
+        taken = []
+        for k in kernels.run_blocks(n, fn, threads=threads):
+            with lock:
+                state["now"] -= 1
+            taken.append(k)
+            time.sleep(0.03)
+        assert taken == list(range(8))
+        assert sorted(started) == taken
+        assert state["peak"] == (threads or 1)
+
+    def test_chunk_error_raised_when_taken_in_chunk_order(self):
+        # chunk 2 fails at once, chunk 1 later; chunk 0 is yielded first,
+        # then chunk 1's error, whichever failed first
+        n = 4 * kernels.CHUNK
+
+        def fn(lo, hi):
+            k = lo // kernels.CHUNK
+            if k:
+                time.sleep(0.05 * (k == 1))
+                raise DegenerateGeometry(f"chunk {k}")
+            return k
+
+        chunks = kernels.run_blocks(n, fn, threads=3)
+        assert next(chunks) == 0
+        with pytest.raises(DegenerateGeometry, match="chunk 1"):
+            next(chunks)
 
     def test_single_thread_path(self):
         calls = []
-        kernels.run_blocks(10, lambda lo, hi: calls.append((lo, hi)), threads=None)
+        list(kernels.run_blocks(10, lambda lo, hi: calls.append((lo, hi)), threads=None))
         assert calls == [(0, 10)]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
+        # raised by the call itself, not when the first chunk is taken
         calls = []
-        with pytest.raises(ValueError, match="threads"):
+        with pytest.raises(InvalidParameter, match="threads"):
             kernels.run_blocks(200_001, lambda lo, hi: calls.append(lo), threads=threads)
         assert calls == []
 

@@ -193,6 +193,34 @@ def test_scales_outside_the_domain_rejected(api, sigma, stress):
             draw.gss(sigma, stress)
 
 
+@pytest.mark.parametrize("bad,error", [
+    ({"n": 0}, EmptyRequest), ({"n": 2 ** 55 + 1}, InvalidParameter),
+    ({"seed": -1}, InvalidParameter), ({"sigma": -1e-5}, InvalidParameter),
+    ({"stress_mpa": math.nan}, InvalidParameter), ({"threads": 0}, InvalidParameter),
+])
+def test_streaming_sampler_checks_its_arguments_at_the_call(monkeypatch, bad, error):
+    # the call raises before a chunk is drawn, not on the first chunk taken:
+    # a lazy check would pass unseen around a call whose chunks are not read
+    def drawn(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(kernels, "draw_post_block", drawn)
+    args = {"n": 10, "seed": 1, "sigma": SIGMA, "stress_mpa": POST, "threads": 2, **bad}
+    with pytest.raises(error):
+        pop.sample_chunks(args.pop("n"), CFG.stack, CFG.position, PARAMS, args.pop("seed"),
+                          **args)
+
+
+def test_streaming_sampler_yields_fixed_chunks_in_index_order():
+    n = 2 * kernels.CHUNK + 7
+    chunks = list(pop.sample_chunks(n, CFG.stack, CFG.position, PARAMS, 4,
+                                    sigma=SIGMA, stress_mpa=POST, threads=2))
+    assert [len(c) for c in chunks] == [kernels.CHUNK, kernels.CHUNK, 7]
+    whole = sample(n, SIGMA, 4, POST)
+    for name, column in vars(whole).items():
+        assert np.array_equal(np.concatenate([getattr(c, name) for c in chunks]), column)
+
+
 class TestPostDeposition:
     def test_zero_stress_no_intrinsic_pins_to_floor(self):
         assert np.all(sample(400, FILM_ONLY, seed=1).gss_ghz == 46.0)
@@ -523,7 +551,7 @@ class TestCachedCalibrationMeans:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(pop, "sample_post_deposition", resampled)
+        monkeypatch.setattr(pop, "sample_chunks", resampled)
         for name in ("draw_post_block", "_orientation_np"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "_normal_pairs_np",
