@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SivParameters
-from .errors import ConfigError, InvalidGeometry
+from .errors import ConfigError, InvalidGeometry, StrainforgeError
 from .mechanics import CrossSection, Layer, LayerStack
 from .population import PositionDistribution
 from .thermal import ThermalReference
@@ -107,9 +107,10 @@ def _layer_stack(mech: dict) -> LayerStack:
     vertices = mech["cross_section_polygon_nm"]
     if not all(_is_number(c) for v in vertices for c in (v if isinstance(v, list) else [v])):
         raise ConfigError(f"{key}: expected a number")
+    # np.asarray: ValueError for a ragged list, OverflowError for an int past the float range
     try:
         cs = CrossSection(np.asarray(vertices, dtype=float))
-    except (TypeError, ValueError, InvalidGeometry) as exc:
+    except (ValueError, OverflowError, InvalidGeometry) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     return LayerStack(
         substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
@@ -135,7 +136,9 @@ def _build(data: dict, source: str) -> Config:
             default_seed=data["monte_carlo"]["seed"],
             source=source,
         )
-    except (ValueError, TypeError, InvalidGeometry) as exc:
+    except ConfigError:
+        raise
+    except StrainforgeError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.sigma_unstrained < 0:
         raise ConfigError("population.sigma_unstrained must be >= 0")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrameMismatch, InvalidRotation
+from .errors import FrameMismatch, InvalidDomain, InvalidParameter, InvalidRotation
 
 __all__ = [
     "Frame",
@@ -76,9 +76,9 @@ class StrainTensor:
     def __post_init__(self):
         comps = self.components
         if not np.all(np.isfinite(comps)):
-            raise ValueError("strain components must be finite")
+            raise InvalidDomain("strain components must be finite")
         if np.max(np.abs(comps)) >= MAX_STRAIN:
-            raise ValueError(
+            raise InvalidDomain(
                 f"|eps| must stay below {MAX_STRAIN} (small-strain regime)"
             )
 
@@ -104,9 +104,9 @@ class StrainTensor:
     def from_matrix(cls, m: np.ndarray, frame: Frame) -> "StrainTensor":
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
+            raise InvalidParameter("expected a 3x3 matrix")
         if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("strain matrix must be symmetric")
+            raise InvalidParameter("strain matrix must be symmetric")
         sym = 0.5 * (m + m.T)
         return cls(
             eps_xx=sym[0, 0], eps_yy=sym[1, 1], eps_zz=sym[2, 2],
@@ -135,10 +135,10 @@ class SivParameters:
 
     def __post_init__(self):
         if not self.lambda_so_ghz > 0:
-            raise ValueError("lambda_so_ghz must be positive")
-        for name in ("d_ghz_per_strain", "f_ghz_per_strain"):
+            raise InvalidDomain("lambda_so_ghz must be positive")
+        for name in ("d_ghz_per_strain", "f_ghz_per_strain", "lambda_so_ghz"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidDomain(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class EgCouplings:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_ghz) and math.isfinite(self.beta_ghz)):
-            raise ValueError("couplings must be finite")
+            raise InvalidDomain("couplings must be finite")
 
 
 def _check_rotation(rot: np.ndarray, tol: float) -> np.ndarray:

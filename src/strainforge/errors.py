@@ -1,4 +1,5 @@
-"""Exception hierarchy. Every domain error maps to CLI exit status 1."""
+"""Exception hierarchy: every bad value raises a StrainforgeError (a ValueError comes
+only from _csvtext's private checks), and the CLI maps each to exit 1 with one line."""
 
 
 class StrainforgeError(Exception):
@@ -17,16 +18,12 @@ class InvalidGeometry(StrainforgeError):
     """Cross-section polygon is degenerate, mis-ordered, or lacks a film edge."""
 
 
-class OutOfDomain(StrainforgeError):
-    """Requested evaluation point lies outside the substrate."""
-
-
 class InvalidDomain(StrainforgeError):
-    """Physical argument outside its valid domain (e.g. nonpositive T)."""
+    """Physical value out of range (a size, strain, temperature) or a depth off the substrate."""
 
 
 class InvalidParameter(StrainforgeError):
-    """Algorithm parameter inconsistent with the data (e.g. window too long)."""
+    """Malformed argument (a shape, length or order) or one inconsistent with the data."""
 
 
 class EmptyRequest(StrainforgeError):

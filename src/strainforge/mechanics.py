@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Frame, StrainTensor, rotate_strain
-from .errors import InvalidGeometry, OutOfDomain
+from .errors import InvalidDomain, InvalidGeometry
 
 __all__ = [
     "Layer",
@@ -59,13 +59,14 @@ class Layer:
 
     def __post_init__(self):
         if not self.thickness_nm > 0:
-            raise ValueError("thickness_nm must be positive")
+            raise InvalidDomain("thickness_nm must be positive")
         if not self.youngs_modulus_gpa > 0:
-            raise ValueError("youngs_modulus_gpa must be positive")
+            raise InvalidDomain("youngs_modulus_gpa must be positive")
         if not 0.0 <= self.poisson_ratio < 0.5:
-            raise ValueError("poisson_ratio must lie in [0, 0.5)")
-        if not math.isfinite(self.intrinsic_stress_mpa):
-            raise ValueError("intrinsic_stress_mpa must be finite")
+            raise InvalidDomain("poisson_ratio must lie in [0, 0.5)")
+        for name in ("intrinsic_stress_mpa", "thickness_nm", "youngs_modulus_gpa"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidDomain(f"{name} must be finite")
 
 
 def _polygon_integrals(verts: np.ndarray) -> tuple[float, float, float]:
@@ -263,7 +264,7 @@ def solve_beam_state(stack: LayerStack) -> StrainField:
 def strain_at(field: StrainField, depth_nm: float) -> StrainTensor:
     """Beam-frame strain tensor at the given depth below the film interface."""
     if not 0.0 <= depth_nm <= field.depth_max_nm:
-        raise OutOfDomain(
+        raise InvalidDomain(
             f"depth {depth_nm} nm outside substrate [0, {field.depth_max_nm}] nm"
         )
     eps_yy = float(field.axial_strain(depth_nm))

@@ -51,7 +51,7 @@ from .core import (
     eg_couplings,
     rotate_strain,
 )
-from .errors import EmptyRequest, Infeasible, InvalidParameter
+from .errors import EmptyRequest, Infeasible, InvalidDomain, InvalidParameter
 from .mechanics import (
     LayerStack,
     StrainField,
@@ -86,11 +86,14 @@ class PositionDistribution:
 
     def __post_init__(self):
         if not (self.aperture_x_nm > 0 and self.aperture_y_nm > 0):
-            raise ValueError("aperture dimensions must be positive")
+            raise InvalidDomain("aperture dimensions must be positive")
         if not self.depth_mean_nm > 0:
-            raise ValueError("depth_mean_nm must be positive")
+            raise InvalidDomain("depth_mean_nm must be positive")
         if not self.depth_straggle_nm >= 0:
-            raise ValueError("depth_straggle_nm must be >= 0")
+            raise InvalidDomain("depth_straggle_nm must be >= 0")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidDomain(f"{name} must be finite")
 
 
 class EmitterSamples:

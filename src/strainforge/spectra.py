@@ -20,9 +20,11 @@ import numpy as np
 from .errors import (
     DuplicateAbscissa,
     EmptyRequest,
+    InvalidDomain,
     InvalidParameter,
     NoSingleEmitters,
     ParseError,
+    StrainforgeError,
 )
 from .population import EnsembleSummary, summarize
 
@@ -59,15 +61,15 @@ class Spectrum:
         freqs = np.asarray(self.frequencies_ghz, dtype=float)
         intens = np.asarray(self.intensities, dtype=float)
         if freqs.ndim != 1 or freqs.shape != intens.shape:
-            raise ValueError("frequencies and intensities must be equal-length 1-d")
+            raise InvalidParameter("frequencies and intensities must be equal-length 1-d")
         if freqs.size < MIN_POINTS:
-            raise ValueError(f"spectrum needs at least {MIN_POINTS} points")
+            raise InvalidParameter(f"spectrum needs at least {MIN_POINTS} points")
         if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(intens))):
-            raise ValueError("spectrum values must be finite")
+            raise InvalidDomain("spectrum values must be finite")
         if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
+            raise InvalidParameter("frequencies must be strictly increasing")
         if np.any(intens < 0):
-            raise ValueError("intensities must be nonnegative")
+            raise InvalidDomain("intensities must be nonnegative")
         object.__setattr__(self, "frequencies_ghz", freqs)
         object.__setattr__(self, "intensities", intens)
 
@@ -84,7 +86,7 @@ class Peak:
 
     def __post_init__(self):
         if not self.prominence > 0:
-            raise ValueError("prominence must be positive")
+            raise InvalidDomain("prominence must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class EmitterAssignment:
     def __post_init__(self):
         expected = self.is_single_emitter and len(self.peaks) >= 2
         if expected != (self.gss_ghz is not None):
-            raise ValueError("gss must be present iff single emitter with >= 2 peaks")
+            raise InvalidParameter("gss must be present iff single emitter with >= 2 peaks")
 
 
 _HEADER_AXES = ("frequency_ghz", "frequency_thz", "wavelength_nm")
@@ -209,7 +211,7 @@ def load_spectrum(source, label: str = "") -> Spectrum:
         meta["converted"] = f"{axis} -> frequency_ghz"
     try:
         return Spectrum(freqs, intens, label=label, metadata=meta)
-    except ValueError as exc:
+    except StrainforgeError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -310,14 +312,8 @@ def detect_peaks(
     for i, prominence, width in zip(idx, prominences, widths_samples):
         center = _parabolic_vertex(freqs[i - 1:i + 2], smoothed[i - 1:i + 2])
         local_step = 0.5 * (freqs[i + 1] - freqs[i - 1])
-        peaks.append(
-            Peak(
-                center_ghz=center,
-                height=float(smoothed[i]),
-                prominence=float(prominence),
-                width_ghz=float(width * local_step),
-            )
-        )
+        peaks.append(Peak(center_ghz=center, height=float(smoothed[i]),
+                          prominence=float(prominence), width_ghz=float(width * local_step)))
     peaks.sort(key=lambda p: p.center_ghz)
     return peaks
 

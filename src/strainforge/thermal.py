@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyRequest, InvalidDomain
+from .errors import EmptyRequest, InvalidDomain, InvalidParameter
 
 __all__ = [
     "ThermalReference",
@@ -48,9 +48,9 @@ class ThermalReference:
 
     def __post_init__(self):
         if not (self.gss_ref_ghz > 0 and self.temp_ref_k > 0):
-            raise ValueError("reference splitting and temperature must be positive")
+            raise InvalidDomain("reference splitting and temperature must be positive")
         if not (math.isfinite(self.gss_ref_ghz) and math.isfinite(self.temp_ref_k)):
-            raise ValueError("reference splitting and temperature must be finite")
+            raise InvalidDomain("reference splitting and temperature must be finite")
 
 
 def thermal_occupation(gss_ghz: float, temp_k: float) -> float:
@@ -168,7 +168,7 @@ def operability_curve(top_k, temps_k) -> np.ndarray:
         raise EmptyRequest("empty ensemble")
     temps = np.asarray(temps_k, dtype=float)
     if temps.ndim != 1 or temps.size == 0:
-        raise ValueError("temps must be a nonempty 1-d grid")
+        raise InvalidParameter("temps must be a nonempty 1-d grid")
     if np.any(np.diff(temps) < 0):
-        raise ValueError("temps must be sorted ascending")
+        raise InvalidParameter("temps must be sorted ascending")
     return (top.size - np.searchsorted(top, temps - 1e-9, side="left")) / top.size

@@ -1,4 +1,5 @@
-"""The public namespace: every exported name resolves and has a user.
+"""The public namespace: every exported name resolves and has a user, and
+every public call reports a bad value as a StrainforgeError.
 
 perfbench's tracer looks up each module's ``__all__`` with getattr, so a
 name left behind by a deletion would break every traced run.
@@ -6,16 +7,21 @@ name left behind by a deletion would break every traced run.
 
 import ast
 import importlib
+import io
+import math
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import strainforge
+import strainforge as sf
+from strainforge.errors import StrainforgeError
+from strainforge.thermal import operational_temperature_batch
 
 MODULES = sorted(
-    f"strainforge.{info.name}" for info in pkgutil.iter_modules(strainforge.__path__)
+    f"strainforge.{info.name}" for info in pkgutil.iter_modules(sf.__path__)
 )
 
 
@@ -28,13 +34,13 @@ def test_all_names_resolve(modname):
 
 def test_package_imports_resolve_and_are_public():
     # each name the package re-exports exists in, and is exported by, its module
-    tree = ast.parse(Path(strainforge.__file__).read_text())
+    tree = ast.parse(Path(sf.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
     for node in imports:
         mod = importlib.import_module(f"strainforge.{node.module}")
         for alias in node.names:
-            assert hasattr(strainforge, alias.asname or alias.name)
+            assert hasattr(sf, alias.asname or alias.name)
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
 
 
@@ -46,7 +52,7 @@ def _relative_imports(path):
                 yield node.module, alias.name
 
 
-SOURCES = sorted(Path(strainforge.__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(sf.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -111,3 +117,174 @@ def test_every_exported_name_has_a_user():
                     and name not in documented:
                 idle.append(f"{short}.{name}")
     assert idle == []
+
+
+CFG = sf.default_config()
+INF, NAN = math.inf, math.nan
+
+
+def _tensor(*components, frame=sf.Frame.CRYSTAL):
+    return sf.StrainTensor(*components, frame=frame)
+
+
+def _layer(**kwargs):
+    return sf.Layer(**{"thickness_nm": 60.0, "youngs_modulus_gpa": 200.0,
+                       "poisson_ratio": 0.2, **kwargs})
+
+
+def _spectrum(freqs=None, intens=None):
+    return sf.Spectrum(np.linspace(1.0, 20.0, 20) if freqs is None else freqs,
+                       np.ones(20) if intens is None else intens)
+
+
+def _draw(fn=sf.draw_ensemble, n=8, seed=1, **kwargs):
+    return fn(n, CFG.stack, CFG.position, CFG.siv, seed, **kwargs)
+
+
+def _field(stress_mpa):
+    return sf.solve_beam_state(CFG.stack.with_film_stress(stress_mpa))
+
+
+_ASYMMETRIC = np.array([[0.0, 1e-4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+# (id, call with one out-of-domain value, a word of the message that names
+# the field or its group)
+DOMAIN_CASES = [
+    # core
+    ("StrainTensor-nan", lambda: _tensor(NAN, 0, 0, 0, 0, 0), "strain components"),
+    ("StrainTensor-large", lambda: _tensor(0.2, 0, 0, 0, 0, 0), "|eps|"),
+    ("StrainTensor.from_matrix-shape",
+     lambda: sf.StrainTensor.from_matrix(np.zeros((2, 2)), sf.Frame.CRYSTAL), "3x3"),
+    ("StrainTensor.from_matrix-asymmetric",
+     lambda: sf.StrainTensor.from_matrix(_ASYMMETRIC, sf.Frame.CRYSTAL), "symmetric"),
+    ("StrainTensor.require_frame",
+     lambda: sf.StrainTensor.zero().require_frame(sf.Frame.BEAM), "frame"),
+    ("SivParameters-lambda-zero", lambda: sf.SivParameters(lambda_so_ghz=0.0), "lambda_so_ghz"),
+    ("SivParameters-lambda-inf", lambda: sf.SivParameters(lambda_so_ghz=INF), "lambda_so_ghz"),
+    ("SivParameters-d", lambda: sf.SivParameters(d_ghz_per_strain=INF), "d_ghz_per_strain"),
+    ("SivParameters-f", lambda: sf.SivParameters(f_ghz_per_strain=NAN), "f_ghz_per_strain"),
+    ("EgCouplings-alpha", lambda: sf.EgCouplings(NAN, 0.0), "couplings"),
+    ("EgCouplings-beta", lambda: sf.EgCouplings(0.0, INF), "couplings"),
+    ("DefectOrientation",
+     lambda: sf.DefectOrientation(np.ones(3), rotation=np.eye(3)), "rotation"),
+    ("rotate_strain",
+     lambda: sf.rotate_strain(sf.StrainTensor.zero(), 2.0 * np.eye(3), sf.Frame.CRYSTAL),
+     "rotation"),
+    ("defect_frame_strain",
+     lambda: sf.defect_frame_strain(sf.StrainTensor.zero(sf.Frame.BEAM),
+                                    sf.ORIENTATIONS[0]), "frame"),
+    ("eg_couplings",
+     lambda: sf.eg_couplings(sf.StrainTensor.zero(), sf.SivParameters()), "frame"),
+    # mechanics
+    ("Layer-thickness-zero", lambda: _layer(thickness_nm=0.0), "thickness_nm"),
+    ("Layer-thickness-inf", lambda: _layer(thickness_nm=INF), "thickness_nm"),
+    ("Layer-modulus-negative", lambda: _layer(youngs_modulus_gpa=-5.0), "youngs_modulus_gpa"),
+    ("Layer-modulus-inf", lambda: _layer(youngs_modulus_gpa=INF), "youngs_modulus_gpa"),
+    ("Layer-poisson", lambda: _layer(poisson_ratio=0.5), "poisson_ratio"),
+    ("Layer-stress", lambda: _layer(intrinsic_stress_mpa=NAN), "intrinsic_stress_mpa"),
+    ("CrossSection-vertices", lambda: sf.CrossSection([[0, 0], [1, 0]]), "polygon"),
+    ("CrossSection-non-finite",
+     lambda: sf.CrossSection([[0, 0], [1, 0], [0, INF]]), "polygon"),
+    ("CrossSection-clockwise",
+     lambda: sf.CrossSection([[0, 0], [0, 1], [1, 1], [1, 0]]), "polygon"),
+    ("CrossSection-film-edge",
+     lambda: sf.CrossSection([[0, 0], [1, 0], [0.5, 1]]), "film"),
+    ("LayerStack.with_film_stress",
+     lambda: CFG.stack.with_film_stress(NAN), "intrinsic_stress_mpa"),
+    ("strain_at-depth", lambda: sf.strain_at(_field(0.0), -1.0), "depth"),
+    ("strain_at-small-strain", lambda: sf.strain_at(_field(5e6), 0.0), "|eps|"),
+    ("beam_to_crystal", lambda: sf.beam_to_crystal(sf.StrainTensor.zero()), "frame"),
+    # population
+    ("PositionDistribution-aperture-zero",
+     lambda: sf.PositionDistribution(aperture_x_nm=0.0), "aperture"),
+    ("PositionDistribution-aperture-x-inf",
+     lambda: sf.PositionDistribution(aperture_x_nm=INF), "aperture"),
+    ("PositionDistribution-aperture-y-inf",
+     lambda: sf.PositionDistribution(aperture_y_nm=INF), "aperture"),
+    ("PositionDistribution-depth-mean-zero",
+     lambda: sf.PositionDistribution(depth_mean_nm=0.0), "depth_mean_nm"),
+    ("PositionDistribution-depth-mean-inf",
+     lambda: sf.PositionDistribution(depth_mean_nm=INF), "depth_mean_nm"),
+    ("PositionDistribution-straggle-negative",
+     lambda: sf.PositionDistribution(depth_straggle_nm=-1.0), "depth_straggle_nm"),
+    ("PositionDistribution-straggle-inf",
+     lambda: sf.PositionDistribution(depth_straggle_nm=INF), "depth_straggle_nm"),
+    ("draw_ensemble-n", lambda: _draw(n=0), "n must"),
+    ("draw_ensemble-seed", lambda: _draw(seed=-1), "seed"),
+    ("draw_ensemble-threads", lambda: _draw(threads=0), "threads"),
+    ("sample_chunks-sigma",
+     lambda: _draw(sf.sample_chunks, sigma=NAN, stress_mpa=0.0), "sigma"),
+    ("sample_chunks-stress",
+     lambda: _draw(sf.sample_chunks, sigma=0.0, stress_mpa=INF), "film stress"),
+    ("sample_post_deposition-sigma",
+     lambda: sf.sample_post_deposition(8, CFG.stack, CFG.position, CFG.siv, 1,
+                                       sigma=-1.0, stress_mpa=0.0), "sigma"),
+    ("Ensemble.gss-sigma", lambda: _draw().gss(-1e-5, 0.0), "sigma"),
+    ("Ensemble.gss-stress", lambda: _draw().gss(0.0, NAN), "film stress"),
+    ("calibrate_sigma-target", lambda: sf.calibrate_sigma(NAN, _draw()), "target mean"),
+    ("calibrate_film_stress-target",
+     lambda: sf.calibrate_film_stress(INF, _draw(), 0.0), "target mean"),
+    ("calibrate_film_stress-sigma",
+     lambda: sf.calibrate_film_stress(608.0, _draw(), NAN), "sigma"),
+    ("summarize", lambda: sf.summarize([]), "empty"),
+    # thermal
+    ("ThermalReference-gss", lambda: sf.ThermalReference(gss_ref_ghz=0.0), "reference"),
+    ("ThermalReference-temp", lambda: sf.ThermalReference(temp_ref_k=INF), "reference"),
+    ("thermal_occupation-gss", lambda: sf.thermal_occupation(-1.0, 1.5), "gss"),
+    ("thermal_occupation-temp", lambda: sf.thermal_occupation(554.0, 0.0), "temperature"),
+    ("gamma_up_relative-gss", lambda: sf.gamma_up_relative(NAN, 1.5), "gss"),
+    ("gamma_up_relative-temp", lambda: sf.gamma_up_relative(554.0, -1.0), "temperature"),
+    ("operational_temperature", lambda: sf.operational_temperature(NAN), "gss"),
+    ("operational_temperature_batch",
+     lambda: operational_temperature_batch([554.0, -1.0]), "gss"),
+    ("operability_curve-top", lambda: sf.operability_curve([], [1.5]), "empty"),
+    ("operability_curve-temps-shape",
+     lambda: sf.operability_curve([1.5], [[1.0, 2.0]]), "temps"),
+    ("operability_curve-temps-order",
+     lambda: sf.operability_curve([1.5], [2.0, 1.0]), "temps"),
+    # spectra
+    ("Spectrum-shape", lambda: _spectrum(intens=np.ones(19)), "frequencies and intensities"),
+    ("Spectrum-points",
+     lambda: sf.Spectrum(np.linspace(1.0, 8.0, 8), np.ones(8)), "points"),
+    ("Spectrum-non-finite", lambda: _spectrum(intens=np.r_[NAN, np.ones(19)]), "values"),
+    ("Spectrum-order", lambda: _spectrum(freqs=np.linspace(20.0, 1.0, 20)), "frequencies"),
+    ("Spectrum-intensity", lambda: _spectrum(intens=-np.ones(20)), "intensities"),
+    ("Peak-prominence", lambda: sf.Peak(600.0, 1.0, 0.0, 1.0), "prominence"),
+    ("EmitterAssignment-gss", lambda: sf.EmitterAssignment([], False, 1.0), "gss"),
+    ("load_spectrum-points",
+     lambda: sf.load_spectrum(io.StringIO("1,1\n2,1\n")), "points"),
+    ("load_spectrum-intensity",
+     lambda: sf.load_spectrum(io.StringIO("1,1\n2,-1\n")), "intensity"),
+    ("detect_peaks-window", lambda: sf.detect_peaks(_spectrum(), 4), "smoothing_window"),
+    ("detect_peaks-prominence",
+     lambda: sf.detect_peaks(_spectrum(), 5, 0.0), "min_prominence"),
+    ("pool_transitions", lambda: sf.pool_transitions([]), "empty"),
+    ("batch_gss_stats-empty", lambda: sf.batch_gss_stats([]), "empty"),
+    ("batch_gss_stats-no-single",
+     lambda: sf.batch_gss_stats([sf.EmitterAssignment([], False, None)]), "single-emitter"),
+]
+
+
+@pytest.mark.parametrize("call, field", [case[1:] for case in DOMAIN_CASES],
+                         ids=[case[0] for case in DOMAIN_CASES])
+def test_out_of_domain_value_raises_the_package_error(call, field):
+    # one contract for every public type and function: a bad value is a
+    # StrainforgeError (never a bare ValueError) whose message names it
+    with pytest.raises(StrainforgeError) as info:
+        call()
+    assert field in str(info.value)
+
+
+def test_only_csvtext_raises_builtin_value_or_type_errors():
+    # _csvtext's two raises are programmer errors on a private module;
+    # everywhere else a bad value raises a StrainforgeError
+    found = []
+    for path in SOURCES:
+        if path.name == "_csvtext.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -123,6 +123,18 @@ class TestExitCodes:
         bad.write_text(json.dumps({"unknown_section": {}}))
         assert run(["top", "--gss-ghz", "554", "--config", str(bad)]) == 1
 
+    def test_strain_beyond_the_small_strain_regime_is_one_line(self, tmp_path, capsys):
+        # the film stress loads fine; the beam's strain at the surface is rejected
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps({"mechanics": {"film": {"intrinsic_stress_mpa": 5e6}}}))
+        out = tmp_path / "profile.csv"
+        assert run(["mechanics", "--depth-profile", "--out", str(out),
+                    "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: |eps| must stay below 0.1 (small-strain regime)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, command, message", [
         ('{"population": {"sample_frame": "defect"}}', ["report", "--out-dir", "{out}"],
          "error: unknown key(s) at population: ['sample_frame']"),

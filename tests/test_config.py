@@ -137,6 +137,16 @@ class TestOverrides:
             load_config(path)
         assert str(info.value) == message
 
+    def test_polygon_int_beyond_the_float_range(self, tmp_path):
+        # numpy cannot convert it to a float; the key names the polygon
+        path = tmp_path / "cfg.json"
+        path.write_text('{"mechanics": {"cross_section_polygon_nm": '
+                        '[[-500, 0], [500, 0], [0, -1%s]]}}' % ("0" * 400))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            "mechanics.cross_section_polygon_nm: int too large to convert to float")
+
     def test_largest_seed_loads(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"monte_carlo": {"seed": 2 ** 64 - 1}}))
         assert cfg.default_seed == 2 ** 64 - 1

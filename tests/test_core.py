@@ -17,7 +17,7 @@ from strainforge.core import (
     ground_state_splitting,
     rotate_strain,
 )
-from strainforge.errors import FrameMismatch, InvalidRotation
+from strainforge.errors import FrameMismatch, InvalidDomain, InvalidParameter, InvalidRotation
 
 PARAMS = SivParameters()
 
@@ -50,16 +50,16 @@ class TestStrainTensor:
         assert np.array_equal(back.components, t.components)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             tensor([np.nan, 0, 0, 0, 0, 0])
 
     def test_rejects_large_strain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             tensor([0.2, 0, 0, 0, 0, 0])
 
     def test_from_matrix_rejects_asymmetric(self):
         m = np.array([[0.0, 1e-4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             StrainTensor.from_matrix(m, Frame.CRYSTAL)
 
     def test_frame_check(self):
@@ -303,9 +303,9 @@ class TestGroundStateSplitting:
 
 class TestSivParameters:
     def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             SivParameters(lambda_so_ghz=0.0)
 
     def test_rejects_nonfinite_susceptibility(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             SivParameters(d_ghz_per_strain=float("inf"))

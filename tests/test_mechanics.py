@@ -4,7 +4,7 @@ import pytest
 import strainforge._kernels as kernels
 from conftest import point_in_section, section_properties
 from strainforge.core import Frame, StrainTensor
-from strainforge.errors import FrameMismatch, InvalidGeometry, OutOfDomain
+from strainforge.errors import FrameMismatch, InvalidDomain, InvalidGeometry
 from strainforge.mechanics import (
     CRYSTAL_FROM_BEAM,
     CrossSection,
@@ -236,9 +236,9 @@ class TestStrainAt:
 
     def test_out_of_domain(self):
         field = solve_beam_state(stack_for(triangle(1000.0, 700.0), t_f=60.0))
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InvalidDomain):
             strain_at(field, -1.0)
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InvalidDomain):
             strain_at(field, 701.0)
 
     def test_zero_at_neutral_axis_when_membrane_vanishes(self):
@@ -306,13 +306,13 @@ class TestBeamToCrystal:
 
 class TestLayerValidation:
     def test_bad_thickness(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             Layer(0.0, 100.0, 0.2)
 
     def test_bad_poisson(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             Layer(10.0, 100.0, 0.5)
 
     def test_bad_modulus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             Layer(10.0, -5.0, 0.2)

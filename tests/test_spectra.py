@@ -17,6 +17,7 @@ from conftest import synth_spectrum, write_spectrum
 from strainforge.errors import (
     DuplicateAbscissa,
     EmptyRequest,
+    InvalidDomain,
     InvalidParameter,
     NoSingleEmitters,
     ParseError,
@@ -506,17 +507,17 @@ class TestSpectrumValidation:
     def test_strictly_increasing_required(self):
         freqs = np.linspace(0, 10, 20)
         freqs[4] = freqs[3]
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             Spectrum(freqs, np.ones(20))
 
     def test_negative_intensity_rejected(self):
         intens = np.ones(20)
         intens[2] = -0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDomain):
             Spectrum(np.linspace(0, 10, 20), intens)
 
     def test_min_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             Spectrum(np.linspace(0, 10, 8), np.ones(8))
 
 

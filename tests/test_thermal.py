@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from strainforge.errors import EmptyRequest, InvalidDomain
+from strainforge.errors import EmptyRequest, InvalidDomain, InvalidParameter
 from strainforge.thermal import (
     K_PER_GHZ,
     ThermalReference,
@@ -148,7 +148,7 @@ class TestGammaUpRelative:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_reference_rejects_non_finite(self, field, value):
         # no finite log rate to normalize to: reject at construction, not at use
-        with pytest.raises(ValueError, match="reference splitting and temperature"):
+        with pytest.raises(InvalidDomain, match="reference splitting and temperature"):
             ThermalReference(**{field: value})
 
     def test_splitting_far_below_temperature(self):
@@ -290,10 +290,10 @@ class TestOperabilityCurve:
             operability_curve(np.array([]), [1.5])
 
     def test_unsorted_temps_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             operability_curve(np.full(5, 1.5), [2.0, 1.0])
 
     @pytest.mark.parametrize("temps", [[], [[1.0, 2.0]]])
     def test_grid_not_nonempty_1d_rejected(self, temps):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             operability_curve(np.full(5, 1.5), temps)
