@@ -57,8 +57,7 @@ def main():
     stress = cfg.stack.film.intrinsic_stress_mpa
     field = solve_beam_state(cfg.stack)
     sigma = 1.5e-5
-    to_crystal = pop._intrinsic_to_crystal(params)
-    film_crystal, _ = pop._film_response(cfg.stack, params)
+    film_crystal, _, _, to_crystal = pop._tables(cfg.stack, params)
 
     print(f"one ensemble (n = {n:,})")
     root = kernels.seed_root(12345)

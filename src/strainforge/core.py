@@ -168,24 +168,24 @@ def _check_rotation(rot: np.ndarray, tol: float) -> np.ndarray:
 class DefectOrientation:
     """One of the four <111> SiV orientations.
 
-    ``rotation`` takes crystal-frame components to defect-frame components
-    (rows are the defect basis vectors in crystal coordinates, Z along the
-    symmetry axis, X along the in-plane <112>-type completion).
+    ``rotation`` is derived from the (normalized) ``axis``: it takes
+    crystal-frame components to defect-frame components (rows are the
+    defect basis vectors in crystal coordinates, Z along the symmetry axis,
+    X along the in-plane <112>-type completion).
     """
 
     axis: np.ndarray
-    rotation: np.ndarray = field(default=None)  # type: ignore[assignment]
+    rotation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        object.__setattr__(self, "axis", axis)
-        if self.rotation is None:
-            object.__setattr__(self, "rotation", _frame_for_axis(axis))
-        rot = _check_rotation(self.rotation, tol=1e-12)
-        object.__setattr__(self, "rotation", rot)
-        if not np.allclose(rot[2], axis, atol=1e-12):
-            raise InvalidRotation("third row of rotation must equal the axis")
+        if axis.shape != (3,):
+            raise InvalidParameter(f"axis must be a 3-vector, got shape {axis.shape}")
+        norm = np.linalg.norm(axis)
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise InvalidDomain(f"axis must be finite and nonzero, got {axis.tolist()}")
+        object.__setattr__(self, "axis", axis / norm)
+        object.__setattr__(self, "rotation", _frame_for_axis(self.axis))
 
 
 def _frame_for_axis(axis: np.ndarray) -> np.ndarray:

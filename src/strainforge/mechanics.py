@@ -158,6 +158,8 @@ class LayerStack:
     biaxiality_factor: float = DEFAULT_BIAXIALITY_FACTOR
 
     def __post_init__(self):
+        if not 0.0 <= self.biaxiality_factor <= 1.0:
+            raise InvalidDomain("biaxiality_factor must lie in [0, 1]")
         ratio = self.film.thickness_nm / self.cross_section.depth_extent_nm
         if ratio > 0.2:
             warnings.warn(

@@ -20,22 +20,26 @@ slope.
 
 The splitting sees strain only through the two linear couplings (alpha,
 beta). Film strain is the axial strain e_yy(depth) times a fixed tensor,
-with per-orientation film couplings F built once from ``core``. Intrinsic
-strain is sigma times iid unit normals in the defect frame, and there its
-couplings are the two rows of one table W, which have disjoint support
-and so are orthogonal. Drawing the six normals as z' = Q z, with Q an
+with per-orientation film couplings F. Intrinsic strain is sigma times
+iid unit normals in the defect frame, and there its couplings are the
+two rows of one table W, which have disjoint support and so are
+orthogonal. Drawing the six normals as z' = Q z, with Q an
 orthonormal basis whose first two rows are W's rows normalized, leaves
 them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
 s the row norms: the splitting reads the first Box-Muller pair alone, and
 a written tensor is sigma Q^T z'. Every sample is thus
 ``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``, written once in
-``_splitting``. An ``Ensemble`` keeps depth, orientation and that pair;
-its gss at any (sigma, stress) equals the sampler's there, bit for bit.
-Both check the two scales alike: sigma finite and >= 0, stress finite.
+``_splitting``. An ``Ensemble`` keeps F, depth, orientation and that
+pair; its gss at any (sigma, stress) equals the sampler's there, bit for
+bit. Both check the two scales alike: sigma finite and >= 0, stress
+finite. The tables (the film tensor, F, s and the maps D[o] Q^T) come
+from one function, ``_tables``, built through ``core`` on first use, so
+importing the package builds none of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,57 +140,47 @@ def summarize(values) -> EnsembleSummary:
 # small enough for StrainTensor's small-strain guard.
 _UNIT = 2.0 ** -10
 
-
-def _basis(frame: Frame) -> list[StrainTensor]:
-    return [StrainTensor(*(_UNIT * np.eye(6)[k]), frame=frame) for k in range(6)]
-
-
-# defect-frame 6-vector -> crystal-frame 6-vector, one 6x6 map per
-# orientation, built column by column with core.rotate_strain
-_DEFECT_TO_CRYSTAL = np.stack([
-    np.stack([rotate_strain(e, o.rotation.T, Frame.CRYSTAL).components
-              for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
-    for o in ORIENTATIONS
-])
-
-
-def _couplings(eps_defect: StrainTensor, params: SivParameters) -> np.ndarray:
-    """(alpha, beta) of a defect-frame tensor."""
-    c = eg_couplings(eps_defect, params)
-    return np.array([c.alpha_ghz, c.beta_ghz])
-
-
-def _intrinsic_rows(params: SivParameters) -> np.ndarray:
-    """(2, 6): the (alpha, beta) rows acting on a defect-frame 6-vector,
-    the intrinsic coupling table W of every orientation."""
-    return np.stack([_couplings(e, params) for e in _basis(Frame.DEFECT)], axis=1) / _UNIT
-
-
-def _intrinsic_norms(params: SivParameters) -> np.ndarray:
-    """(s_alpha, s_beta): the norms of the intrinsic coupling rows W."""
-    return np.linalg.norm(_intrinsic_rows(params), axis=1)
-
-
-def _intrinsic_to_crystal(params: SivParameters) -> np.ndarray:
-    """(4, 6, 6): per orientation, D[o] Q^T, which takes the normals
-    z' = Q z to the crystal-frame intrinsic tensor per unit sigma. Q is an
-    orthonormal basis whose first two rows are W's rows normalized (the
-    rows are orthogonal), so W Q^T z' = (s_alpha z'_1, s_beta z'_2)."""
-    rows = _intrinsic_rows(params)
-    q, r = np.linalg.qr(np.column_stack([rows.T, np.eye(6)]))
-    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return _DEFECT_TO_CRYSTAL @ q
-
-
 # Box-Muller pairs per emitter: the splitting reads the first pair alone,
 # a written tensor takes all three (six defect-frame components)
 _SPLITTING_PAIRS, _TENSOR_PAIRS = 1, 3
 
 
-def _unit_couplings(s, z):
-    """(alpha, beta) per unit sigma, shape (2, m), from the first pair of
-    normals z (m, 2k) and the row norms s."""
-    return s[:, None] * z[:, :2].T
+@functools.cache
+def _defect_to_crystal() -> np.ndarray:
+    """(4, 6, 6): per orientation D[o], which takes a defect-frame 6-vector
+    to a crystal-frame one, built column by column with core.rotate_strain
+    on first use, so importing the package builds nothing."""
+    return np.stack([
+        np.stack([rotate_strain(StrainTensor(*(_UNIT * row), frame=Frame.DEFECT),
+                                o.rotation.T, Frame.CRYSTAL).components
+                  for row in np.eye(6)], axis=1) / _UNIT
+        for o in ORIENTATIONS
+    ])
+
+
+def _tables(stack: LayerStack, params: SivParameters):
+    """(film_crystal, film_rows, s, to_crystal), each built through ``core``:
+    the crystal-frame film strain (6,) and its couplings F (2, 4) per unit
+    e_yy, which need the stack's biaxiality factor and substrate Poisson
+    ratio but no beam solve; the norms s (2,) of the intrinsic rows W; and
+    the maps D[o] Q^T (4, 6, 6) from z' to the crystal-frame intrinsic
+    tensor per unit sigma. Q is orthonormal with W's rows, normalized, as
+    its first two rows (they are orthogonal), so W Q^T z' = s z'_{1,2}.
+    """
+    def ab(eps_defect):
+        c = eg_couplings(eps_defect, params)
+        return np.array([c.alpha_ghz, c.beta_ghz])
+
+    unit_field = StrainField(_UNIT, 0.0, 0.0, stack.biaxiality_factor,
+                             stack.substrate.poisson_ratio, stack.cross_section)
+    film = beam_to_crystal(strain_at(unit_field, 0.0))
+    film_rows = np.stack([ab(defect_frame_strain(film, o)) for o in ORIENTATIONS], axis=1)
+    rows = np.stack([ab(StrainTensor(*(_UNIT * row), frame=Frame.DEFECT))
+                     for row in np.eye(6)], axis=1) / _UNIT
+    q, r = np.linalg.qr(np.column_stack([rows.T, np.eye(6)]))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return (film.components / _UNIT, film_rows / _UNIT, np.linalg.norm(rows, axis=1),
+            _defect_to_crystal() @ q)
 
 
 def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None):
@@ -207,19 +201,6 @@ def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None):
         return gss
     a = unit if slope == "sigma" else film
     return gss, 4.0 * np.sum((a * couplings).sum(axis=0) / gss)
-
-
-def _film_response(stack: LayerStack, params: SivParameters):
-    """Film strain per unit axial strain e_yy: its crystal-frame 6-vector
-    and its (alpha, beta) for each orientation, shape (2, 4). Both depend
-    on the stack's biaxiality factor and substrate Poisson ratio alone, so
-    no beam solve is needed."""
-    unit_field = StrainField(_UNIT, 0.0, 0.0, stack.biaxiality_factor,
-                             stack.substrate.poisson_ratio, stack.cross_section)
-    eps = beam_to_crystal(strain_at(unit_field, 0.0))
-    rows = np.stack([_couplings(defect_frame_strain(eps, o), params)
-                     for o in ORIENTATIONS], axis=1)
-    return eps.components / _UNIT, rows / _UNIT
 
 
 # counters i * DRAWS_PER_SAMPLE + j of samples i < n fit in a uint64, and
@@ -275,12 +256,11 @@ def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: 
     """
     _check_draw(n, seed)
     field = _field_at(stack, sigma, stress_mpa)
-    film_crystal, film_rows = _film_response(stack, params)
-    s, to_crystal = _intrinsic_norms(params), _intrinsic_to_crystal(params)
+    film_crystal, film_rows, s, to_crystal = _tables(stack, params)
 
     def keep(lo, hi, x_nm, y_nm, dep, o, z):
         gss = _splitting(params.lambda_so_ghz, field, film_rows, dep, o,
-                         sigma, _unit_couplings(s, z))
+                         sigma, s[:, None] * z[:, :2].T)
         eps = field.axial_strain(dep)[:, None] * film_crystal
         # column i of the (6, m) einsum is to_crystal[o[i]] @ z[i]
         eps += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
@@ -300,7 +280,8 @@ def sample_post_deposition(n: int, stack: LayerStack, pos: PositionDistribution,
 
 class Ensemble:
     """One draw of ``n`` emitters in a stack, kept as what the splitting
-    reads: depth, orientation and the intrinsic couplings per unit sigma.
+    reads: the film couplings F (2, 4) per unit e_yy, and per emitter its
+    depth, orientation and intrinsic couplings per unit sigma.
 
     ``gss(sigma, stress_mpa)`` solves the beam at that film stress and
     evaluates the splitting chunk by chunk with the sampler's own
@@ -311,10 +292,10 @@ class Ensemble:
     added in chunk order, so it is the same for any thread count.
     """
 
-    def __init__(self, stack, params, depth, ori, unit, threads):
+    def __init__(self, stack, params, film_rows, depth, ori, unit, threads):
         self.stack = stack
         self.lambda_so_ghz = params.lambda_so_ghz
-        self._film_rows = _film_response(stack, params)[1]
+        self._film_rows = film_rows
         self._depth, self._ori, self._unit = depth, ori, unit
         self._threads = threads
 
@@ -352,17 +333,17 @@ def draw_ensemble(
     for evaluation at any (sigma, film stress): positions, orientations and
     the first Box-Muller pair of each intrinsic tensor."""
     _check_draw(n, seed)
-    s = _intrinsic_norms(params)
+    _, film_rows, s, _ = _tables(stack, params)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
 
     def keep(lo, hi, x_nm, y_nm, dep, o, z):
         depth[lo:hi], ori[lo:hi] = dep, o
-        unit[:, lo:hi] = _unit_couplings(s, z)
+        unit[:, lo:hi] = s[:, None] * z[:, :2].T
 
     list(_draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep))
-    return Ensemble(stack, params, depth, ori, unit, threads)
+    return Ensemble(stack, params, film_rows, depth, ori, unit, threads)
 
 
 # tolerance of a calibration on the ensemble mean, and the most Newton

@@ -166,9 +166,13 @@ def operability_curve(top_k, temps_k) -> np.ndarray:
     top = np.sort(np.asarray(top_k, dtype=float))
     if top.size == 0:
         raise EmptyRequest("empty ensemble")
+    if np.isnan(top[-1]):  # the sort puts NaNs last
+        raise InvalidDomain("operating temperatures must not be NaN")
     temps = np.asarray(temps_k, dtype=float)
     if temps.ndim != 1 or temps.size == 0:
         raise InvalidParameter("temps must be a nonempty 1-d grid")
+    if np.isnan(temps).any():
+        raise InvalidDomain("temps must not be NaN")
     if np.any(np.diff(temps) < 0):
         raise InvalidParameter("temps must be sorted ascending")
     return (top.size - np.searchsorted(top, temps - 1e-9, side="left")) / top.size

@@ -11,6 +11,7 @@ import io
 import math
 import pkgutil
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +166,9 @@ DOMAIN_CASES = [
     ("SivParameters-f", lambda: sf.SivParameters(f_ghz_per_strain=NAN), "f_ghz_per_strain"),
     ("EgCouplings-alpha", lambda: sf.EgCouplings(NAN, 0.0), "couplings"),
     ("EgCouplings-beta", lambda: sf.EgCouplings(0.0, INF), "couplings"),
-    ("DefectOrientation",
-     lambda: sf.DefectOrientation(np.ones(3), rotation=np.eye(3)), "rotation"),
+    ("DefectOrientation-zero", lambda: sf.DefectOrientation(np.zeros(3)), "axis"),
+    ("DefectOrientation-nan", lambda: sf.DefectOrientation([NAN, 1.0, 1.0]), "axis"),
+    ("DefectOrientation-shape", lambda: sf.DefectOrientation([1.0, 1.0]), "axis"),
     ("rotate_strain",
      lambda: sf.rotate_strain(sf.StrainTensor.zero(), 2.0 * np.eye(3), sf.Frame.CRYSTAL),
      "rotation"),
@@ -189,6 +191,12 @@ DOMAIN_CASES = [
      lambda: sf.CrossSection([[0, 0], [0, 1], [1, 1], [1, 0]]), "polygon"),
     ("CrossSection-film-edge",
      lambda: sf.CrossSection([[0, 0], [1, 0], [0.5, 1]]), "film"),
+    ("LayerStack-biaxiality-negative",
+     lambda: replace(CFG.stack, biaxiality_factor=-50.0), "biaxiality_factor"),
+    ("LayerStack-biaxiality-nan",
+     lambda: replace(CFG.stack, biaxiality_factor=NAN), "biaxiality_factor"),
+    ("LayerStack-biaxiality-above-one",
+     lambda: replace(CFG.stack, biaxiality_factor=1.5), "biaxiality_factor"),
     ("LayerStack.with_film_stress",
      lambda: CFG.stack.with_film_stress(NAN), "intrinsic_stress_mpa"),
     ("strain_at-depth", lambda: sf.strain_at(_field(0.0), -1.0), "depth"),
@@ -242,6 +250,10 @@ DOMAIN_CASES = [
      lambda: sf.operability_curve([1.5], [[1.0, 2.0]]), "temps"),
     ("operability_curve-temps-order",
      lambda: sf.operability_curve([1.5], [2.0, 1.0]), "temps"),
+    ("operability_curve-temps-nan",
+     lambda: sf.operability_curve([1.5, 2.0], [NAN, 1.0]), "temps"),
+    ("operability_curve-top-nan",
+     lambda: sf.operability_curve([NAN, 1.0], [0.5, 2.0]), "operating temperatures"),
     # spectra
     ("Spectrum-shape", lambda: _spectrum(intens=np.ones(19)), "frequencies and intensities"),
     ("Spectrum-points",

@@ -107,6 +107,7 @@ class TestOverrides:
         # strings and booleans are not coordinates, as they are not scalars
         ("mechanics", "cross_section_polygon_nm", [["-500", False], [0.0, "-7e2"], [500.0, 0]],
          "mechanics.cross_section_polygon_nm: expected a number"),
+        ("mechanics", "biaxiality_factor", -0.5, "biaxiality_factor must lie in [0, 1]"),
     ])
     def test_one_bad_value_per_section(self, tmp_path, section, key, value, message):
         path = write_cfg(tmp_path, {section: {key: value}})

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import splitting_from_strain
 from strainforge.core import (
     ORIENTATIONS,
-    DefectOrientation,
     EgCouplings,
     Frame,
     SivParameters,
@@ -125,10 +124,6 @@ class TestDefectOrientations:
     def test_axes_are_the_four_111_directions(self):
         axes = {tuple(np.sign(o.axis).astype(int)) for o in ORIENTATIONS}
         assert axes == {(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)}
-
-    def test_rejects_bad_rotation(self):
-        with pytest.raises(InvalidRotation):
-            DefectOrientation(axis=np.array([1.0, 1.0, 1.0]), rotation=np.eye(3))
 
     def test_zero_tensor_maps_to_zero(self):
         z = StrainTensor.zero(Frame.CRYSTAL)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +140,7 @@ class TestPreDeposition:
         post = sample(2_000, SIGMA, 9, POST)
         for name in ("x_nm", "y_nm", "depth_nm", "orientation_id"):
             assert np.array_equal(getattr(pre, name), getattr(post, name))
-        film = field.axial_strain(post.depth_nm)[:, None] * pop._film_response(CFG.stack, PARAMS)[0]
+        film = field.axial_strain(post.depth_nm)[:, None] * pop._tables(CFG.stack, PARAMS)[0]
         np.testing.assert_allclose(post.eps_crystal - film, pre.eps_crystal, rtol=0, atol=1e-18)
 
     def test_n_zero_rejected(self):
@@ -408,15 +412,20 @@ class TestCouplingTables:
     @example(e=1e-4 * np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.2250738585e-313]), o=0)
     @settings(max_examples=60, deadline=None)
     def test_intrinsic_rows_match_core(self, e, o):
-        # one table W for every orientation: a defect-frame tensor taken to
-        # crystal axes by orientation o and back couples through W alike
-        rows = pop._intrinsic_rows(PARAMS)
-        assert rows.shape == (2, 6)
-        crystal = StrainTensor(*(pop._DEFECT_TO_CRYSTAL[o] @ e), frame=Frame.CRYSTAL)
-        for tensor in (StrainTensor(*e, frame=Frame.DEFECT),
-                       defect_frame_strain(crystal, ORIENTATIONS[o])):
-            np.testing.assert_allclose(rows @ e, _ab(tensor), rtol=1e-12,
-                                       atol=_coupling_atol(e))
+        # one table W for every orientation: normals z' = e taken to crystal
+        # axes by D[o] Q^T and back to the defect frame by core couple as
+        # (s_alpha e_1, s_beta e_2), and a defect-frame tensor taken there
+        # and back couples as it did
+        _, _, s, to_crystal = pop._tables(CFG.stack, PARAMS)
+        assert s.shape == (2,) and to_crystal.shape == (4, 6, 6)
+        crystal = StrainTensor(*(to_crystal[o] @ e), frame=Frame.CRYSTAL)
+        defect = defect_frame_strain(crystal, ORIENTATIONS[o])
+        np.testing.assert_allclose(s * e[:2], _ab(defect), rtol=1e-12,
+                                   atol=_coupling_atol(defect.components))
+        crystal = StrainTensor(*(pop._defect_to_crystal()[o] @ e), frame=Frame.CRYSTAL)
+        np.testing.assert_allclose(_ab(defect_frame_strain(crystal, ORIENTATIONS[o])),
+                                   _ab(StrainTensor(*e, frame=Frame.DEFECT)), rtol=1e-12,
+                                   atol=_coupling_atol(e))
 
     @given(
         # film stresses of either sign, away from the subnormal range
@@ -429,7 +438,7 @@ class TestCouplingTables:
         field = solve_beam_state(cfg.stack.with_film_stress(stress))
         depth = depth_fraction * field.depth_max_nm
         eyy = float(field.axial_strain(depth))
-        film_crystal, film_rows = pop._film_response(cfg.stack, PARAMS)
+        film_crystal, film_rows = pop._tables(cfg.stack, PARAMS)[:2]
         eps = beam_to_crystal(strain_at(field, depth))
         np.testing.assert_allclose(eyy * film_crystal, eps.components,
                                    rtol=1e-12, atol=1e-12 * abs(eyy))
@@ -442,7 +451,7 @@ class TestCouplingTables:
     def test_defect_to_crystal_maps_match_rotate_strain(self, e, o):
         want = rotate_strain(StrainTensor(*e, frame=Frame.DEFECT),
                              ORIENTATIONS[o].rotation.T, Frame.CRYSTAL)
-        got = pop._DEFECT_TO_CRYSTAL[o] @ e
+        got = pop._defect_to_crystal()[o] @ e
         assert np.max(np.abs(got - want.components)) <= 1e-18
 
     def test_stored_tensors_reproduce_the_splitting(self):
@@ -456,6 +465,30 @@ class TestCouplingTables:
                 eps = StrainTensor(*s.eps_crystal[i], frame=Frame.CRYSTAL)
                 gss = splitting_from_strain(eps, ORIENTATIONS[s.orientation_id[i]], PARAMS)
                 assert gss == pytest.approx(s.gss_ghz[i], rel=1e-12)
+
+
+def test_import_builds_no_coupling_table():
+    # the sampler's tables are built on first use: importing the package
+    # makes no core.rotate_strain call (the defect-to-crystal maps)
+    code = (
+        "import collections, sys\n"
+        "calls = collections.Counter()\n"
+        "def count(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_filename.endswith('strainforge/core.py'):\n"
+        "        calls[code.co_name] += 1\n"
+        "sys.setprofile(count)\n"
+        "import strainforge\n"
+        "sys.setprofile(None)\n"
+        "print(calls['rotate_strain'], sum(calls.values()) > 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(pop.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    # the second field shows the profiler saw core's import-time calls
+    assert out.stdout.split() == ["0", "True"]
 
 
 def test_post_oracle_needs_the_aperture_inside_the_section(cfg, field):
@@ -491,7 +524,7 @@ def test_written_intrinsic_tensors_are_iid_in_the_defect_frame(field, cfg, phase
         intrinsic = s.eps_crystal
     else:
         s = sample(n, SIGMA, 41, POST)
-        film_crystal = pop._film_response(cfg.stack, PARAMS)[0]
+        film_crystal = pop._tables(cfg.stack, PARAMS)[0]
         intrinsic = s.eps_crystal - field.axial_strain(s.depth_nm)[:, None] * film_crystal
     e = np.empty((n, 6))
     for o, to_defect in enumerate(_crystal_to_defect_maps()):
