@@ -181,10 +181,12 @@ class DefectOrientation:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise InvalidParameter(f"axis must be a 3-vector, got shape {axis.shape}")
-        norm = np.linalg.norm(axis)
-        if not (math.isfinite(norm) and norm > 0.0):
+        # scaled to a largest component of 1, the norm cannot overflow or underflow
+        scale = np.max(np.abs(axis))
+        if not (math.isfinite(scale) and scale > 0.0):
             raise InvalidDomain(f"axis must be finite and nonzero, got {axis.tolist()}")
-        object.__setattr__(self, "axis", axis / norm)
+        axis = axis / scale
+        object.__setattr__(self, "axis", axis / np.linalg.norm(axis))
         object.__setattr__(self, "rotation", _frame_for_axis(self.axis))
 
 

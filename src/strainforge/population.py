@@ -29,12 +29,14 @@ them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
 s the row norms: the splitting reads the first Box-Muller pair alone, and
 a written tensor is sigma Q^T z'. Every sample is thus
 ``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``, written once in
-``_splitting``. An ``Ensemble`` keeps F, depth, orientation and that
-pair; its gss at any (sigma, stress) equals the sampler's there, bit for
-bit. Both check the two scales alike: sigma finite and >= 0, stress
-finite. The tables (the film tensor, F, s and the maps D[o] Q^T) come
-from one function, ``_tables``, built through ``core`` on first use, so
-importing the package builds none of them.
+``_splitting``, which works through a chunk in cache-sized sub-blocks.
+An ``Ensemble`` keeps F, depth, orientation and that pair; its gss at any
+(sigma, stress) equals the sampler's there, bit for bit, and a fit writes
+every evaluation into one array. Both check the two scales alike: sigma
+finite and >= 0, stress finite. The tables (the film tensor, F, s and the
+maps D[o] Q^T, which only the sampler reads) come from one function,
+``_tables``, built through ``core`` on first use, so importing the
+package builds none of them.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def _defect_to_crystal() -> np.ndarray:
     ])
 
 
-def _tables(stack: LayerStack, params: SivParameters):
+def _tables(stack: LayerStack, params: SivParameters, maps=True):
     """(film_crystal, film_rows, s, to_crystal), each built through ``core``:
     the crystal-frame film strain (6,) and its couplings F (2, 4) per unit
     e_yy, which need the stack's biaxiality factor and substrate Poisson
@@ -166,6 +168,7 @@ def _tables(stack: LayerStack, params: SivParameters):
     the maps D[o] Q^T (4, 6, 6) from z' to the crystal-frame intrinsic
     tensor per unit sigma. Q is orthonormal with W's rows, normalized, as
     its first two rows (they are orthogonal), so W Q^T z' = s z'_{1,2}.
+    ``maps`` False leaves out the maps and their QR, which only the sampler reads.
     """
     def ab(eps_defect):
         c = eg_couplings(eps_defect, params)
@@ -177,30 +180,44 @@ def _tables(stack: LayerStack, params: SivParameters):
     film_rows = np.stack([ab(defect_frame_strain(film, o)) for o in ORIENTATIONS], axis=1)
     rows = np.stack([ab(StrainTensor(*(_UNIT * row), frame=Frame.DEFECT))
                      for row in np.eye(6)], axis=1) / _UNIT
+    tables = (film.components / _UNIT, film_rows / _UNIT, np.linalg.norm(rows, axis=1))
+    if not maps:
+        return tables
     q, r = np.linalg.qr(np.column_stack([rows.T, np.eye(6)]))
     q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return (film.components / _UNIT, film_rows / _UNIT, np.linalg.norm(rows, axis=1),
-            _defect_to_crystal() @ q)
+    return (*tables, _defect_to_crystal() @ q)
 
 
-def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None):
+# emitters per sub-block of _splitting: each temporary is 64 KB at most
+_SUB = 4096
+
+
+def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None, out=None):
     """Splittings of one chunk of emitters at depths ``depth`` (m,) with
     orientations ``ori`` (m,) in ``field``: sqrt(lam^2 + 4 |c|^2) with
     couplings c = e_yy F[o] + sigma u, from the film couplings F (2, 4)
     per unit e_yy and the intrinsic couplings u (2, m) per unit sigma.
+    They are written into ``out`` (m,), or a fresh array, ``_SUB`` at a time.
 
     ``slope`` "sigma" or "stress" also returns the chunk's sum of
     4 a . c / gss, with a = u or e_yy F[o]: the sum of d gss / d sigma, or
     of d gss / d stress times the stress (e_yy is linear in film stress).
     """
-    film = field.axial_strain(depth) * np.take(film_rows, ori, axis=1)
-    couplings = film + sigma * unit
-    alpha, beta = couplings
-    gss = np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))
-    if slope is None:
-        return gss
-    a = unit if slope == "sigma" else film
-    return gss, 4.0 * np.sum((a * couplings).sum(axis=0) / gss)
+    gss = np.empty(len(depth)) if out is None else out
+    terms = np.empty(len(depth)) if slope else None
+    film = 0.0  # zero film strain would add +-0 to each coupling: c = sigma u, bit for bit
+    for lo in range(0, len(depth), _SUB):
+        b = slice(lo, lo + _SUB)
+        couplings = sigma * unit[:, b]
+        if field.membrane_strain or field.curvature_per_nm:
+            film = field.axial_strain(depth[b]) * np.take(film_rows, ori[b], axis=1)
+            couplings += film
+        alpha, beta = couplings
+        np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta), out=gss[b])
+        if slope:
+            a = unit[:, b] if slope == "sigma" else film
+            np.divide((a * couplings).sum(axis=0), gss[b], out=terms[b])
+    return gss if slope is None else (gss, 4.0 * np.sum(terms))
 
 
 # counters i * DRAWS_PER_SAMPLE + j of samples i < n fit in a uint64, and
@@ -285,9 +302,9 @@ class Ensemble:
 
     ``gss(sigma, stress_mpa)`` solves the beam at that film stress and
     evaluates the splitting chunk by chunk with the sampler's own
-    ``_splitting``, into a fresh array equal to the gss of
-    ``sample_post_deposition`` at that (sigma, stress_mpa), to the last
-    bit. The fits pass ``_slope`` ("sigma" or "stress") to get (gss,
+    ``_splitting``, into a fresh array (or the fit's ``_out``) equal to the
+    gss of ``sample_post_deposition`` at that (sigma, stress_mpa), to the
+    last bit. The fits pass ``_slope`` ("sigma" or "stress") to get (gss,
     d mean / d scale) from the same pass; the slope's per-chunk sums are
     added in chunk order, so it is the same for any thread count.
     """
@@ -302,22 +319,16 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self._depth)
 
-    def gss(self, sigma: float, stress_mpa: float, *, _slope=None):
+    def gss(self, sigma: float, stress_mpa: float, *, _slope=None, _out=None):
         # one solve per call (~45 us): a scaled unit-stress field is not bit-exact
         field = _field_at(self.stack, sigma, stress_mpa)
         n = len(self)
-        gss = np.empty(n)
-
-        def evaluate(lo, hi):
-            out = _splitting(self.lambda_so_ghz, field, self._film_rows, self._depth[lo:hi],
-                             self._ori[lo:hi], sigma, self._unit[:, lo:hi], _slope)
-            gss[lo:hi], partial = out if _slope else (out, None)
-            return partial
-
-        partials = list(_kernels.run_blocks(n, evaluate, self._threads))
-        if _slope is None:
-            return gss
-        return gss, float(np.sum(partials)) / n / (stress_mpa if _slope == "stress" else 1.0)
+        gss = np.empty(n) if _out is None else _out
+        parts = list(_kernels.run_blocks(n, lambda lo, hi: _splitting(
+            self.lambda_so_ghz, field, self._film_rows, self._depth[lo:hi], self._ori[lo:hi],
+            sigma, self._unit[:, lo:hi], _slope, gss[lo:hi]), self._threads))
+        divisor = stress_mpa if _slope == "stress" else 1.0
+        return gss if _slope is None else (gss, float(np.sum([s for _, s in parts])) / n / divisor)
 
 
 def draw_ensemble(
@@ -333,7 +344,7 @@ def draw_ensemble(
     for evaluation at any (sigma, film stress): positions, orientations and
     the first Box-Muller pair of each intrinsic tensor."""
     _check_draw(n, seed)
-    _, film_rows, s, _ = _tables(stack, params)
+    _, film_rows, s = _tables(stack, params, maps=False)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
@@ -370,9 +381,10 @@ def _fit(ensemble, at, wrt, target, x, cap, unreachable):
         raise Infeasible(f"target mean {target} GHz is below the floor {lam} GHz")
     if not math.isfinite(target):
         raise Infeasible(f"target mean {target} GHz is not finite")
+    out = np.empty(len(ensemble))  # every evaluation of the fit writes here
     if target > lam * (1.0 + 1e-12):
         for _ in range(_MAX_STEPS):
-            gss, slope = ensemble.gss(*at(x), _slope=wrt)
+            gss, slope = ensemble.gss(*at(x), _slope=wrt, _out=out)
             g = float(np.mean(gss)) - target
             if abs(g) <= _TOL_GHZ:
                 return x, gss
@@ -388,7 +400,7 @@ def _fit(ensemble, at, wrt, target, x, cap, unreachable):
                 break
         else:
             raise Infeasible(f"no fit within {_MAX_STEPS} Newton steps")
-    gss = ensemble.gss(*at(0.0))
+    gss = ensemble.gss(*at(0.0), _out=out)
     if abs(float(np.mean(gss)) - target) <= _TOL_GHZ:
         return 0.0, gss
     raise Infeasible("target mean lies below the zero-stress ensemble mean")

@@ -163,7 +163,10 @@ def operability_curve(top_k, temps_k) -> np.ndarray:
     """For each temperature, the fraction of emitters whose operating
     temperature (``top_k``, already solved) is at least that temperature.
     Nonincreasing by construction; ties within 1e-9 K count as operable."""
-    top = np.sort(np.asarray(top_k, dtype=float))
+    top = np.asarray(top_k, dtype=float)
+    if top.ndim != 1:
+        raise InvalidParameter(f"operating temperatures must be 1-d, got shape {top.shape}")
+    top = np.sort(top)
     if top.size == 0:
         raise EmptyRequest("empty ensemble")
     if np.isnan(top[-1]):  # the sort puts NaNs last

@@ -254,6 +254,10 @@ DOMAIN_CASES = [
      lambda: sf.operability_curve([1.5, 2.0], [NAN, 1.0]), "temps"),
     ("operability_curve-top-nan",
      lambda: sf.operability_curve([NAN, 1.0], [0.5, 2.0]), "operating temperatures"),
+    ("operability_curve-top-2d",
+     lambda: sf.operability_curve([[1.0, 2.0], [3.0, 4.0]], [1.5]), "operating temperatures"),
+    ("operability_curve-top-scalar",
+     lambda: sf.operability_curve(1.0, [1.5]), "operating temperatures"),
     # spectra
     ("Spectrum-shape", lambda: _spectrum(intens=np.ones(19)), "frequencies and intensities"),
     ("Spectrum-points",
@@ -285,6 +289,25 @@ def test_out_of_domain_value_raises_the_package_error(call, field):
     with pytest.raises(StrainforgeError) as info:
         call()
     assert field in str(info.value)
+
+
+# (id, a finite nonzero axis whose squared norm overflows or underflows, the
+# axis of the same direction with entries of order one)
+AXIS_CASES = [
+    ("overflow", [1e200] * 3, [1.0, 1.0, 1.0]),
+    ("underflow-one", [1e-170, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ("underflow-all", [1e-200] * 3, [1.0, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("axis, same", [case[1:] for case in AXIS_CASES],
+                         ids=[case[0] for case in AXIS_CASES])
+def test_finite_nonzero_axis_is_in_the_domain(axis, same):
+    # any finite nonzero axis gives the frame of its direction, with no
+    # numpy warning (the suite turns warnings into errors)
+    got, want = sf.DefectOrientation(axis), sf.DefectOrientation(same)
+    assert np.array_equal(got.axis, want.axis)
+    assert np.array_equal(got.rotation, want.rotation)
 
 
 def test_only_csvtext_raises_builtin_value_or_type_errors():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -715,3 +716,75 @@ class TestNewtonFit:
         summary = report(cfg, cfg.default_seed, threads=1, out_dir=tmp_path)
         assert summary["n"] == cfg.default_n
         assert len(calls) <= 6
+
+
+def _whole_chunk_splitting(lam, field, film_rows, depth, ori, sigma, unit, slope):
+    """A chunk's splittings and slope sum, each formula applied to the whole
+    chunk at once: the oracle for the sub-blocked kernel."""
+    film = field.axial_strain(depth) * np.take(film_rows, ori, axis=1)
+    couplings = film + sigma * unit
+    alpha, beta = couplings
+    gss = np.sqrt(lam * lam + 4.0 * (alpha * alpha + beta * beta))
+    a = unit if slope == "sigma" else film
+    return gss, 4.0 * np.sum((a * couplings).sum(axis=0) / gss)
+
+
+class TestSubBlockedSplitting:
+    """``_splitting`` works in sub-blocks of ``_SUB`` emitters and writes
+    into the array it is given; every output bit is the whole-chunk one."""
+
+    @pytest.fixture(scope="class")
+    def chunk(self):
+        return ensemble(kernels.CHUNK, seed=38)
+
+    @pytest.mark.parametrize("m", [1, 4095, 4097, 65536])
+    @pytest.mark.parametrize("stress", [0.0, POST])
+    @pytest.mark.parametrize("slope", ["sigma", "stress"])
+    def test_sub_blocks_equal_the_whole_chunk_bit_for_bit(self, chunk, m, stress, slope):
+        field = solve_beam_state(CFG.stack.with_film_stress(stress))
+        args = (PARAMS.lambda_so_ghz, field, chunk._film_rows, chunk._depth[:m],
+                chunk._ori[:m], SIGMA, chunk._unit[:, :m])
+        want_gss, want_slope = _whole_chunk_splitting(*args, slope)
+        out = np.full(m, np.nan)
+        gss, got_slope = pop._splitting(*args, slope, out)
+        assert gss is out
+        assert gss.tobytes() == want_gss.tobytes()
+        assert got_slope == want_slope
+        assert pop._splitting(*args).tobytes() == want_gss.tobytes()
+
+    def test_report_and_calibrate_make_no_qr(self, cfg, monkeypatch, tmp_path):
+        # the maps D[o] Q^T (and their QR) are the sampler's alone
+        from strainforge.cli import report, run
+
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+        report(cfg, cfg.default_seed, n=4096, threads=1, out_dir=tmp_path)
+        for what, target in (("sigma", "119"), ("stress", "608")):
+            assert run(["calibrate", "--what", what, "--target-ghz", target, "--n", "4096"]) == 0
+        assert calls == []
+        sample(8, SIGMA, seed=1)
+        assert len(calls) == 1
+
+    def test_each_fit_holds_one_array_of_splittings(self):
+        # tracemalloc sees numpy's buffers: between the two sizes the peak
+        # rise of a fit grows by its one array of n splittings (8 bytes per
+        # emitter), not by a second one (16), plus the run's bookkeeping of
+        # its 4 extra chunks (a few hundred bytes, under 1/64 per emitter)
+        def rise(fit):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = fit()
+                return tracemalloc.get_traced_memory()[1] - before, result
+            finally:
+                tracemalloc.stop()
+
+        rises = []
+        for n in (2 ** 18, 2 ** 19):
+            draw = ensemble(n, seed=39)
+            pre, (sigma, _) = rise(lambda: calibrate_sigma(119.0, draw))
+            post, _ = rise(lambda: calibrate_film_stress(608.0, draw, sigma))
+            rises.append((pre, post))
+        per_emitter = [(big - small) / 2 ** 18 for small, big in zip(*rises)]
+        assert max(per_emitter) <= 8.0 + 1.0 / 64, per_emitter
