@@ -3,8 +3,9 @@
 Subcommands: mechanics, sample, calibrate, top, report, spectra. Every
 output file is written atomically (temp file + rename) and is byte-stable
 for a fixed seed and config, independent of --threads. Exit status: 0 on
-success, 1 on domain errors and on operating-system errors such as an
-unwritable output path (single diagnostic line on stderr), 2 on usage
+success, 1 on domain errors, on operating-system errors such as an
+unwritable output path and on an allocation that fails, such as an --n
+too large for memory (single diagnostic line on stderr), 2 on usage
 errors.
 """
 
@@ -372,7 +373,7 @@ def run(argv: list[str]) -> int:
             args.n = cfg.default_n if args.n is None else args.n
             args.seed = cfg.default_seed if args.seed is None else args.seed
         return _COMMANDS[args.command](args, cfg)
-    except (StrainforgeError, OSError) as exc:
+    except (StrainforgeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

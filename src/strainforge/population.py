@@ -188,16 +188,12 @@ def _tables(stack: LayerStack, params: SivParameters, maps=True):
     return (*tables, _defect_to_crystal() @ q)
 
 
-# emitters per sub-block of _splitting: each temporary is 64 KB at most
-_SUB = 4096
-
-
 def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None, out=None):
     """Splittings of one chunk of emitters at depths ``depth`` (m,) with
     orientations ``ori`` (m,) in ``field``: sqrt(lam^2 + 4 |c|^2) with
     couplings c = e_yy F[o] + sigma u, from the film couplings F (2, 4)
     per unit e_yy and the intrinsic couplings u (2, m) per unit sigma.
-    They are written into ``out`` (m,), or a fresh array, ``_SUB`` at a time.
+    They are written into ``out`` (m,), or a fresh array, ``SUB`` at a time.
 
     ``slope`` "sigma" or "stress" also returns the chunk's sum of
     4 a . c / gss, with a = u or e_yy F[o]: the sum of d gss / d sigma, or
@@ -206,8 +202,8 @@ def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None, out=N
     gss = np.empty(len(depth)) if out is None else out
     terms = np.empty(len(depth)) if slope else None
     film = 0.0  # zero film strain would add +-0 to each coupling: c = sigma u, bit for bit
-    for lo in range(0, len(depth), _SUB):
-        b = slice(lo, lo + _SUB)
+    for lo in range(0, len(depth), _kernels.SUB):
+        b = slice(lo, lo + _kernels.SUB)
         couplings = sigma * unit[:, b]
         if field.membrane_strain or field.curvature_per_nm:
             film = field.axial_strain(depth[b]) * np.take(film_rows, ori[b], axis=1)
@@ -245,15 +241,17 @@ def _field_at(stack: LayerStack, sigma, stress_mpa) -> StrainField:
     return solve_beam_state(stack.with_film_stress(stress_mpa))
 
 
-def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep):
+def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep, out=None):
     """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
-    by chunk, with ``n_pairs`` Box-Muller pairs each; yield, in chunk order,
-    what ``keep(lo, hi, x, y, depth, o, z)`` returns in the chunk's worker.
-    A containment failure is raised when its chunk is taken, the first in
-    chunk order. Callers run _check_draw before they allocate n rows."""
+    by chunk, with ``n_pairs`` Box-Muller pairs each, into the arrays
+    ``out(lo, hi)`` gives (see draw_post_block) or fresh ones; yield, in
+    chunk order, what ``keep(lo, hi, x, y, depth, o, z)`` returns in the
+    chunk's worker. A containment failure is raised when its chunk is
+    taken, the first in chunk order. Callers run _check_draw before they
+    allocate n rows."""
     root = _kernels.seed_root(seed)
-    return _kernels.run_blocks(n, lambda lo, hi: keep(
-        lo, hi, *_kernels.draw_post_block(lo, hi, root, n_pairs, cs, pos)), threads)
+    return _kernels.run_blocks(n, lambda lo, hi: keep(lo, hi, *_kernels.draw_post_block(
+        lo, hi, root, n_pairs, cs, pos, out and out(lo, hi))), threads)
 
 
 def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: SivParameters,
@@ -349,11 +347,13 @@ def draw_ensemble(
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
 
-    def keep(lo, hi, x_nm, y_nm, dep, o, z):
-        depth[lo:hi], ori[lo:hi] = dep, o
-        unit[:, lo:hi] = s[:, None] * z[:, :2].T
+    def out(lo, hi):  # the draws land in the ensemble, the pair as unit[:, lo:hi].T
+        return None, None, depth[lo:hi], ori[lo:hi], unit[:, lo:hi].T
 
-    list(_draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep))
+    def keep(lo, hi, x_nm, y_nm, dep, o, z):
+        z *= s  # in place: unit[:, lo:hi] becomes s[:, None] * z.T, bit for bit
+
+    list(_draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep, out))
     return Ensemble(stack, params, film_rows, depth, ori, unit, threads)
 
 

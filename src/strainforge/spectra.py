@@ -9,8 +9,6 @@ so batch results are easy to reproduce.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,6 +114,9 @@ def _to_ghz(values: np.ndarray, axis: str) -> np.ndarray:
 def _parse_lines(text: str) -> tuple[str, np.ndarray, np.ndarray]:
     """Row-by-row CSV parse: (axis, x, y) in file order. Names the line of
     the first bad row in its ParseError."""
+    import csv  # imported here, with io, so that only this slow path loads them
+    import io
+
     reader = csv.reader(io.StringIO(text, newline=""))
     axis = "frequency_ghz"
     raw_x: list[float] = []

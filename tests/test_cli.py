@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -115,6 +114,22 @@ class TestExitCodes:
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--phase", "post", "--out", "{out}"],
+        ["calibrate", "--what", "sigma", "--target-ghz", "119"],
+        ["report", "--out-dir", "{out}"],
+    ], ids=["sample", "calibrate", "report"])
+    def test_allocation_beyond_memory_is_one_line(self, tmp_path, capsys, command):
+        # the largest n the counter space allows: one float64 per emitter is
+        # 2**58 bytes, beyond any 64-bit address space, so the allocation fails at once
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + ["--n", str(pop._MAX_N)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 
@@ -459,7 +474,8 @@ class TestReportCommand:
     def test_report_draws_each_ensemble_once(self, tmp_path, capsys,
                                              fast_config, monkeypatch):
         # both fits evaluate one ensemble and the report reuses what they
-        # end on: no sampler call, and one draw call per chunk of n
+        # end on: no sampler call, one draw call per chunk of n, and in it
+        # one orientation and one pair call per sub-block
         def resampled(*args, **kwargs):
             raise AssertionError("report re-sampled an ensemble")
 
@@ -467,7 +483,7 @@ class TestReportCommand:
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name if name != "pairs" else (name, args[3]))
+                calls.append(name if name != "pairs" else (name, args[3], len(args[1])))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -481,9 +497,15 @@ class TestReportCommand:
         n = 2 * kernels.CHUNK + 5
         assert run(["report", "--config", fast_config, "--n", str(n),
                     "--out-dir", str(tmp_path)]) == 0
-        # one Box-Muller pair per emitter
-        per_chunk = ["draw_post_block", "_orientation_np", ("pairs", 1)]
-        assert calls == per_chunk * math.ceil(n / kernels.CHUNK)
+        # one Box-Muller pair per emitter, read once
+        want = []
+        for lo in range(0, n, kernels.CHUNK):
+            hi = min(lo + kernels.CHUNK, n)
+            want.append("draw_post_block")
+            for a in range(lo, hi, kernels.SUB):
+                want += ["_orientation_np", ("pairs", 1, min(kernels.SUB, hi - a))]
+        assert calls == want
+        assert sum(c[2] for c in calls if c[0] == "pairs") == n
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n"] == n
 

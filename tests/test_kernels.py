@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,21 @@ class TestRunBlocks:
         list(kernels.run_blocks(10, lambda lo, hi: calls.append((lo, hi)), threads=None))
         assert calls == [(0, 10)]
 
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_chunk_bounds_are_built_as_they_are_taken(self, threads):
+        # 2**18 chunks: a list of their bounds took 33 MB before the first chunk ran
+        calls = []
+        tracemalloc.start()
+        try:
+            chunks = kernels.run_blocks(2 ** 34, lambda lo, hi: calls.append(lo) or hi, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert calls == []
+        assert next(chunks) == kernels.CHUNK
+        chunks.close()
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
         # raised by the call itself, not when the first chunk is taken
@@ -137,8 +153,13 @@ class TestRunBlocks:
 
 
 class TestChunkIndependence:
+    # two sub-blocks and a short third; cuts fall anywhere, and often within
+    # a few emitters of the first sub-block edge
+    N = 2 * kernels.SUB + 5
+
     @given(
-        cuts=st.lists(st.integers(1, 599), max_size=6, unique=True),
+        cuts=st.lists(st.integers(kernels.SUB - 3, kernels.SUB + 3)
+                      | st.integers(1, N - 1), max_size=6, unique=True),
         seed=st.integers(0, 2 ** 32),
     )
     @settings(max_examples=25, deadline=None)
@@ -149,7 +170,7 @@ class TestChunkIndependence:
         pos = cfg.position
         cs = cfg.stack.cross_section
         root = kernels.seed_root(seed)
-        n = 600
+        n = self.N
 
         def run(lo, hi):
             return kernels.draw_post_block(lo, hi, root, 3, cs, pos)
@@ -229,17 +250,31 @@ def test_containment_failure_names_its_chunk(cfg):
                               f"after {kernels.MAX_POSITION_ATTEMPTS} attempts each")
 
 
-def test_kernel_micro_benchmark_runs():
-    # benchmarks/bench_kernels.py reaches into private sampler helpers; keep it runnable
-    bench = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+def _child_env():
     env = dict(os.environ)
     pkg_root = str(Path(kernels.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_loads_no_thread_pool_or_csv():
+    # the pool is imported when a run takes two threads, csv when a
+    # spectrum needs the row-by-row parse
+    code = ("import sys, strainforge.cli\n"
+            "print([m for m in ('concurrent.futures', 'csv') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_kernel_micro_benchmark_runs():
+    # benchmarks/bench_kernels.py reaches into private sampler helpers; keep it runnable
+    bench = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     out = subprocess.run(
         [sys.executable, str(bench), "--n", "2000", "--repeats", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     headers = [line for line in out.stdout.splitlines() if line and not line.startswith(" ")]

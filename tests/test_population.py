@@ -149,6 +149,20 @@ class TestPreDeposition:
             sample(0, SIGMA, seed=1)
 
 
+def test_draw_holds_no_chunk_length_temporary():
+    # the draws land in the ensemble's arrays a sub-block at a time: beyond
+    # them the traced peak is the sub-blocks' temporaries (about 0.65 MB),
+    # not a chunk's (7 MB when a chunk was drawn whole and copied in)
+    tracemalloc.start()
+    try:
+        draw = ensemble(2 ** 18, seed=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = draw._depth.nbytes + draw._ori.nbytes + draw._unit.nbytes
+    assert peak - own < 2 ** 20, peak - own
+
+
 def test_n_beyond_the_counter_space_rejected():
     # counters i * 512 + j of samples i < 2**55 fit in a uint64; the check
     # comes before any array of n is allocated
@@ -581,7 +595,7 @@ class TestCachedCalibrationMeans:
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name if name != "pairs" else (name, args[3]))
+                calls.append(name if name != "pairs" else (name, args[3], len(args[1])))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -593,9 +607,10 @@ class TestCachedCalibrationMeans:
         draw = ensemble(self.N, seed=32)
         sigma, _ = calibrate_sigma(119.0, draw)
         calibrate_film_stress(608.0, draw, sigma)
-        # n fits in one chunk: one draw call for both fits, drawing one
-        # Box-Muller pair per emitter
-        assert calls == ["draw_post_block", "_orientation_np", ("pairs", 1)]
+        # n is one sub-block of one chunk: one draw call for both fits,
+        # drawing one Box-Muller pair per emitter
+        assert self.N == kernels.SUB
+        assert calls == ["draw_post_block", "_orientation_np", ("pairs", 1, self.N)]
 
     @pytest.mark.parametrize("target", [46.0, 119.0])
     @pytest.mark.parametrize("threads", [None, 2])
@@ -730,7 +745,7 @@ def _whole_chunk_splitting(lam, field, film_rows, depth, ori, sigma, unit, slope
 
 
 class TestSubBlockedSplitting:
-    """``_splitting`` works in sub-blocks of ``_SUB`` emitters and writes
+    """``_splitting`` works in sub-blocks of ``kernels.SUB`` emitters and writes
     into the array it is given; every output bit is the whole-chunk one."""
 
     @pytest.fixture(scope="class")
