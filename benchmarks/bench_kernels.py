@@ -10,13 +10,13 @@ splitting) runs once per Newton step of a calibration, at zero film
 stress for the sigma fit and at a trial stress for the stress fit, and a
 step also reads the mean's exact slope from the same pass: the lines with
 the slope next to the plain ones show what it adds per step.
-The sampler's draw runs here as one call over all n emitters, which the
-kernel works through in sub-blocks of SUB emitters, and the calibration's
-draw as ``report`` runs it: ``draw_ensemble`` chunk by chunk straight into
-the ensemble's arrays, with the minor page faults of its first call. The
-evaluation runs as ``Ensemble.gss`` runs it, all on one thread. Last, one
-CSV_BLOCK_ROWS block of the sampler's first chunk is turned into CSV
-text by the numpy writer and by per-row ``%`` formatting.
+Each draw runs as its caller runs it, all on one thread: the sampler's
+as ``sample_chunks`` does, one kernel call per CHUNK emitters, and the
+calibration's as ``report`` does, ``draw_ensemble`` drawing each chunk in
+sub-blocks copied into the ensemble's arrays, with the minor page faults
+of its first call. The evaluation runs as ``Ensemble.gss`` runs it.
+Last, one CSV_BLOCK_ROWS block of the sampler's first chunk is turned
+into CSV text by the numpy writer and by per-row ``%`` formatting.
 
     python benchmarks/bench_kernels.py [--n N] [--repeats R]
 """
@@ -66,8 +66,13 @@ def main():
     print(f"one ensemble (n = {n:,})")
     root = kernels.seed_root(12345)
 
-    def draw(n_pairs):
-        return kernels.draw_post_block(0, n, root, n_pairs, field.cross_section, pos)
+    def draw(lo):  # one chunk of the sampler's draw: positions, orientations, 3 pairs
+        return kernels.draw_post_block(lo, min(lo + kernels.CHUNK, n), root, 3,
+                                       field.cross_section, pos)
+
+    def draw_chunks():
+        for lo in range(0, n, kernels.CHUNK):
+            draw(lo)
 
     def draw_ensemble():
         return pop.draw_ensemble(n, cfg.stack, pos, params, 12345, threads=1)
@@ -78,11 +83,11 @@ def main():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     line("draw_ensemble: pos + o + 1 pair", best_of(draw_ensemble, repeats), n)
     print(f"  its first call: {faults:,} minor page faults")
-    line("draw: positions + o + 3 pairs", best_of(lambda: draw(3), repeats), n)
+    line("draw: positions + o + 3 pairs", best_of(draw_chunks, repeats), n)
     base = np.arange(n, dtype=np.uint64) * np.uint64(kernels.DRAWS_PER_SAMPLE)
     inside = kernels._position_attempt(root, base, 0, field.cross_section, pos)[3]
     print(f"  placed at attempt 0: {inside.mean():.2%} of emitters")
-    _, _, depth, o, z = draw(3)
+    _, _, depth, o, z = map(np.concatenate, zip(*map(draw, range(0, n, kernels.CHUNK))))
     line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)
     line("  with d mean / d sigma",
          best_of(lambda: ensemble.gss(sigma, 0.0, _slope="sigma"), repeats), n)

@@ -2,16 +2,14 @@
 
 Sampling runs in two stages. The draw stage, here, produces everything
 random and nothing else: implantation positions (attempt 0 fills a
-sub-block's outputs, and a chunk that cannot place an emitter raises),
+range's outputs, and a range that cannot place an emitter raises),
 orientation ids and Box-Muller pairs of unit normals, none of which
-depends on the intrinsic sigma or the film stress. A chunk is drawn SUB
-emitters at a time into arrays its caller may give, so every temporary
-is sub-block sized. A full intrinsic tensor takes three pairs; the
-splitting reads only the first, so an ensemble kept for calibration
-draws one. The evaluation stage, in ``population``, maps those draws
-through linear coupling tables and evaluates the splitting: the sampler
-runs both stages per chunk; an ensemble is drawn once and evaluated at
-any (sigma, film stress).
+depends on the intrinsic sigma or the film stress. A full intrinsic
+tensor takes three pairs; the splitting reads only the first, so an
+ensemble kept for calibration draws one. The evaluation stage, in
+``population``, maps those draws through linear coupling tables and
+evaluates the splitting: the sampler runs both stages per chunk; an
+ensemble is drawn once and evaluated at any (sigma, film stress).
 
 Randomness is counter based: draw ``j`` of sample ``i`` is a pure function
 of ``(seed, i * DRAWS_PER_SAMPLE + j)`` through a SplitMix64-style mixer,
@@ -39,9 +37,6 @@ MAX_POSITION_ATTEMPTS = 100
 # Fixed chunk size for thread-level parallelism. Per-sample values never depend
 # on chunk boundaries, so this only bounds working memory: a few chunks in flight.
 CHUNK = 65536
-# Emitters per sub-block of a chunk's draw and evaluation: one float64 per emitter is
-# 32 KB, below glibc's 128 KiB mmap threshold, so such a temporary reuses heap memory.
-SUB = 4096
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -148,46 +143,31 @@ def _position_attempt(root, counters, attempt, cs, pos):
     return x, y, depth, inside
 
 
-def draw_post_block(lo, hi, root, n_pairs, cs, pos, out=None):
+def draw_post_block(lo, hi, root, n_pairs, cs, pos):
     """Scale-free draws of implanted emitters [lo, hi) of the stream
-    ``root`` in the cross-section ``cs``, under the position model ``pos``,
-    SUB emitters at a time.
+    ``root`` in the cross-section ``cs``, under the position model ``pos``.
 
     Positions are rejection sampled until they land inside the substrate;
     attempts after the first redraw only the emitters still outside, and
     if any fails every attempt, DegenerateGeometry counts the failures of
-    [lo, hi). Returns (x, y, depth, orientation ids, ``n_pairs``
-    Box-Muller pairs (m, 2 n_pairs)), written into ``out``, five arrays
-    of m = hi - lo rows (None for one not wanted), or fresh arrays.
+    [lo, hi). Returns fresh arrays: (x, y, depth, orientation ids,
+    ``n_pairs`` Box-Muller pairs (hi - lo, 2 n_pairs)).
     """
-    m = hi - lo
-    if out is None:
-        out = (np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.int64),
-               np.empty((m, 2 * n_pairs)))
-    failed = 0
-    for a in range(0, m, SUB):
-        b = min(a + SUB, m)
-        base = np.arange(lo + a, lo + b, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
-        x, y, dep, inside = _position_attempt(root, base, 0, cs, pos)
-        pend = np.flatnonzero(~inside)
-        for attempt in range(1, MAX_POSITION_ATTEMPTS):
-            if pend.size == 0:
-                break
-            cx, cy, cd, ok = _position_attempt(root, base[pend], attempt, cs, pos)
-            sel = pend[ok]
-            x[sel], y[sel], dep[sel] = cx[ok], cy[ok], cd[ok]
-            pend = pend[~ok]
-        failed += pend.size
-        if failed:  # the chunk fails: only its count is left to find
-            continue
-        o = _orientation_np(root, base + np.uint64(4 * MAX_POSITION_ATTEMPTS))
-        z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, n_pairs)
-        for dst, src in zip(out, (x, y, dep, o, z)):
-            if dst is not None:
-                dst[a:b] = src
-    if failed:
+    base = np.arange(lo, hi, dtype=np.uint64) * np.uint64(DRAWS_PER_SAMPLE)
+    x, y, depth, inside = _position_attempt(root, base, 0, cs, pos)
+    pend = np.flatnonzero(~inside)
+    for attempt in range(1, MAX_POSITION_ATTEMPTS):
+        if pend.size == 0:
+            break
+        cx, cy, cd, ok = _position_attempt(root, base[pend], attempt, cs, pos)
+        sel = pend[ok]
+        x[sel], y[sel], depth[sel] = cx[ok], cy[ok], cd[ok]
+        pend = pend[~ok]
+    if pend.size:
         raise DegenerateGeometry(
-            f"{failed} of emitters [{lo}, {hi}) failed substrate containment "
+            f"{pend.size} of emitters [{lo}, {hi}) failed substrate containment "
             f"after {MAX_POSITION_ATTEMPTS} attempts each"
         )
-    return out
+    o = _orientation_np(root, base + np.uint64(4 * MAX_POSITION_ATTEMPTS))
+    z = _normal_pairs_np(root, base, 4 * MAX_POSITION_ATTEMPTS + 1, n_pairs)
+    return x, y, depth, o, z

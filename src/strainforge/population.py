@@ -29,14 +29,14 @@ them iid and makes the couplings sigma (s_alpha z'_1, s_beta z'_2), with
 s the row norms: the splitting reads the first Box-Muller pair alone, and
 a written tensor is sigma Q^T z'. Every sample is thus
 ``sqrt(lam^2 + 4 |e_yy F[o] + sigma s z'_{1,2}|^2)``, written once in
-``_splitting``, which works through a chunk in cache-sized sub-blocks.
-An ``Ensemble`` keeps F, depth, orientation and that pair; its gss at any
-(sigma, stress) equals the sampler's there, bit for bit, and a fit writes
-every evaluation into one array. Both check the two scales alike: sigma
-finite and >= 0, stress finite. The tables (the film tensor, F, s and the
-maps D[o] Q^T, which only the sampler reads) come from one function,
-``_tables``, built through ``core`` on first use, so importing the
-package builds none of them.
+``_splitting``, which works through a chunk ``_SUB`` emitters at a time.
+An ``Ensemble`` keeps F, depth, orientation and that pair, drawn ``_SUB``
+emitters at a time; its gss at any (sigma, stress) equals the sampler's
+there, bit for bit, and a fit writes every evaluation into one array.
+Both check the two scales alike: sigma finite and >= 0, stress finite.
+The tables (the film tensor, F, s and the maps D[o] Q^T, which only the
+sampler reads) come from one function, ``_tables``, built through
+``core`` on first use, so importing the package builds none of them.
 """
 
 from __future__ import annotations
@@ -188,12 +188,17 @@ def _tables(stack: LayerStack, params: SivParameters, maps=True):
     return (*tables, _defect_to_crystal() @ q)
 
 
+# Emitters per sub-block of the ensemble's draw and of _splitting: one float64 per emitter
+# is 32 KB, below glibc's 128 KiB mmap threshold, so a temporary reuses heap memory.
+_SUB = 4096
+
+
 def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None, out=None):
     """Splittings of one chunk of emitters at depths ``depth`` (m,) with
     orientations ``ori`` (m,) in ``field``: sqrt(lam^2 + 4 |c|^2) with
     couplings c = e_yy F[o] + sigma u, from the film couplings F (2, 4)
     per unit e_yy and the intrinsic couplings u (2, m) per unit sigma.
-    They are written into ``out`` (m,), or a fresh array, ``SUB`` at a time.
+    They are written into ``out`` (m,), or a fresh array, ``_SUB`` at a time.
 
     ``slope`` "sigma" or "stress" also returns the chunk's sum of
     4 a . c / gss, with a = u or e_yy F[o]: the sum of d gss / d sigma, or
@@ -202,8 +207,8 @@ def _splitting(lam, field, film_rows, depth, ori, sigma, unit, slope=None, out=N
     gss = np.empty(len(depth)) if out is None else out
     terms = np.empty(len(depth)) if slope else None
     film = 0.0  # zero film strain would add +-0 to each coupling: c = sigma u, bit for bit
-    for lo in range(0, len(depth), _kernels.SUB):
-        b = slice(lo, lo + _kernels.SUB)
+    for lo in range(0, len(depth), _SUB):
+        b = slice(lo, lo + _SUB)
         couplings = sigma * unit[:, b]
         if field.membrane_strain or field.curvature_per_nm:
             film = field.axial_strain(depth[b]) * np.take(film_rows, ori[b], axis=1)
@@ -241,19 +246,6 @@ def _field_at(stack: LayerStack, sigma, stress_mpa) -> StrainField:
     return solve_beam_state(stack.with_film_stress(stress_mpa))
 
 
-def _draw(n, seed, cs, pos: PositionDistribution, n_pairs, threads, keep, out=None):
-    """Draw emitters [0, n) of ``seed`` in the cross-section ``cs``, chunk
-    by chunk, with ``n_pairs`` Box-Muller pairs each, into the arrays
-    ``out(lo, hi)`` gives (see draw_post_block) or fresh ones; yield, in
-    chunk order, what ``keep(lo, hi, x, y, depth, o, z)`` returns in the
-    chunk's worker. A containment failure is raised when its chunk is
-    taken, the first in chunk order. Callers run _check_draw before they
-    allocate n rows."""
-    root = _kernels.seed_root(seed)
-    return _kernels.run_blocks(n, lambda lo, hi: keep(lo, hi, *_kernels.draw_post_block(
-        lo, hi, root, n_pairs, cs, pos, out and out(lo, hi))), threads)
-
-
 def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: SivParameters,
                   seed: int, *, sigma: float, stress_mpa: float, threads: int | None = None):
     """The emitters of ``draw_ensemble(n, stack, pos, params, seed)`` at
@@ -267,13 +259,18 @@ def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: 
     it through a uniformly drawn <111> orientation, adds an intrinsic
     random tensor (drawn in the defect frame), and computes the splitting.
     At zero film stress this is the ensemble before deposition. The
-    arguments are checked at the call, each chunk in a worker as it is due.
+    arguments are checked at the call, each chunk in a worker as it is due;
+    a containment failure is raised when its chunk is taken, the first in
+    chunk order.
     """
     _check_draw(n, seed)
     field = _field_at(stack, sigma, stress_mpa)
     film_crystal, film_rows, s, to_crystal = _tables(stack, params)
+    root = _kernels.seed_root(seed)
 
-    def keep(lo, hi, x_nm, y_nm, dep, o, z):
+    def chunk(lo, hi):
+        x_nm, y_nm, dep, o, z = _kernels.draw_post_block(lo, hi, root, _TENSOR_PAIRS,
+                                                         stack.cross_section, pos)
         gss = _splitting(params.lambda_so_ghz, field, film_rows, dep, o,
                          sigma, s[:, None] * z[:, :2].T)
         eps = field.axial_strain(dep)[:, None] * film_crystal
@@ -281,7 +278,7 @@ def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: 
         eps += (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T
         return EmitterSamples(x_nm, y_nm, dep, o, eps, gss)
 
-    return _draw(n, seed, stack.cross_section, pos, _TENSOR_PAIRS, threads, keep)
+    return _kernels.run_blocks(n, chunk, threads)
 
 
 def sample_post_deposition(n: int, stack: LayerStack, pos: PositionDistribution,
@@ -340,20 +337,24 @@ def draw_ensemble(
 ) -> Ensemble:
     """The emitters ``sample_post_deposition`` draws at ``seed``, drawn once
     for evaluation at any (sigma, film stress): positions, orientations and
-    the first Box-Muller pair of each intrinsic tensor."""
+    the first Box-Muller pair of each intrinsic tensor, drawn ``_SUB`` at a
+    time into the ensemble's arrays. A containment failure names its sub-block."""
     _check_draw(n, seed)
     _, film_rows, s = _tables(stack, params, maps=False)
+    root = _kernels.seed_root(seed)
     depth = np.empty(n)
     ori = np.empty(n, dtype=np.int8)
     unit = np.empty((2, n))
 
-    def out(lo, hi):  # the draws land in the ensemble, the pair as unit[:, lo:hi].T
-        return None, None, depth[lo:hi], ori[lo:hi], unit[:, lo:hi].T
+    def chunk(lo, hi):
+        for a in range(lo, hi, _SUB):
+            b = min(a + _SUB, hi)
+            _, _, dep, o, z = _kernels.draw_post_block(a, b, root, _SPLITTING_PAIRS,
+                                                       stack.cross_section, pos)
+            depth[a:b], ori[a:b] = dep, o
+            unit[:, a:b] = s[:, None] * z.T
 
-    def keep(lo, hi, x_nm, y_nm, dep, o, z):
-        z *= s  # in place: unit[:, lo:hi] becomes s[:, None] * z.T, bit for bit
-
-    list(_draw(n, seed, stack.cross_section, pos, _SPLITTING_PAIRS, threads, keep, out))
+    list(_kernels.run_blocks(n, chunk, threads))
     return Ensemble(stack, params, film_rows, depth, ori, unit, threads)
 
 

@@ -185,13 +185,13 @@ def load_spectrum(source, label: str = "") -> Spectrum:
     the axis (frequency_ghz, frequency_thz, or wavelength_nm). Without a
     header the axis is frequency in GHz. Rows are sorted into ascending
     frequency; exact duplicates are rejected. CR, LF and CRLF all end a
-    line.
+    line, and a file's UTF-8 byte-order mark is skipped.
     """
     if isinstance(source, (str, Path)):
         if not label:
             label = Path(source).name
         try:
-            text = Path(source).read_bytes().decode("utf-8")
+            text = Path(source).read_bytes().decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from exc
     else:

@@ -92,6 +92,23 @@ class TestExitCodes:
                 f"containment after {kernels.MAX_POSITION_ATTEMPTS} attempts each\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["report", "--out-dir", "{out}"],
+                                         ["calibrate", "--what", "sigma", "--target-ghz", "119"]])
+    def test_ensemble_containment_failure_names_its_first_sub_block(self, tmp_path, capsys,
+                                                                    command):
+        # an ensemble is drawn _SUB emitters at a time, so its error names
+        # the first sub-block of the first chunk at any thread count
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"position": {"depth_mean_nm": 5000.0}}))
+        n = 2 * kernels.CHUNK + 1
+        for threads in ("1", "2"):
+            argv = [a.replace("{out}", str(tmp_path / f"r{threads}")) for a in command]
+            assert run([*argv, "--n", str(n), "--threads", threads,
+                        "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {pop._SUB} of emitters [0, {pop._SUB}) failed substrate "
+                f"containment after {kernels.MAX_POSITION_ATTEMPTS} attempts each\n")
+
     def test_n_beyond_the_counter_space_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         n = 2 ** 55 + 1
@@ -474,8 +491,8 @@ class TestReportCommand:
     def test_report_draws_each_ensemble_once(self, tmp_path, capsys,
                                              fast_config, monkeypatch):
         # both fits evaluate one ensemble and the report reuses what they
-        # end on: no sampler call, one draw call per chunk of n, and in it
-        # one orientation and one pair call per sub-block
+        # end on: no sampler call, and one draw call per sub-block of each
+        # chunk of n, each with one orientation and one pair call
         def resampled(*args, **kwargs):
             raise AssertionError("report re-sampled an ensemble")
 
@@ -483,7 +500,12 @@ class TestReportCommand:
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name if name != "pairs" else (name, args[3], len(args[1])))
+                if name == "pairs":  # (name, pairs per emitter, emitters)
+                    calls.append((name, args[3], len(args[1])))
+                elif name == "draw_post_block":  # (name, lo, hi)
+                    calls.append((name, args[0], args[1]))
+                else:
+                    calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -497,13 +519,14 @@ class TestReportCommand:
         n = 2 * kernels.CHUNK + 5
         assert run(["report", "--config", fast_config, "--n", str(n),
                     "--out-dir", str(tmp_path)]) == 0
-        # one Box-Muller pair per emitter, read once
+        # one Box-Muller pair per emitter, read once: the draw ranges tile
+        # [0, n), and none crosses a chunk edge
         want = []
         for lo in range(0, n, kernels.CHUNK):
             hi = min(lo + kernels.CHUNK, n)
-            want.append("draw_post_block")
-            for a in range(lo, hi, kernels.SUB):
-                want += ["_orientation_np", ("pairs", 1, min(kernels.SUB, hi - a))]
+            for a in range(lo, hi, pop._SUB):
+                b = min(a + pop._SUB, hi)
+                want += [("draw_post_block", a, b), "_orientation_np", ("pairs", 1, b - a)]
         assert calls == want
         assert sum(c[2] for c in calls if c[0] == "pairs") == n
         summary = json.loads((tmp_path / "summary.json").read_text())

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strainforge._kernels as kernels
+import strainforge.population as pop
 from strainforge.errors import DegenerateGeometry, InvalidParameter
 
 
@@ -153,12 +154,12 @@ class TestRunBlocks:
 
 
 class TestChunkIndependence:
-    # two sub-blocks and a short third; cuts fall anywhere, and often within
-    # a few emitters of the first sub-block edge
-    N = 2 * kernels.SUB + 5
+    # two of the ensemble's sub-blocks and a short third; cuts fall anywhere,
+    # and often within a few emitters of the first sub-block edge
+    N = 2 * pop._SUB + 5
 
     @given(
-        cuts=st.lists(st.integers(kernels.SUB - 3, kernels.SUB + 3)
+        cuts=st.lists(st.integers(pop._SUB - 3, pop._SUB + 3)
                       | st.integers(1, N - 1), max_size=6, unique=True),
         seed=st.integers(0, 2 ** 32),
     )
@@ -180,6 +181,18 @@ class TestChunkIndependence:
         parts = [run(lo, hi) for lo, hi in zip(edges, edges[1:])]
         for i in range(5):
             assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_ensemble_sub_blocks_equal_one_whole_draw(self, cfg, seed):
+        # draw_ensemble draws _SUB emitters at a time: what it keeps is the
+        # one-call draw of [0, N), bit for bit, across every sub-block edge
+        _, _, depth, o, z = kernels.draw_post_block(0, self.N, kernels.seed_root(seed), 1,
+                                                    cfg.stack.cross_section, cfg.position)
+        s = pop._tables(cfg.stack, cfg.siv, maps=False)[2]
+        draw = pop.draw_ensemble(self.N, cfg.stack, cfg.position, cfg.siv, seed)
+        assert draw._depth.tobytes() == depth.tobytes()
+        assert np.array_equal(draw._ori, o)
+        assert draw._unit.tobytes() == (s[:, None] * z.T).tobytes()
 
 
 class TestPairCount:

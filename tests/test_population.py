@@ -609,7 +609,7 @@ class TestCachedCalibrationMeans:
         calibrate_film_stress(608.0, draw, sigma)
         # n is one sub-block of one chunk: one draw call for both fits,
         # drawing one Box-Muller pair per emitter
-        assert self.N == kernels.SUB
+        assert self.N == pop._SUB
         assert calls == ["draw_post_block", "_orientation_np", ("pairs", 1, self.N)]
 
     @pytest.mark.parametrize("target", [46.0, 119.0])
@@ -745,7 +745,7 @@ def _whole_chunk_splitting(lam, field, film_rows, depth, ori, sigma, unit, slope
 
 
 class TestSubBlockedSplitting:
-    """``_splitting`` works in sub-blocks of ``kernels.SUB`` emitters and writes
+    """``_splitting`` works in sub-blocks of ``_SUB`` emitters and writes
     into the array it is given; every output bit is the whole-chunk one."""
 
     @pytest.fixture(scope="class")

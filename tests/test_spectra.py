@@ -94,6 +94,18 @@ class TestLoadSpectrum:
             with pytest.raises(ParseError, match="spectrum values must be finite"):
                 load_spectrum(csv_of(rows, header=f"{axis},intensity"))
 
+    @pytest.mark.parametrize("header", [None, "frequency_ghz,intensity"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with one
+        text = csv_of(simple_rows(), header=header).getvalue()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = load_spectrum(plain), load_spectrum(marked)
+        assert np.array_equal(got.frequencies_ghz, want.frequencies_ghz)
+        assert np.array_equal(got.intensities, want.intensities)
+        assert got.metadata == want.metadata
+
     def test_descending_input_equals_ascending(self):
         rows = simple_rows()
         up = load_spectrum(csv_of(rows))
