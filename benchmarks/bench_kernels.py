@@ -9,7 +9,9 @@ evaluation stage (coupling tables applied to the draws, then the
 splitting) runs once per Newton step of a calibration, at zero film
 stress for the sigma fit and at a trial stress for the stress fit, and a
 step also reads the mean's exact slope from the same pass: the lines with
-the slope next to the plain ones show what it adds per step.
+the slope next to the plain ones show what it adds per step. The
+operating temperatures of one evaluation's splittings are solved as
+``report`` solves them.
 Each draw runs as its caller runs it, all on one thread: the sampler's
 as ``sample_chunks`` does, one kernel call per CHUNK emitters, and the
 calibration's as ``report`` does, ``draw_ensemble`` drawing each chunk in
@@ -33,6 +35,7 @@ from strainforge._csvtext import format_rows
 from strainforge.cli import CSV_BLOCK_ROWS
 from strainforge.config import default_config
 from strainforge.mechanics import solve_beam_state
+from strainforge.thermal import operational_temperature_batch
 
 
 def best_of(fn, repeats):
@@ -94,6 +97,9 @@ def main():
     line("splitting at 700 MPa", best_of(lambda: ensemble.gss(sigma, 700.0), repeats), n)
     line("  with d mean / d stress",
          best_of(lambda: ensemble.gss(sigma, 700.0, _slope="stress"), repeats), n)
+    gss_700 = ensemble.gss(sigma, 700.0)
+    line("T_op of the splittings at 700 MPa",
+         best_of(lambda: operational_temperature_batch(gss_700), repeats), n)
     line("crystal tensors: film + 6x6 map",
          best_of(lambda: field.axial_strain(depth)[:, None] * film_crystal
                  + (sigma * np.einsum("mk,mjk->jm", z, to_crystal[o])).T, repeats), n)

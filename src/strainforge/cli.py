@@ -46,7 +46,7 @@ DEPTH_PROFILE_POINTS = 201
 GSS_PDF_BINS = 250
 TOP_CURVE_GSS_GHZ = np.linspace(46.0, 1500.0, 200)
 OPERABILITY_TEMPS_K = np.linspace(0.25, 4.0, 151)
-# rows formatted per chunk of a streamed CSV table
+# rows of the ``sample`` table formatted per block
 CSV_BLOCK_ROWS = 4096
 
 
@@ -67,16 +67,12 @@ def _write_atomic(path: Path, text) -> None:
         raise
 
 
-def _csv_chunks(header: str, columns, row_format: str):
-    """A small CSV table as text chunks: the header line, then one chunk
-    per block of CSV_BLOCK_ROWS rows, each row ``row_format % row``. The
+def _csv_text(header: str, columns, row_format: str) -> str:
+    """A figure-data or histogram table, small enough to hold whole, as one
+    string: the header line, then each row ``row_format % row``. The
     ``sample`` table goes through ``_sample_csv`` instead."""
-    yield header + "\n"
-    columns = [np.asarray(c) for c in columns]
-    row_format += "\n"
-    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        rows = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns))
-        yield "".join(row_format % row for row in rows)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return header + "\n" + "".join(row_format % row + "\n" for row in rows)
 
 
 def _json_text(obj) -> str:
@@ -108,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="sample count (default from config)")
         p.add_argument("--seed", type=int, help="seed (default from config)")
         p.add_argument("--threads", type=_positive_int,
-                       help="worker threads, at least 1 (results identical)")
+                       help="worker threads, at least 1; they shorten sample only (same output)")
 
     p = sub.add_parser("mechanics", help="beam strain model outputs")
     common(p)
@@ -147,15 +143,15 @@ def _cmd_mechanics(args, cfg: Config) -> int:
     field = solve_beam_state(cfg.stack)
     depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
     eps = [strain_at(field, float(depth)) for depth in depths]
-    chunks = _csv_chunks(
+    text = _csv_text(
         "depth_nm,eps_xx,eps_yy,eps_zz",
         [depths, *np.array([(e.eps_xx, e.eps_yy, e.eps_zz) for e in eps]).T],
         "%r,%r,%r,%r",
     )
     if args.out:
-        _write_atomic(Path(args.out), chunks)
+        _write_atomic(Path(args.out), text)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     return 0
 
 
@@ -244,17 +240,17 @@ def report(cfg: Config, seed: int, n: int | None = None,
     edges = np.linspace(0.0, hi, GSS_PDF_BINS + 1)
     densities = [np.histogram(gss, bins=edges, density=True)[0]
                  for gss in (pre_gss, post_gss)]
-    _write_atomic(out_dir / "gss_pdf.csv", _csv_chunks(
+    _write_atomic(out_dir / "gss_pdf.csv", _csv_text(
         "bin_left_ghz,bin_right_ghz,pre_density,post_density",
         [edges[:-1], edges[1:], *densities], "%r,%r,%r,%r",
     ))
 
     top_curve = operational_temperature_batch(TOP_CURVE_GSS_GHZ, ref)
-    _write_atomic(out_dir / "top_vs_gss.csv", _csv_chunks(
+    _write_atomic(out_dir / "top_vs_gss.csv", _csv_text(
         "gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve], "%r,%r",
     ))
 
-    _write_atomic(out_dir / "operability.csv", _csv_chunks(
+    _write_atomic(out_dir / "operability.csv", _csv_text(
         "temp_k,p_pre,p_post",
         [OPERABILITY_TEMPS_K, operability_curve(top_pre, OPERABILITY_TEMPS_K),
          operability_curve(top_post, OPERABILITY_TEMPS_K)],
@@ -341,7 +337,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
     _write_atomic(out_path, _json_text(payload))
 
     edges, density = spectra.pool_transitions(assignments)
-    _write_atomic(pooled_path, _csv_chunks(
+    _write_atomic(pooled_path, _csv_text(
         "batch_tag,bin_left_ghz,bin_right_ghz,density",
         [[args.batch_tag] * density.size, edges[:-1], edges[1:], density],
         "%s,%r,%r,%r",

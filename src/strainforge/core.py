@@ -221,9 +221,7 @@ def rotate_strain(eps: StrainTensor, rot: np.ndarray, target_frame: Frame) -> St
     for a non-orthonormal matrix.
     """
     rot = _check_rotation(rot, tol=1e-10)
-    rotated = rot @ eps.matrix @ rot.T
-    rotated = 0.5 * (rotated + rotated.T)
-    return StrainTensor.from_matrix(rotated, target_frame)
+    return StrainTensor.from_matrix(rot @ eps.matrix @ rot.T, target_frame)
 
 
 def defect_frame_strain(eps_crystal: StrainTensor, orientation: DefectOrientation) -> StrainTensor:

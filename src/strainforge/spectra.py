@@ -10,6 +10,7 @@ so batch results are easy to reproduce.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -179,23 +180,27 @@ def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
 
 
 def load_spectrum(source, label: str = "") -> Spectrum:
-    """Read a two-column CSV (frequency/wavelength, intensity).
-
-    The header row is optional; when present, its first column name picks
-    the axis (frequency_ghz, frequency_thz, or wavelength_nm). Without a
-    header the axis is frequency in GHz. Rows are sorted into ascending
-    frequency; exact duplicates are rejected. CR, LF and CRLF all end a
-    line, and a file's UTF-8 byte-order mark is skipped.
-    """
-    if isinstance(source, (str, Path)):
-        if not label:
-            label = Path(source).name
-        try:
-            text = Path(source).read_bytes().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-    else:
-        text = source.read() if hasattr(source, "read") else str(source)
+    """Read a two-column CSV (frequency/wavelength, intensity) from a path
+    (str, bytes or os.PathLike, labelled with its file name by default) or
+    a file object, text or binary (UTF-8). The header row is optional; when
+    present, its first column name picks the axis (frequency_ghz,
+    frequency_thz, or wavelength_nm), else the axis is frequency in GHz.
+    Rows are sorted into ascending frequency; exact duplicates are
+    rejected. CR, LF and CRLF all end a line, and a leading byte-order mark
+    is skipped."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif isinstance(source, (str, bytes, os.PathLike)):
+            path = Path(os.fsdecode(source))
+            label = label or path.name
+            text = path.read_bytes()
+        else:
+            raise InvalidParameter(f"not a path or a file: {type(source).__name__}")
+        text = text.decode() if isinstance(text, bytes) else text
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    text = text.removeprefix("\ufeff")
     axis, raw_x, raw_y = _parse_fast(text) or _parse_lines(text)
 
     # a conversion that overflows leaves inf, which Spectrum rejects as non-finite
@@ -315,7 +320,6 @@ def detect_peaks(
         local_step = 0.5 * (freqs[i + 1] - freqs[i - 1])
         peaks.append(Peak(center_ghz=center, height=float(smoothed[i]),
                           prominence=float(prominence), width_ghz=float(width * local_step)))
-    peaks.sort(key=lambda p: p.center_ghz)
     return peaks
 
 
@@ -346,8 +350,7 @@ def pool_transitions(
     centers = np.array([p.center_ghz for a in assignments for p in a.peaks])
     if not centers.size:
         return np.array([]), np.array([])
-    edges = np.histogram_bin_edges(centers, bins="fd")
-    density, edges = np.histogram(centers, bins=edges, density=True)
+    density, edges = np.histogram(centers, bins="fd", density=True)
     return edges, density
 
 

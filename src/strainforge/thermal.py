@@ -151,11 +151,8 @@ def operational_temperature_batch(gss_ghz, ref: ThermalReference | None = None) 
         raise EmptyRequest("no splittings supplied")
     out = np.empty(gss.size)
     flat = gss.ravel()
-
-    def block(lo, hi):
-        out[lo:hi] = _solve_top(flat[lo:hi], ln0)
-
-    list(_kernels.run_blocks(flat.size, block, None))
+    for lo in range(0, flat.size, _kernels.CHUNK):
+        out[lo:lo + _kernels.CHUNK] = _solve_top(flat[lo:lo + _kernels.CHUNK], ln0)
     return out.reshape(gss.shape)
 
 

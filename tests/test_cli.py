@@ -56,6 +56,16 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_self_intersecting_polygon_in_config(self, tmp_path, capsys):
+        path = tmp_path / "crossed.json"
+        polygon = [[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]]
+        path.write_text(json.dumps({"mechanics": {"cross_section_polygon_nm": polygon}}))
+        assert run(["mechanics", "--depth-profile", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: mechanics.cross_section_polygon_nm: polygon is self-intersecting\n")
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -688,6 +698,19 @@ class TestSpectraCommand:
         code = run(["spectra", "--dir", str(tmp_path / "nope"),
                     "--batch-tag", "pre", "--out", str(tmp_path / "o.json")])
         assert code == 1
+
+    def test_dir_without_csv_writes_nothing(self, tmp_path, capsys):
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        (spec_dir / "notes.txt").write_text("406000.0,1.0\n")
+        out = tmp_path / "out" / "stats.json"
+        assert run(["spectra", "--dir", str(spec_dir), "--batch-tag", "pre",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no .csv spectra found in {spec_dir}\n"
+        assert not out.parent.exists()
+        assert [p.name for p in spec_dir.iterdir()] == ["notes.txt"]
 
     def test_no_single_emitters_still_writes(self, tmp_path, capsys):
         rng = np.random.default_rng(19)

@@ -4,8 +4,13 @@ from importlib import resources
 
 import pytest
 
+import strainforge.spectra as spectra
 from strainforge.config import default_config, load_config
+from strainforge.core import SivParameters
 from strainforge.errors import ConfigError
+from strainforge.mechanics import DEFAULT_BIAXIALITY_FACTOR
+from strainforge.population import PositionDistribution
+from strainforge.thermal import ThermalReference
 
 SHIPPED = resources.files("strainforge.data").joinpath("default_config.json")
 
@@ -36,6 +41,17 @@ class TestDefaults:
         cfg = load_config(str(SHIPPED))
         assert cfg.source == str(SHIPPED)
         assert repr(replace(cfg, source="<defaults>")) == repr(default_config())
+
+    def test_shipped_defaults_match_the_code_defaults(self):
+        # each default is written in the JSON file and in the code; the
+        # library's value types and perfbench's oracle use the code copy
+        cfg = default_config()
+        assert cfg.siv == SivParameters()
+        assert cfg.thermal == ThermalReference()
+        assert cfg.position == PositionDistribution()
+        assert cfg.stack.biaxiality_factor == DEFAULT_BIAXIALITY_FACTOR
+        assert cfg.smoothing_window == spectra.DEFAULT_SMOOTHING_WINDOW
+        assert cfg.min_prominence == spectra.DEFAULT_MIN_PROMINENCE
 
 
 class TestOverrides:
@@ -108,6 +124,9 @@ class TestOverrides:
         ("mechanics", "cross_section_polygon_nm", [["-500", False], [0.0, "-7e2"], [500.0, 0]],
          "mechanics.cross_section_polygon_nm: expected a number"),
         ("mechanics", "biaxiality_factor", -0.5, "biaxiality_factor must lie in [0, 1]"),
+        ("mechanics", "cross_section_polygon_nm", 5,
+         "mechanics.cross_section_polygon_nm: expected a list"),
+        ("notes", "siv", 1, "notes.siv: expected a string"),
     ])
     def test_one_bad_value_per_section(self, tmp_path, section, key, value, message):
         path = write_cfg(tmp_path, {section: {key: value}})
@@ -157,6 +176,15 @@ class TestOverrides:
                                                "spectra": {"smoothing_window": 7.0}}))
         assert cfg.default_n == 1_000_000 and type(cfg.default_n) is int
         assert cfg.smoothing_window == 7 and type(cfg.smoothing_window) is int
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"siv": 3}, "siv: expected an object"),
+        ([1, 2], "config root must be a JSON object"),
+    ], ids=["section-not-object", "root-not-object"])
+    def test_not_an_object_rejected(self, tmp_path, payload, message):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_cfg(tmp_path, payload))
+        assert str(info.value) == message
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

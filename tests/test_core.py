@@ -111,6 +111,21 @@ class TestRotateStrain:
         with pytest.raises(InvalidRotation):
             rotate_strain(t, refl, Frame.CRYSTAL)
 
+    def test_rejects_non_square_rotation(self):
+        with pytest.raises(InvalidRotation, match="^rotation must be a 3x3 matrix$"):
+            rotate_strain(tensor([1e-4, 0, 0, 0, 0, 0]), np.eye(2), Frame.CRYSTAL)
+
+    def test_result_is_the_symmetric_part_of_the_product(self):
+        # R eps R^T is symmetric only up to rounding; from_matrix keeps
+        # 0.5 (r + r^T), which a second symmetrization would not change
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t = tensor(rng.uniform(-1e-3, 1e-3, 6))
+            rot = random_rotation(rng)
+            r = rot @ t.matrix @ rot.T
+            out = rotate_strain(t, rot, Frame.CRYSTAL)
+            assert np.array_equal(out.matrix, 0.5 * (r + r.T))
+
 
 class TestDefectOrientations:
     def test_four_axes_are_proper_frames(self):

@@ -104,6 +104,11 @@ class TestSectionProperties:
         with pytest.raises(InvalidGeometry):
             CrossSection(bowtie)
 
+    def test_self_intersecting_pentagon_named(self):
+        # a vertex below the top edge makes two edges cross
+        with pytest.raises(InvalidGeometry, match="^polygon is self-intersecting$"):
+            CrossSection([[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]])
+
     def test_too_few_vertices(self):
         with pytest.raises(InvalidGeometry):
             CrossSection(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -155,6 +155,65 @@ class TestLoadSpectrum:
         assert np.array_equal(back.intensities, s.intensities)
 
 
+class _FsPath:
+    """A minimal os.PathLike that is neither str nor Path."""
+
+    def __init__(self, path):
+        self._path = path
+
+    def __fspath__(self):
+        return str(self._path)
+
+
+def _dir_entry(path):
+    with os.scandir(path.parent) as entries:
+        return next(e for e in entries if e.name == path.name)
+
+
+class TestLoadSources:
+    """Every source form reads as ``load_spectrum(path)`` does: a path-like
+    is labelled with its file name, a file object with ""."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        text = csv_of(simple_rows(), header="frequency_thz,intensity").getvalue()
+        path.write_bytes(text.encode())
+        return path
+
+    @staticmethod
+    def assert_same(got, want, label):
+        assert np.array_equal(got.frequencies_ghz, want.frequencies_ghz)
+        assert np.array_equal(got.intensities, want.intensities)
+        assert got.metadata == want.metadata
+        assert got.label == label
+
+    @pytest.mark.parametrize("as_source", [_FsPath, _dir_entry, os.fsencode],
+                             ids=["os-pathlike", "dir-entry", "bytes-path"])
+    def test_path_like(self, path, as_source):
+        self.assert_same(load_spectrum(as_source(path)), load_spectrum(path), "spec.csv")
+
+    def test_binary_file(self, path):
+        with open(path, "rb") as fh:
+            self.assert_same(load_spectrum(fh), load_spectrum(path), "")
+
+    def test_binary_file_with_byte_order_mark(self, path):
+        marked = io.BytesIO(b"\xef\xbb\xbf" + path.read_bytes())
+        self.assert_same(load_spectrum(marked), load_spectrum(path), "")
+
+    def test_text_stream_with_byte_order_mark(self, path):
+        marked = io.StringIO("\ufeff" + path.read_text())
+        self.assert_same(load_spectrum(marked), load_spectrum(path), "")
+
+    def test_binary_file_not_utf8(self):
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_spectrum(io.BytesIO(b"\xff\xfe\x00garbage"))
+
+    def test_other_type_rejected(self):
+        with pytest.raises(InvalidParameter, match="^not a path or a file: int$"):
+            load_spectrum(3)
+
+
 def _load_outcome(text):
     """What load_spectrum makes of ``text``: the arrays and metadata, or
     the exception type and message."""
@@ -302,6 +361,15 @@ class TestDetectPeaks:
         freqs = np.linspace(0.0, 100.0, 64)
         s = Spectrum(freqs, np.full(64, 7.0))
         assert detect_peaks(s) == []
+
+    def test_flat_top_peak_at_its_middle_sample(self):
+        # the three samples around the midpoint are equal, so the parabola
+        # is degenerate and the center is the middle sample exactly
+        freqs = np.linspace(406000.0, 406039.0, 40)
+        intens = np.zeros(40)
+        intens[18:23] = 5.0
+        peaks = detect_peaks(Spectrum(freqs, intens), smoothing_window=1)
+        assert [p.center_ghz for p in peaks] == [freqs[20]]
 
     def test_all_zero_trace(self):
         freqs = np.linspace(0.0, 100.0, 64)
