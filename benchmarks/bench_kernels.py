@@ -61,8 +61,8 @@ def main():
     cfg = default_config()
     params = cfg.siv
     pos = cfg.position
-    stress = cfg.stack.film.intrinsic_stress_mpa
-    field = solve_beam_state(cfg.stack)
+    stress = cfg.film_stress_mpa
+    field = solve_beam_state(cfg.stack, stress)
     sigma = 1.5e-5
     film_crystal, _, _, to_crystal = pop._tables(cfg.stack, params)
 

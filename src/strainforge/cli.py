@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mechanics(args, cfg: Config) -> int:
-    field = solve_beam_state(cfg.stack)
+    field = solve_beam_state(cfg.stack, cfg.film_stress_mpa)
     depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
     eps = [strain_at(field, float(depth)) for depth in depths]
     text = _csv_text(
@@ -176,7 +176,7 @@ def _sample_csv(chunks, gss):
 
 def _cmd_sample(args, cfg: Config) -> int:
     # before deposition: the same emitters in the beam at zero film stress
-    stress = cfg.stack.film.intrinsic_stress_mpa if args.phase == "post" else 0.0
+    stress = cfg.film_stress_mpa if args.phase == "post" else 0.0
     chunks = sample_chunks(
         args.n, cfg.stack, cfg.position, cfg.siv, args.seed,
         sigma=cfg.sigma_unstrained, stress_mpa=stress, threads=args.threads,

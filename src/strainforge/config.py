@@ -94,6 +94,7 @@ class Config:
     stack: LayerStack
     position: PositionDistribution
     sigma_unstrained: float
+    film_stress_mpa: float
     thermal: ThermalReference
     smoothing_window: int
     min_prominence: float
@@ -115,7 +116,7 @@ def _layer_stack(mech: dict) -> LayerStack:
     return LayerStack(
         substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
         cross_section=cs,
-        film=Layer(**mech["film"]),
+        film=Layer(**{k: v for k, v in mech["film"].items() if k != "intrinsic_stress_mpa"}),
         biaxiality_factor=mech["biaxiality_factor"],
     )
 
@@ -129,6 +130,7 @@ def _build(data: dict, source: str) -> Config:
             stack=_layer_stack(data["mechanics"]),
             position=PositionDistribution(**data["position"]),
             sigma_unstrained=data["population"]["sigma_unstrained"],
+            film_stress_mpa=data["mechanics"]["film"]["intrinsic_stress_mpa"],
             thermal=ThermalReference(**data["thermal"]),
             smoothing_window=data["spectra"]["smoothing_window"],
             min_prominence=data["spectra"]["min_prominence_fraction"],

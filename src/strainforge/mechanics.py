@@ -4,7 +4,7 @@ A stressed film on top of a free-standing beam reaches equilibrium by
 trading its intrinsic stress for a uniform membrane strain plus a bending
 curvature of the composite section. Both follow from requiring zero net
 axial force and zero net moment; the resulting axial strain is linear in
-depth and linear in the film stress.
+depth and linear in the film stress, an argument of ``solve_beam_state``.
 
 Geometry convention: the cross-section polygon lives in the (y, z) plane
 with z pointing up, ordered counterclockwise; the film sits on the
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Frame, StrainTensor, rotate_strain
-from .errors import InvalidDomain, InvalidGeometry
+from .errors import InvalidDomain, InvalidGeometry, InvalidParameter
 
 __all__ = [
     "Layer",
@@ -55,7 +55,6 @@ class Layer:
     thickness_nm: float
     youngs_modulus_gpa: float
     poisson_ratio: float
-    intrinsic_stress_mpa: float = 0.0
 
     def __post_init__(self):
         if not self.thickness_nm > 0:
@@ -64,7 +63,7 @@ class Layer:
             raise InvalidDomain("youngs_modulus_gpa must be positive")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise InvalidDomain("poisson_ratio must lie in [0, 0.5)")
-        for name in ("intrinsic_stress_mpa", "thickness_nm", "youngs_modulus_gpa"):
+        for name in ("thickness_nm", "youngs_modulus_gpa"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidDomain(f"{name} must be finite")
 
@@ -165,13 +164,8 @@ class LayerStack:
             warnings.warn(
                 f"film thickness is {ratio:.0%} of the substrate depth; "
                 "the thin-film beam model degrades here",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
-
-    def with_film_stress(self, stress_mpa: float) -> LayerStack:
-        """This stack with the film's intrinsic stress set to ``stress_mpa``
-        (0: before deposition)."""
-        return replace(self, film=replace(self.film, intrinsic_stress_mpa=stress_mpa))
 
 
 def _effective_modulus_gpa(E: float, nu: float, b: float) -> float:
@@ -207,16 +201,20 @@ class StrainField:
         )
 
 
-def solve_beam_state(stack: LayerStack) -> StrainField:
+def solve_beam_state(stack: LayerStack, stress_mpa: float) -> StrainField:
     """Equilibrium strain state of the film + substrate composite.
 
-    The film's intrinsic stress acts as the axial force it would carry if
-    fully constrained (equivalently an eigenstrain sigma_f / E_eff, which
-    for the equal-biaxial case is the familiar sigma_f (1 - nu_f) / E_f).
-    Solving zero net force and zero net moment on the composite section
-    gives the membrane strain and curvature; both are linear in the film
-    stress and vanish exactly when it is zero.
+    The film's intrinsic stress ``stress_mpa`` (0: before deposition) acts
+    as the axial force it would carry if fully constrained (equivalently an
+    eigenstrain sigma_f / E_eff, which for the equal-biaxial case is the
+    familiar sigma_f (1 - nu_f) / E_f). Solving zero net force and zero net
+    moment on the composite section gives the membrane strain and
+    curvature; both are linear in the film stress and vanish exactly when
+    it is zero. Moments are taken about the film interface, so the result
+    does not depend on where the polygon's z = 0 lies.
     """
+    if not math.isfinite(stress_mpa):
+        raise InvalidParameter(f"film stress must be finite, got {stress_mpa} MPa")
     cs = stack.cross_section
     b = stack.biaxiality_factor
     e_sub = _effective_modulus_gpa(
@@ -226,15 +224,12 @@ def solve_beam_state(stack: LayerStack) -> StrainField:
         stack.film.youngs_modulus_gpa, stack.film.poisson_ratio, b
     )
 
-    area_s, q_s, i_s = _polygon_integrals(cs.vertices_nm)
-    if area_s <= 0:
-        raise InvalidGeometry("degenerate polygon")
+    area_s, q_s, i_s = _polygon_integrals(cs.vertices_nm - [0.0, cs.z_top_nm])
 
     w_f = cs.film_width_nm
     t_f = stack.film.thickness_nm
-    z0 = cs.z_top_nm
     area_f = w_f * t_f
-    z_f = z0 + 0.5 * t_f
+    z_f = 0.5 * t_f
     q_f = area_f * z_f
     i_f = w_f * t_f ** 3 / 12.0 + area_f * z_f * z_f
 
@@ -242,8 +237,8 @@ def solve_beam_state(stack: LayerStack) -> StrainField:
     s_q = e_sub * q_s + e_film * q_f
     s_i = e_sub * i_s + e_film * i_f
 
-    sigma_f_gpa = stack.film.intrinsic_stress_mpa * 1e-3
-    # strain(z) = a + k z; unknowns from force and moment balance:
+    sigma_f_gpa = stress_mpa * 1e-3
+    # strain(z) = a + k z, z up from the interface; force and moment balance:
     #   s_a a + s_q k = -sigma_f area_f
     #   s_q a + s_i k = -sigma_f q_f
     det = s_a * s_i - s_q * s_q
@@ -256,7 +251,7 @@ def solve_beam_state(stack: LayerStack) -> StrainField:
     return StrainField(
         membrane_strain=a + k * z_c,
         curvature_per_nm=-k,
-        neutral_axis_depth_nm=z0 - z_c,
+        neutral_axis_depth_nm=-z_c,
         biaxiality_factor=b,
         nu_substrate=stack.substrate.poisson_ratio,
         cross_section=cs,

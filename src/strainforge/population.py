@@ -237,13 +237,11 @@ def _check_draw(n, seed):
 
 def _field_at(stack: LayerStack, sigma, stress_mpa) -> StrainField:
     """The beam of ``stack`` at film stress ``stress_mpa``, once both scales
-    pass the domain check every evaluation shares: sigma finite and >= 0,
-    the stress finite."""
+    pass the domain check every evaluation shares: sigma finite and >= 0
+    here, the stress finite in the solve."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
-    if not math.isfinite(stress_mpa):
-        raise InvalidParameter(f"film stress must be finite, got {stress_mpa} MPa")
-    return solve_beam_state(stack.with_film_stress(stress_mpa))
+    return solve_beam_state(stack, stress_mpa)
 
 
 def sample_chunks(n: int, stack: LayerStack, pos: PositionDistribution, params: SivParameters,

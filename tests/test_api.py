@@ -142,10 +142,6 @@ def _draw(fn=sf.draw_ensemble, n=8, seed=1, **kwargs):
     return fn(n, CFG.stack, CFG.position, CFG.siv, seed, **kwargs)
 
 
-def _field(stress_mpa):
-    return sf.solve_beam_state(CFG.stack.with_film_stress(stress_mpa))
-
-
 _ASYMMETRIC = np.array([[0.0, 1e-4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 # (id, call with one out-of-domain value, a word of the message that names
@@ -183,7 +179,6 @@ DOMAIN_CASES = [
     ("Layer-modulus-negative", lambda: _layer(youngs_modulus_gpa=-5.0), "youngs_modulus_gpa"),
     ("Layer-modulus-inf", lambda: _layer(youngs_modulus_gpa=INF), "youngs_modulus_gpa"),
     ("Layer-poisson", lambda: _layer(poisson_ratio=0.5), "poisson_ratio"),
-    ("Layer-stress", lambda: _layer(intrinsic_stress_mpa=NAN), "intrinsic_stress_mpa"),
     ("CrossSection-vertices", lambda: sf.CrossSection([[0, 0], [1, 0]]), "polygon"),
     ("CrossSection-non-finite",
      lambda: sf.CrossSection([[0, 0], [1, 0], [0, INF]]), "polygon"),
@@ -197,10 +192,10 @@ DOMAIN_CASES = [
      lambda: replace(CFG.stack, biaxiality_factor=NAN), "biaxiality_factor"),
     ("LayerStack-biaxiality-above-one",
      lambda: replace(CFG.stack, biaxiality_factor=1.5), "biaxiality_factor"),
-    ("LayerStack.with_film_stress",
-     lambda: CFG.stack.with_film_stress(NAN), "intrinsic_stress_mpa"),
-    ("strain_at-depth", lambda: sf.strain_at(_field(0.0), -1.0), "depth"),
-    ("strain_at-small-strain", lambda: sf.strain_at(_field(5e6), 0.0), "|eps|"),
+    ("solve_beam_state-stress", lambda: sf.solve_beam_state(CFG.stack, NAN), "film stress"),
+    ("strain_at-depth", lambda: sf.strain_at(sf.solve_beam_state(CFG.stack, 0.0), -1.0), "depth"),
+    ("strain_at-small-strain",
+     lambda: sf.strain_at(sf.solve_beam_state(CFG.stack, 5e6), 0.0), "|eps|"),
     ("beam_to_crystal", lambda: sf.beam_to_crystal(sf.StrainTensor.zero()), "frame"),
     # population
     ("PositionDistribution-aperture-zero",

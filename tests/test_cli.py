@@ -20,7 +20,7 @@ FAST_CFG = {"monte_carlo": {"n": 20000, "seed": 5}}
 def _sample(cfg, phase, n, seed):
     """The library's draw behind ``sample --phase``: the configured film
     stress after deposition, zero before it."""
-    stress = cfg.stack.film.intrinsic_stress_mpa if phase == "post" else 0.0
+    stress = cfg.film_stress_mpa if phase == "post" else 0.0
     return pop.sample_post_deposition(n, cfg.stack, cfg.position, cfg.siv, seed,
                                       sigma=cfg.sigma_unstrained, stress_mpa=stress)
 
@@ -761,7 +761,7 @@ class TestNonDefaultSettings:
         cfg = load_config(other_config)
         assert cfg.sigma_unstrained == 0.0
         s = pop.sample_post_deposition(2000, cfg.stack, cfg.position, cfg.siv, 3, sigma=0.0,
-                                       stress_mpa=cfg.stack.film.intrinsic_stress_mpa)
+                                       stress_mpa=cfg.film_stress_mpa)
         assert out.read_bytes().split(b"\n", 1)[1] == csv_rows(
             [np.arange(len(s)), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
              *s.eps_crystal.T, s.gss_ghz],

@@ -38,7 +38,7 @@ PARAMS = SivParameters()
 SIGMA = 1.5e-5
 FILM_ONLY = 0.0  # sigma with film strain only
 CFG = default_config()
-POST = CFG.stack.film.intrinsic_stress_mpa  # the configured film stress
+POST = CFG.film_stress_mpa  # the configured film stress
 
 
 def sample(n, sigma, seed, stress_mpa=0.0, threads=None, pos=CFG.position):
@@ -54,7 +54,7 @@ def ensemble(n, seed, stack=CFG.stack, threads=None):
 @pytest.fixture(scope="module")
 def field(cfg):
     """The beam at the configured film stress, for checks against the samples."""
-    return solve_beam_state(cfg.stack)
+    return solve_beam_state(cfg.stack, cfg.film_stress_mpa)
 
 
 class TestSummarize:
@@ -450,7 +450,7 @@ class TestCouplingTables:
     )
     @settings(max_examples=60, deadline=None)
     def test_film_rows_match_core(self, cfg, stress, depth_fraction, o):
-        field = solve_beam_state(cfg.stack.with_film_stress(stress))
+        field = solve_beam_state(cfg.stack, stress)
         depth = depth_fraction * field.depth_max_nm
         eyy = float(field.axial_strain(depth))
         film_crystal, film_rows = pop._tables(cfg.stack, PARAMS)[:2]
@@ -665,6 +665,15 @@ class TestNewtonFit:
         with pytest.raises(Infeasible, match=UNREACHABLE[fit]):
             calibrate(at_cap + 1.0, draw)
 
+    def test_a_fit_out_of_steps_says_so(self, monkeypatch):
+        # from either start, one Newton step meets neither target
+        monkeypatch.setattr(pop, "_MAX_STEPS", 1)
+        draw = ensemble(self.N, seed=5)
+        with pytest.raises(Infeasible, match="^no fit within 1 Newton steps$"):
+            calibrate_sigma(119.0, draw)
+        with pytest.raises(Infeasible, match="^no fit within 1 Newton steps$"):
+            calibrate_film_stress(608.0, draw, CFG.sigma_unstrained)
+
     @given(fit=st.sampled_from(["sigma", "stress"]), u=st.floats(0.0, 1.0))
     @example(fit="sigma", u=0.0)
     @example(fit="stress", u=0.0)
@@ -756,7 +765,7 @@ class TestSubBlockedSplitting:
     @pytest.mark.parametrize("stress", [0.0, POST])
     @pytest.mark.parametrize("slope", ["sigma", "stress"])
     def test_sub_blocks_equal_the_whole_chunk_bit_for_bit(self, chunk, m, stress, slope):
-        field = solve_beam_state(CFG.stack.with_film_stress(stress))
+        field = solve_beam_state(CFG.stack, stress)
         args = (PARAMS.lambda_so_ghz, field, chunk._film_rows, chunk._depth[:m],
                 chunk._ori[:m], SIGMA, chunk._unit[:, :m])
         want_gss, want_slope = _whole_chunk_splitting(*args, slope)
