@@ -116,9 +116,9 @@ def main():
         line = fmt + "\n"
         return "".join(line % row for row in zip(*(c.tolist() for c in cols))).encode()
 
-    assert format_rows(cols, fmt) == per_row()
+    assert format_rows(cols) == per_row()
     print(f"\nsample CSV text ({rows:,} rows x {len(cols)} columns, bytes equal)")
-    for label, fn in (("numpy writer (_csvtext)", lambda: format_rows(cols, fmt)),
+    for label, fn in (("numpy writer (_csvtext)", lambda: format_rows(cols)),
                       ("per-row % formatting", per_row)):
         print(f"  {label:34s} {best_of(fn, repeats) / (rows * len(cols)) * 1e9:9.1f} ns/value")
 

@@ -1,10 +1,10 @@
-"""CSV text for blocks of ``%d`` and ``%.17g`` columns, built in numpy.
+"""CSV text for blocks of integer and float columns, built in numpy.
 
-``format_rows(columns, row_format)`` returns the bytes of
-``"".join(row_format % row + "\\n" for row in zip(*columns))`` without a
-Python call per value; ``row_format`` is ``%d`` and ``%.17g`` fields joined
-by commas. A ``%d`` column below 2**53 in magnitude has the text of its
-value as a float, so both kinds take the same path.
+``format_rows(columns)`` returns the bytes of ``"".join(row_format % row +
+"\\n" for row in zip(*columns))`` without a Python call per value, where
+``row_format`` joins by commas a ``%d`` for each integer-dtype column and a
+``%.17g`` for any other. A ``%d`` value below 2**53 in magnitude has the
+text of its value as a float, so both kinds take the same path.
 
 A finite x != 0 is |x| = D * 10**(k - 16), D the correctly rounded
 17-digit integer. k starts as floor(log10|x|) and moves by one where the
@@ -150,23 +150,19 @@ def _slots(x):
     return out, slow
 
 
-def format_rows(columns, row_format: str) -> bytes:
-    """Bytes of ``row_format % row + "\\n"`` for every row of ``columns``,
-    a sequence of equal-length 1-d arrays (integers for ``%d``)."""
-    kinds = row_format.split(",")
-    if len(kinds) != len(columns) or not set(kinds) <= {"%d", "%.17g"}:
-        raise ValueError(f"need one %d or %.17g per column, got {row_format!r}")
+def format_rows(columns) -> bytes:
+    """Bytes of one CSV line per row of ``columns``, a sequence of
+    equal-length 1-d arrays: ``%d`` text for an integer-dtype column,
+    ``%.17g`` for any other."""
     columns = [np.asarray(c) for c in columns]
-    ints = [j for j, f in enumerate(kinds) if f == "%d"]
-    if any(not np.issubdtype(columns[j].dtype, np.integer) for j in ints):
-        raise TypeError("%d columns must hold integers")
+    kinds = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns]
     slots, slow = _slots(np.column_stack([c.astype(np.float64) for c in columns]).ravel())
     slow = slow.reshape(-1, len(kinds))
-    for j in ints:  # inexact as floats
-        slow[:, j] |= (columns[j] >= 2 ** 53) | (columns[j] <= -2 ** 53)
+    for j, c in enumerate(columns):
+        if kinds[j] == "%d":  # inexact as floats
+            slow[:, j] |= (c >= 2 ** 53) | (c <= -2 ** 53)
     text = slots.view(np.uint8).reshape(-1, len(kinds), 32)
     text[:, :, 30] = [ord(",")] * (len(kinds) - 1) + [ord("\n")]
     for row, j in zip(*np.nonzero(slow)):  # Python's own text, at most 24 bytes
         text[row, j, :30] = _ascii(kinds[j] % columns[j][row].item(), 30)
     return text.tobytes().translate(None, b"\0")
-

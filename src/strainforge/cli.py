@@ -162,14 +162,14 @@ def _sample_csv(chunks, gss):
 
     yield (b"index,x_nm,y_nm,depth_nm,orientation_id,"
            b"eps_xx,eps_yy,eps_zz,eps_xy,eps_yz,eps_zx,gss_ghz\n")
-    row_format, lo = "%d,%.17g,%.17g,%.17g,%d" + ",%.17g" * 7, 0
+    lo = 0
     for s in chunks:
         hi = lo + len(s)
         gss[lo:hi] = s.gss_ghz
         columns = [np.arange(lo, hi), s.x_nm, s.y_nm, s.depth_nm, s.orientation_id,
                    *s.eps_crystal.T, s.gss_ghz]
         for b in range(0, hi - lo, CSV_BLOCK_ROWS):
-            yield _csvtext.format_rows([c[b:b + CSV_BLOCK_ROWS] for c in columns], row_format)
+            yield _csvtext.format_rows([c[b:b + CSV_BLOCK_ROWS] for c in columns])
         del s, columns  # free the chunk before the next one is taken
         lo = hi
 

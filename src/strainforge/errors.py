@@ -1,5 +1,5 @@
-"""Exception hierarchy: every bad value raises a StrainforgeError (a ValueError comes
-only from _csvtext's private checks), and the CLI maps each to exit 1 with one line."""
+"""Exception hierarchy: every bad value raises a StrainforgeError, and the CLI maps
+each to exit 1 with one line."""
 
 
 class StrainforgeError(Exception):

@@ -7,9 +7,9 @@ axial force and zero net moment; the resulting axial strain is linear in
 depth and linear in the film stress, an argument of ``solve_beam_state``.
 
 Geometry convention: the cross-section polygon lives in the (y, z) plane
-with z pointing up, ordered counterclockwise; the film sits on the
-horizontal top edge and depth is measured downward from it. The beam axis
-is the crystal [110] direction.
+with z pointing up, ordered counterclockwise; the film covers every
+horizontal edge at the top, and depth is measured downward from it. The
+beam axis is the crystal [110] direction.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def _segments_intersect(p, q, r, s) -> bool:
 
 @dataclass(frozen=True)
 class CrossSection:
-    """Substrate cross-section polygon with the film on its top edge."""
+    """Substrate cross-section polygon; the film covers its whole top."""
 
     vertices_nm: np.ndarray
-    film_edge: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    film_width_nm: float = field(init=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices_nm, dtype=float)
@@ -117,21 +117,15 @@ class CrossSection:
                     verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]
                 ):
                     raise InvalidGeometry("polygon is self-intersecting")
-        object.__setattr__(self, "film_edge", self._find_film_edge(verts))
-
-    @staticmethod
-    def _find_film_edge(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z_top = verts[:, 1].max()
-        span = verts[:, 1].max() - verts[:, 1].min()
-        tol = 1e-9 * max(span, 1.0)
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if abs(a[1] - z_top) < tol and abs(b[1] - z_top) < tol:
-                if abs(a[0] - b[0]) < tol:
-                    continue
-                return a.copy(), b.copy()
-        raise InvalidGeometry("cross-section has no horizontal top edge for the film")
+        # the film's width is the summed length of the edges along the top
+        y, z = verts[:, 0], verts[:, 1]
+        tol = 1e-9 * max(z.max() - z.min(), 1.0)
+        on_top = np.abs(z - z.max()) < tol
+        lengths = np.abs(np.roll(y, -1) - y)
+        width = float(lengths[on_top & np.roll(on_top, -1) & (lengths >= tol)].sum())
+        if width == 0.0:
+            raise InvalidGeometry("cross-section has no horizontal top edge for the film")
+        object.__setattr__(self, "film_width_nm", width)
 
     @property
     def z_top_nm(self) -> float:
@@ -140,11 +134,6 @@ class CrossSection:
     @property
     def depth_extent_nm(self) -> float:
         return float(self.vertices_nm[:, 1].max() - self.vertices_nm[:, 1].min())
-
-    @property
-    def film_width_nm(self) -> float:
-        a, b = self.film_edge
-        return float(abs(b[0] - a[0]))
 
 
 @dataclass(frozen=True)

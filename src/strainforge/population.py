@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +228,9 @@ _MAX_N = 2 ** 64 // _kernels.DRAWS_PER_SAMPLE
 
 
 def _check_draw(n, seed):
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise EmptyRequest("n must be >= 1")
     if n > _MAX_N:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,6 @@ class Spectrum:
 
     frequencies_ghz: np.ndarray
     intensities: np.ndarray
-    label: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies_ghz, dtype=float)
@@ -179,22 +177,19 @@ def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
     return axis, x, y
 
 
-def load_spectrum(source, label: str = "") -> Spectrum:
+def load_spectrum(source) -> Spectrum:
     """Read a two-column CSV (frequency/wavelength, intensity) from a path
-    (str, bytes or os.PathLike, labelled with its file name by default) or
-    a file object, text or binary (UTF-8). The header row is optional; when
-    present, its first column name picks the axis (frequency_ghz,
-    frequency_thz, or wavelength_nm), else the axis is frequency in GHz.
-    Rows are sorted into ascending frequency; exact duplicates are
-    rejected. CR, LF and CRLF all end a line, and a leading byte-order mark
-    is skipped."""
+    (str, bytes or os.PathLike) or a file object, text or binary (UTF-8).
+    The header row is optional; when present, its first column name picks
+    the axis (frequency_ghz, frequency_thz, or wavelength_nm), else the
+    axis is frequency in GHz. The axis is converted to GHz and the rows
+    sorted into ascending frequency; exact duplicates are rejected. CR, LF
+    and CRLF all end a line, and a leading byte-order mark is skipped."""
     try:
         if hasattr(source, "read"):
             text = source.read()
         elif isinstance(source, (str, bytes, os.PathLike)):
-            path = Path(os.fsdecode(source))
-            label = label or path.name
-            text = path.read_bytes()
+            text = Path(os.fsdecode(source)).read_bytes()
         else:
             raise InvalidParameter(f"not a path or a file: {type(source).__name__}")
         text = text.decode() if isinstance(text, bytes) else text
@@ -212,11 +207,8 @@ def load_spectrum(source, label: str = "") -> Spectrum:
     intens = raw_y[order]
     if duplicate:
         raise DuplicateAbscissa("spectrum contains duplicate frequencies")
-    meta = {"axis": axis}
-    if axis != "frequency_ghz":
-        meta["converted"] = f"{axis} -> frequency_ghz"
     try:
-        return Spectrum(freqs, intens, label=label, metadata=meta)
+        return Spectrum(freqs, intens)
     except StrainforgeError as exc:
         raise ParseError(str(exc)) from exc
 

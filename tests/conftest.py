@@ -198,7 +198,6 @@ def synth_spectrum(
     n_points=2000,
     shape="lorentzian",
     baseline_sigmas=2.0,
-    label="",
 ):
     """Synthetic PL trace with known line positions; ground-truth oracle
     for the peak detection tests."""
@@ -214,4 +213,4 @@ def synth_spectrum(
     baseline = baseline_sigmas * noise_sigma
     intens = signal + baseline + rng.normal(0.0, noise_sigma, freqs.size)
     intens = np.clip(intens, 0.0, None)
-    return Spectrum(freqs, intens, label=label)
+    return Spectrum(freqs, intens)

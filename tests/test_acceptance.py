@@ -307,7 +307,6 @@ def test_c09_spectra_pipeline():
         spec = synth_spectrum(
             rng, centers, fwhm_ghz=fwhm, amps=amps, snr=snr,
             f_lo=406000.0, f_hi=408000.0, n_points=2000,
-            label=f"spec{i:03d}.csv",
         )
         batch.append((spec, centers, fwhm))
         truth_single.append(single)

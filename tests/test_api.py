@@ -214,6 +214,9 @@ DOMAIN_CASES = [
      lambda: sf.PositionDistribution(depth_straggle_nm=INF), "depth_straggle_nm"),
     ("draw_ensemble-n", lambda: _draw(n=0), "n must"),
     ("draw_ensemble-seed", lambda: _draw(seed=-1), "seed"),
+    ("draw_ensemble-n-float", lambda: _draw(n=1000.0), "n must"),
+    ("draw_ensemble-seed-float", lambda: _draw(seed=1.7), "seed"),
+    ("draw_ensemble-seed-bool", lambda: _draw(seed=True), "seed"),
     ("draw_ensemble-threads", lambda: _draw(threads=0), "threads"),
     ("sample_chunks-sigma",
      lambda: _draw(sf.sample_chunks, sigma=NAN, stress_mpa=0.0), "sigma"),
@@ -305,13 +308,10 @@ def test_finite_nonzero_axis_is_in_the_domain(axis, same):
     assert np.array_equal(got.rotation, want.rotation)
 
 
-def test_only_csvtext_raises_builtin_value_or_type_errors():
-    # _csvtext's two raises are programmer errors on a private module;
-    # everywhere else a bad value raises a StrainforgeError
+def test_no_source_raises_builtin_value_or_type_errors():
+    # every bad value raises a StrainforgeError, in every module
     found = []
     for path in SOURCES:
-        if path.name == "_csvtext.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

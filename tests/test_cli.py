@@ -417,9 +417,9 @@ class TestSampleCommand:
                 raise DegenerateGeometry("chunk 1 failed")
             return draw(lo, hi, *args)
 
-        def counted(columns, row_format):
+        def counted(columns):
             formatted.append(len(columns[0]))
-            return format_rows(columns, row_format)
+            return format_rows(columns)
 
         monkeypatch.setattr(kernels, "draw_post_block", failing)
         monkeypatch.setattr(_csvtext, "format_rows", counted)
@@ -606,16 +606,17 @@ class TestSpectraCommand:
             s = synth_spectrum(rng, [406600.0, 406800.0 + 50.0 * i], fwhm_ghz=15.0,
                                snr=30.0, f_lo=406300.0, f_hi=407400.0, n_points=2200)
             write_spectrum(s, spec_dir / f"s{i}.csv")
-        events = []
+        events, loaded = [], []
         load, detect = spectra.load_spectrum, spectra.detect_peaks
 
-        def counted_load(source, *args, **kwargs):
-            spec = load(source, *args, **kwargs)
-            events.append(("load", spec.label))
+        def counted_load(source):
+            spec = load(source)
+            loaded.append((spec, source.name))
+            events.append(("load", source.name))
             return spec
 
         def counted_detect(spec, *args):
-            events.append(("detect", spec.label))
+            events.append(("detect", next(name for s, name in loaded if s is spec)))
             return detect(spec, *args)
 
         monkeypatch.setattr(spectra, "load_spectrum", counted_load)

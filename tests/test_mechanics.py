@@ -121,6 +121,25 @@ class TestSectionProperties:
         with pytest.raises(InvalidGeometry):
             CrossSection(diamond)
 
+    @pytest.mark.parametrize("shift", range(4))
+    def test_film_covers_the_whole_top(self, shift):
+        # a vertex on the triangle's top splits it into two edges; the film
+        # spans both wherever the vertex list starts
+        split = CrossSection(np.roll([[-500.0, 0.0], [0.0, -700.0], [500.0, 0.0],
+                                      [200.0, 0.0]], shift, axis=0))
+        assert split.film_width_nm == 1000.0
+        want = solve_beam_state(stack_for(triangle(1000.0, 700.0), t_f=60.0, b=0.22), 700.0)
+        got = solve_beam_state(stack_for(split, t_f=60.0, b=0.22), 700.0)
+        assert strain_at(got, 35.0).eps_yy == strain_at(want, 35.0).eps_yy
+
+    @pytest.mark.parametrize("shift", range(7))
+    def test_film_width_sums_disjoint_top_edges(self, shift):
+        # a notch from (200, 0) down to (0, -100) and up to (-100, 0) leaves
+        # top edges of 300 and 400 nm
+        notched = [[-500.0, 0.0], [-500.0, -700.0], [500.0, -700.0], [500.0, 0.0],
+                   [200.0, 0.0], [0.0, -100.0], [-100.0, 0.0]]
+        assert CrossSection(np.roll(notched, shift, axis=0)).film_width_nm == 700.0
+
     def test_contains(self, cfg):
         # the scalar oracle, then the sampler's vectorized kernel against it
         cs = triangle(100.0, 100.0)

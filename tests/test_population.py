@@ -193,6 +193,13 @@ def test_seed_outside_the_stream_root_space_rejected(seed):
         assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
+def test_numpy_integers_draw_as_python_ints():
+    # n and seed may be of any integral type but bool
+    want = ensemble(50, seed=3)
+    got = ensemble(np.int64(50), seed=np.uint64(3))
+    assert np.array_equal(got.gss(SIGMA, POST), want.gss(SIGMA, POST))
+
+
 BAD_SCALES = ([(sigma, 0.0) for sigma in (math.nan, math.inf, -math.inf, -1e-5)]
               + [(SIGMA, stress) for stress in (math.nan, math.inf, -math.inf)])
 
@@ -214,6 +221,7 @@ def test_scales_outside_the_domain_rejected(api, sigma, stress):
 
 @pytest.mark.parametrize("bad,error", [
     ({"n": 0}, EmptyRequest), ({"n": 2 ** 55 + 1}, InvalidParameter),
+    ({"n": 10.0}, InvalidParameter), ({"seed": True}, InvalidParameter),
     ({"seed": -1}, InvalidParameter), ({"sigma": -1e-5}, InvalidParameter),
     ({"stress_mpa": math.nan}, InvalidParameter), ({"threads": 0}, InvalidParameter),
 ])

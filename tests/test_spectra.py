@@ -67,7 +67,8 @@ class TestLoadSpectrum:
     def test_header_frequency_ghz(self):
         s = load_spectrum(csv_of(simple_rows(), header="frequency_ghz,intensity"))
         assert len(s) == 20
-        assert s.metadata["axis"] == "frequency_ghz"
+        assert np.array_equal(s.frequencies_ghz,
+                              load_spectrum(csv_of(simple_rows())).frequencies_ghz)
 
     def test_header_frequency_thz(self):
         rows = [(406.0 + 0.001 * i, 5.0) for i in range(20)]
@@ -81,7 +82,6 @@ class TestLoadSpectrum:
         assert np.all(np.diff(s.frequencies_ghz) > 0)
         expected_max = SPEED_OF_LIGHT_M_S / 736.0
         assert s.frequencies_ghz[-1] == pytest.approx(expected_max, rel=1e-12)
-        assert s.metadata["converted"] == "wavelength_nm -> frequency_ghz"
         # intensity stays paired with its original wavelength
         assert s.intensities[-1] == 5.0
 
@@ -104,7 +104,6 @@ class TestLoadSpectrum:
         want, got = load_spectrum(plain), load_spectrum(marked)
         assert np.array_equal(got.frequencies_ghz, want.frequencies_ghz)
         assert np.array_equal(got.intensities, want.intensities)
-        assert got.metadata == want.metadata
 
     def test_descending_input_equals_ascending(self):
         rows = simple_rows()
@@ -147,7 +146,7 @@ class TestLoadSpectrum:
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
-        s = synth_spectrum(rng, [406500.0, 406800.0], label="a.csv")
+        s = synth_spectrum(rng, [406500.0, 406800.0])
         path = tmp_path / "spec.csv"
         write_spectrum(s, path)
         back = load_spectrum(path)
@@ -171,8 +170,7 @@ def _dir_entry(path):
 
 
 class TestLoadSources:
-    """Every source form reads as ``load_spectrum(path)`` does: a path-like
-    is labelled with its file name, a file object with ""."""
+    """Every source form reads as ``load_spectrum(path)`` does."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -182,28 +180,26 @@ class TestLoadSources:
         return path
 
     @staticmethod
-    def assert_same(got, want, label):
+    def assert_same(got, want):
         assert np.array_equal(got.frequencies_ghz, want.frequencies_ghz)
         assert np.array_equal(got.intensities, want.intensities)
-        assert got.metadata == want.metadata
-        assert got.label == label
 
     @pytest.mark.parametrize("as_source", [_FsPath, _dir_entry, os.fsencode],
                              ids=["os-pathlike", "dir-entry", "bytes-path"])
     def test_path_like(self, path, as_source):
-        self.assert_same(load_spectrum(as_source(path)), load_spectrum(path), "spec.csv")
+        self.assert_same(load_spectrum(as_source(path)), load_spectrum(path))
 
     def test_binary_file(self, path):
         with open(path, "rb") as fh:
-            self.assert_same(load_spectrum(fh), load_spectrum(path), "")
+            self.assert_same(load_spectrum(fh), load_spectrum(path))
 
     def test_binary_file_with_byte_order_mark(self, path):
         marked = io.BytesIO(b"\xef\xbb\xbf" + path.read_bytes())
-        self.assert_same(load_spectrum(marked), load_spectrum(path), "")
+        self.assert_same(load_spectrum(marked), load_spectrum(path))
 
     def test_text_stream_with_byte_order_mark(self, path):
         marked = io.StringIO("\ufeff" + path.read_text())
-        self.assert_same(load_spectrum(marked), load_spectrum(path), "")
+        self.assert_same(load_spectrum(marked), load_spectrum(path))
 
     def test_binary_file_not_utf8(self):
         with pytest.raises(ParseError, match="not UTF-8 text"):
@@ -215,13 +211,13 @@ class TestLoadSources:
 
 
 def _load_outcome(text):
-    """What load_spectrum makes of ``text``: the arrays and metadata, or
-    the exception type and message."""
+    """What load_spectrum makes of ``text``: its two arrays, or the
+    exception type and message."""
     try:
         s = load_spectrum(io.StringIO(text))
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
-    return s.frequencies_ghz, s.intensities, s.metadata
+    return s.frequencies_ghz, s.intensities
 
 
 def assert_paths_agree(text):
@@ -236,7 +232,6 @@ def assert_paths_agree(text):
         assert not isinstance(fast[0], type), fast
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
-        assert fast[2] == slow[2]
 
 
 AXIS_HEADERS = [None, "frequency_ghz", "frequency_thz", "wavelength_nm"]
@@ -551,7 +546,6 @@ class TestBatchGssStats:
             synth_spectrum(
                 rng, [406600.0, 406600.0 + g], fwhm_ghz=15.0, snr=30.0,
                 f_lo=406300.0, f_hi=407800.0, n_points=3000,
-                label=f"s{i:02d}.csv",
             )
             for i, g in enumerate(truth)
         ]
