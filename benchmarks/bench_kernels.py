@@ -71,7 +71,7 @@ def main():
 
     def draw(lo):  # one chunk of the sampler's draw: positions, orientations, 3 pairs
         return kernels.draw_post_block(lo, min(lo + kernels.CHUNK, n), root, 3,
-                                       field.cross_section, pos)
+                                       cfg.stack.cross_section, pos)
 
     def draw_chunks():
         for lo in range(0, n, kernels.CHUNK):
@@ -88,7 +88,7 @@ def main():
     print(f"  its first call: {faults:,} minor page faults")
     line("draw: positions + o + 3 pairs", best_of(draw_chunks, repeats), n)
     base = np.arange(n, dtype=np.uint64) * np.uint64(kernels.DRAWS_PER_SAMPLE)
-    inside = kernels._position_attempt(root, base, 0, field.cross_section, pos)[3]
+    inside = kernels._position_attempt(root, base, 0, cfg.stack.cross_section, pos)[3]
     print(f"  placed at attempt 0: {inside.mean():.2%} of emitters")
     _, _, depth, o, z = map(np.concatenate, zip(*map(draw, range(0, n, kernels.CHUNK))))
     line("splitting at zero film stress", best_of(lambda: ensemble.gss(sigma, 0.0), repeats), n)

@@ -19,6 +19,7 @@ across threads.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 
 import numpy as np
@@ -51,10 +52,14 @@ def run_blocks(n: int, fn, threads: int | None):
     Output is identical for any thread count: chunk boundaries are fixed,
     every caller writes disjoint per-index slices, and a caller that
     reduces the results does so in chunk order. ``threads`` None or 1 runs
-    serially, and below 1 is rejected at the call; otherwise at most
-    ``threads`` chunks are submitted and not yet taken."""
-    if threads is not None and threads < 1:
-        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    serially, and one that is not an integer or is below 1 is rejected at
+    the call; otherwise at most ``threads`` chunks are submitted and not
+    yet taken."""
+    if threads is not None:
+        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+            raise InvalidParameter(f"threads must be an integer, got {threads!r}")
+        if threads < 1:
+            raise InvalidParameter(f"threads must be at least 1, got {threads}")
     bounds = ((lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
     if threads is None or threads == 1 or n <= CHUNK:
         return (fn(lo, hi) for lo, hi in bounds)

@@ -113,10 +113,12 @@ def _layer_stack(mech: dict) -> LayerStack:
         cs = CrossSection(np.asarray(vertices, dtype=float))
     except (ValueError, OverflowError, InvalidGeometry) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    film = mech["film"]
     return LayerStack(
-        substrate=Layer(thickness_nm=cs.depth_extent_nm, **mech["substrate"]),
+        substrate=Layer(**mech["substrate"]),
         cross_section=cs,
-        film=Layer(**{k: v for k, v in mech["film"].items() if k != "intrinsic_stress_mpa"}),
+        film=Layer(film["youngs_modulus_gpa"], film["poisson_ratio"]),
+        film_thickness_nm=film["thickness_nm"],
         biaxiality_factor=mech["biaxiality_factor"],
     )
 

@@ -9,7 +9,9 @@ depth and linear in the film stress, an argument of ``solve_beam_state``.
 Geometry convention: the cross-section polygon lives in the (y, z) plane
 with z pointing up, ordered counterclockwise; the film covers every
 horizontal edge at the top, and depth is measured downward from it. The
-beam axis is the crystal [110] direction.
+beam axis is the crystal [110] direction. A ``Layer`` is a material only:
+the polygon is the substrate's shape, and the stack holds the film's
+thickness.
 """
 
 from __future__ import annotations
@@ -50,22 +52,18 @@ CRYSTAL_FROM_BEAM = BEAM_FROM_CRYSTAL.T.copy()
 
 @dataclass(frozen=True)
 class Layer:
-    """Homogeneous layer: geometry handled separately for the substrate."""
+    """Homogeneous isotropic material; shapes and thicknesses are the stack's."""
 
-    thickness_nm: float
     youngs_modulus_gpa: float
     poisson_ratio: float
 
     def __post_init__(self):
-        if not self.thickness_nm > 0:
-            raise InvalidDomain("thickness_nm must be positive")
         if not self.youngs_modulus_gpa > 0:
             raise InvalidDomain("youngs_modulus_gpa must be positive")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise InvalidDomain("poisson_ratio must lie in [0, 0.5)")
-        for name in ("thickness_nm", "youngs_modulus_gpa"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidDomain(f"{name} must be finite")
+        if not math.isfinite(self.youngs_modulus_gpa):
+            raise InvalidDomain("youngs_modulus_gpa must be finite")
 
 
 def _polygon_integrals(verts: np.ndarray) -> tuple[float, float, float]:
@@ -79,14 +77,18 @@ def _polygon_integrals(verts: np.ndarray) -> tuple[float, float, float]:
     return float(area), float(q), float(i0)
 
 
-def _segments_intersect(p, q, r, s) -> bool:
-    """Proper intersection of open segments pq and rs (shared endpoints ok)."""
+def _segments_meet(p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs share a point."""
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1, d2 = orient(r, s, p), orient(r, s, q)
-    d3, d4 = orient(p, q, r), orient(p, q, s)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    d1, d2, d3, d4 = orient(r, s, p), orient(r, s, q), orient(p, q, r), orient(p, q, s)
+    if (d1 > 0 > d2 or d2 > 0 > d1) and (d3 > 0 > d4 or d4 > 0 > d3):
+        return True
+    # else they meet only where an endpoint of one lies on the other
+    return any(d == 0 and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+               and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+               for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,13 @@ class CrossSection:
             raise InvalidGeometry(
                 "polygon must have positive area with counterclockwise ordering"
             )
-        n = len(verts)
+        # edges that are not neighbours share no point; an edge that folds back
+        # along its neighbour fails too, as the fold puts a vertex on a third edge
+        pts = verts.tolist()
+        n = len(pts)
         for i in range(n):
-            for j in range(i + 1, n):
-                if abs(i - j) in (1, n - 1):
-                    continue
-                if _segments_intersect(
-                    verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]
-                ):
+            for j in range(i + 2, n - (i == 0)):
+                if _segments_meet(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
                     raise InvalidGeometry("polygon is self-intersecting")
         # the film's width is the summed length of the edges along the top
         y, z = verts[:, 0], verts[:, 1]
@@ -138,17 +139,20 @@ class CrossSection:
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Film-on-substrate stack for a [110]-aligned cantilever."""
+    """Film of ``film_thickness_nm`` on the substrate's section, [110]-aligned."""
 
     substrate: Layer
     cross_section: CrossSection
     film: Layer
+    film_thickness_nm: float
     biaxiality_factor: float = DEFAULT_BIAXIALITY_FACTOR
 
     def __post_init__(self):
+        if not 0.0 < self.film_thickness_nm < math.inf:
+            raise InvalidDomain("film_thickness_nm must be positive and finite")
         if not 0.0 <= self.biaxiality_factor <= 1.0:
             raise InvalidDomain("biaxiality_factor must lie in [0, 1]")
-        ratio = self.film.thickness_nm / self.cross_section.depth_extent_nm
+        ratio = self.film_thickness_nm / self.cross_section.depth_extent_nm
         if ratio > 0.2:
             warnings.warn(
                 f"film thickness is {ratio:.0%} of the substrate depth; "
@@ -168,20 +172,18 @@ class StrainField:
     """Depth-resolved strain evaluator produced by ``solve_beam_state``.
 
     Axial strain: eps_yy(depth) = membrane + curvature * (depth - neutral
-    axis depth); the transverse component is biaxiality_factor * eps_yy and
-    the vertical one follows from plane stress through the thickness.
+    axis depth) in ``stack``; the transverse component is its biaxiality
+    factor times eps_yy and the vertical one follows from plane stress.
     """
 
     membrane_strain: float
     curvature_per_nm: float
     neutral_axis_depth_nm: float
-    biaxiality_factor: float
-    nu_substrate: float
-    cross_section: CrossSection
+    stack: LayerStack
 
     @property
     def depth_max_nm(self) -> float:
-        return self.cross_section.depth_extent_nm
+        return self.stack.cross_section.depth_extent_nm
 
     def axial_strain(self, depth_nm):
         """eps_yy at the given depth(s); no domain check (see strain_at)."""
@@ -216,7 +218,7 @@ def solve_beam_state(stack: LayerStack, stress_mpa: float) -> StrainField:
     area_s, q_s, i_s = _polygon_integrals(cs.vertices_nm - [0.0, cs.z_top_nm])
 
     w_f = cs.film_width_nm
-    t_f = stack.film.thickness_nm
+    t_f = stack.film_thickness_nm
     area_f = w_f * t_f
     z_f = 0.5 * t_f
     q_f = area_f * z_f
@@ -241,9 +243,7 @@ def solve_beam_state(stack: LayerStack, stress_mpa: float) -> StrainField:
         membrane_strain=a + k * z_c,
         curvature_per_nm=-k,
         neutral_axis_depth_nm=-z_c,
-        biaxiality_factor=b,
-        nu_substrate=stack.substrate.poisson_ratio,
-        cross_section=cs,
+        stack=stack,
     )
 
 
@@ -254,8 +254,8 @@ def strain_at(field: StrainField, depth_nm: float) -> StrainTensor:
             f"depth {depth_nm} nm outside substrate [0, {field.depth_max_nm}] nm"
         )
     eps_yy = float(field.axial_strain(depth_nm))
-    eps_xx = field.biaxiality_factor * eps_yy
-    nu = field.nu_substrate
+    eps_xx = field.stack.biaxiality_factor * eps_yy
+    nu = field.stack.substrate.poisson_ratio
     eps_zz = -nu * (eps_xx + eps_yy) / (1.0 - nu)
     return StrainTensor(
         eps_xx=eps_xx, eps_yy=eps_yy, eps_zz=eps_zz,

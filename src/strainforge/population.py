@@ -122,20 +122,21 @@ class EmitterSamples:
 class EnsembleSummary:
     mean_ghz: float
     std_ghz: float
-    sem_ghz: float
     n: int
+
+    @property
+    def sem_ghz(self) -> float:
+        return self.std_ghz / math.sqrt(self.n)
 
 
 def summarize(values) -> EnsembleSummary:
-    """Mean, sample std (n-1) and SEM."""
+    """Mean, sample std (n-1) and count; the SEM follows from the last two."""
     data = np.asarray(values, dtype=float).ravel()
     n = data.size
     if n == 0:
         raise EmptyRequest("cannot summarize an empty sample set")
-    mean = float(np.mean(data))
     std = float(np.std(data, ddof=1)) if n > 1 else 0.0
-    sem = std / math.sqrt(n)
-    return EnsembleSummary(mean_ghz=mean, std_ghz=std, sem_ghz=sem, n=n)
+    return EnsembleSummary(mean_ghz=float(np.mean(data)), std_ghz=std, n=n)
 
 
 # Strain scale of the basis tensors the coupling tables are built from: a
@@ -175,9 +176,7 @@ def _tables(stack: LayerStack, params: SivParameters, maps=True):
         c = eg_couplings(eps_defect, params)
         return np.array([c.alpha_ghz, c.beta_ghz])
 
-    unit_field = StrainField(_UNIT, 0.0, 0.0, stack.biaxiality_factor,
-                             stack.substrate.poisson_ratio, stack.cross_section)
-    film = beam_to_crystal(strain_at(unit_field, 0.0))
+    film = beam_to_crystal(strain_at(StrainField(_UNIT, 0.0, 0.0, stack), 0.0))
     film_rows = np.stack([ab(defect_frame_strain(film, o)) for o in ORIENTATIONS], axis=1)
     rows = np.stack([ab(StrainTensor(*(_UNIT * row), frame=Frame.DEFECT))
                      for row in np.eye(6)], axis=1) / _UNIT

@@ -2,7 +2,8 @@
 
 A spectrum with four or fewer clear lines is treated as a single emitter;
 the difference between its two lowest-frequency lines is the ground-state
-splitting. Peak finding is deliberately plain: moving-average smoothing
+splitting. An ``EmitterAssignment`` stores the sorted lines alone and
+derives both. Peak finding is deliberately plain: moving-average smoothing
 followed by a topographic-prominence threshold, with both knobs exposed,
 so batch results are easy to reproduce.
 """
@@ -88,14 +89,19 @@ class Peak:
 
 @dataclass(frozen=True)
 class EmitterAssignment:
-    peaks: list
-    is_single_emitter: bool
-    gss_ghz: float | None
+    """A spectrum's lines in ascending frequency, and what follows from them."""
 
-    def __post_init__(self):
-        expected = self.is_single_emitter and len(self.peaks) >= 2
-        if expected != (self.gss_ghz is not None):
-            raise InvalidParameter("gss must be present iff single emitter with >= 2 peaks")
+    peaks: list
+
+    @property
+    def is_single_emitter(self) -> bool:
+        return 1 <= len(self.peaks) <= MAX_SINGLE_EMITTER_LINES
+
+    @property
+    def gss_ghz(self) -> float | None:
+        if self.is_single_emitter and len(self.peaks) >= 2:
+            return self.peaks[1].center_ghz - self.peaks[0].center_ghz
+        return None
 
 
 _HEADER_AXES = ("frequency_ghz", "frequency_thz", "wavelength_nm")
@@ -322,12 +328,7 @@ def classify_and_extract(peaks: list[Peak]) -> EmitterAssignment:
     two lowest frequencies are taken as the C and D transitions and their
     difference is the splitting.
     """
-    ordered = sorted(peaks, key=lambda p: p.center_ghz)
-    single = 1 <= len(ordered) <= MAX_SINGLE_EMITTER_LINES
-    gss = None
-    if single and len(ordered) >= 2:
-        gss = ordered[1].center_ghz - ordered[0].center_ghz
-    return EmitterAssignment(peaks=ordered, is_single_emitter=single, gss_ghz=gss)
+    return EmitterAssignment(sorted(peaks, key=lambda p: p.center_ghz))
 
 
 def pool_transitions(

@@ -84,7 +84,7 @@ def _post_nodes(field, sigma, params, pos, depth_nodes):
     depths = 0.5 * hi * (t + 1.0)
     dweight = 0.5 * hi * wt * np.exp(-0.5 * ((depths - mu) / s) ** 2)
     dweight /= dweight.sum()
-    cs = field.cross_section
+    cs = field.stack.cross_section
     half = 0.5 * pos.aperture_y_nm
     assert all(point_in_section(cs, y, d) for d in depths for y in (-half, half)), \
         "aperture leaves the section inside the integrated depths"

@@ -210,9 +210,10 @@ def test_c05_mechanics_fidelity(calibrated_field):
         [[-w / 2, 0.0], [-w / 2, -t_s], [w / 2, -t_s], [w / 2, 0.0]]
     ))
     stack = LayerStack(
-        substrate=Layer(t_s, 1100.0, 0.07),
+        substrate=Layer(1100.0, 0.07),
         cross_section=cs,
-        film=Layer(t_f, 250.0, 0.25),
+        film=Layer(250.0, 0.25),
+        film_thickness_nm=t_f,
         biaxiality_factor=b,
     )
     field = solve_beam_state(stack, stress_mpa)

@@ -129,8 +129,7 @@ def _tensor(*components, frame=sf.Frame.CRYSTAL):
 
 
 def _layer(**kwargs):
-    return sf.Layer(**{"thickness_nm": 60.0, "youngs_modulus_gpa": 200.0,
-                       "poisson_ratio": 0.2, **kwargs})
+    return sf.Layer(**{"youngs_modulus_gpa": 200.0, "poisson_ratio": 0.2, **kwargs})
 
 
 def _spectrum(freqs=None, intens=None):
@@ -174,8 +173,6 @@ DOMAIN_CASES = [
     ("eg_couplings",
      lambda: sf.eg_couplings(sf.StrainTensor.zero(), sf.SivParameters()), "frame"),
     # mechanics
-    ("Layer-thickness-zero", lambda: _layer(thickness_nm=0.0), "thickness_nm"),
-    ("Layer-thickness-inf", lambda: _layer(thickness_nm=INF), "thickness_nm"),
     ("Layer-modulus-negative", lambda: _layer(youngs_modulus_gpa=-5.0), "youngs_modulus_gpa"),
     ("Layer-modulus-inf", lambda: _layer(youngs_modulus_gpa=INF), "youngs_modulus_gpa"),
     ("Layer-poisson", lambda: _layer(poisson_ratio=0.5), "poisson_ratio"),
@@ -186,6 +183,12 @@ DOMAIN_CASES = [
      lambda: sf.CrossSection([[0, 0], [0, 1], [1, 1], [1, 0]]), "polygon"),
     ("CrossSection-film-edge",
      lambda: sf.CrossSection([[0, 0], [1, 0], [0.5, 1]]), "film"),
+    ("LayerStack-film-thickness-zero",
+     lambda: replace(CFG.stack, film_thickness_nm=0.0), "film_thickness_nm"),
+    ("LayerStack-film-thickness-inf",
+     lambda: replace(CFG.stack, film_thickness_nm=INF), "film_thickness_nm"),
+    ("LayerStack-film-thickness-nan",
+     lambda: replace(CFG.stack, film_thickness_nm=NAN), "film_thickness_nm"),
     ("LayerStack-biaxiality-negative",
      lambda: replace(CFG.stack, biaxiality_factor=-50.0), "biaxiality_factor"),
     ("LayerStack-biaxiality-nan",
@@ -218,6 +221,9 @@ DOMAIN_CASES = [
     ("draw_ensemble-seed-float", lambda: _draw(seed=1.7), "seed"),
     ("draw_ensemble-seed-bool", lambda: _draw(seed=True), "seed"),
     ("draw_ensemble-threads", lambda: _draw(threads=0), "threads"),
+    ("draw_ensemble-threads-float", lambda: _draw(threads=1.5), "threads must"),
+    ("draw_ensemble-threads-bool", lambda: _draw(threads=True), "threads must"),
+    ("draw_ensemble-threads-str", lambda: _draw(threads="2"), "threads must"),
     ("sample_chunks-sigma",
      lambda: _draw(sf.sample_chunks, sigma=NAN, stress_mpa=0.0), "sigma"),
     ("sample_chunks-stress",
@@ -264,7 +270,6 @@ DOMAIN_CASES = [
     ("Spectrum-order", lambda: _spectrum(freqs=np.linspace(20.0, 1.0, 20)), "frequencies"),
     ("Spectrum-intensity", lambda: _spectrum(intens=-np.ones(20)), "intensities"),
     ("Peak-prominence", lambda: sf.Peak(600.0, 1.0, 0.0, 1.0), "prominence"),
-    ("EmitterAssignment-gss", lambda: sf.EmitterAssignment([], False, 1.0), "gss"),
     ("load_spectrum-points",
      lambda: sf.load_spectrum(io.StringIO("1,1\n2,1\n")), "points"),
     ("load_spectrum-intensity",
@@ -275,7 +280,7 @@ DOMAIN_CASES = [
     ("pool_transitions", lambda: sf.pool_transitions([]), "empty"),
     ("batch_gss_stats-empty", lambda: sf.batch_gss_stats([]), "empty"),
     ("batch_gss_stats-no-single",
-     lambda: sf.batch_gss_stats([sf.EmitterAssignment([], False, None)]), "single-emitter"),
+     lambda: sf.batch_gss_stats([sf.EmitterAssignment([])]), "single-emitter"),
 ]
 
 

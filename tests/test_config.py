@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.thermal.gss_ref_ghz == 554.0
         assert cfg.default_n == 1_000_000
         stack = cfg.stack
-        assert stack.film.thickness_nm == 60.0
+        assert stack.film_thickness_nm == 60.0
         assert stack.cross_section.depth_extent_nm == 700.0
         assert stack.cross_section.film_width_nm == 1000.0
 
@@ -98,7 +98,8 @@ class TestOverrides:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("siv", "lambda_so_ghz", 0, "lambda_so_ghz must be positive"),
-        ("mechanics", "film", {"thickness_nm": -1}, "thickness_nm must be positive"),
+        ("mechanics", "film", {"thickness_nm": -1},
+         "film_thickness_nm must be positive and finite"),
         ("position", "aperture_x_nm", 0, "aperture dimensions must be positive"),
         ("population", "sigma_unstrained", -1, "population.sigma_unstrained must be >= 0"),
         ("thermal", "temp_ref_k", 0,

@@ -31,9 +31,10 @@ def triangle(w, h):
 
 def stack_for(cs, *, t_f=1.0, e_s=1100.0, nu_s=0.07, e_f=250.0, nu_f=0.25, b=1.0):
     return LayerStack(
-        substrate=Layer(cs.depth_extent_nm, e_s, nu_s),
+        substrate=Layer(e_s, nu_s),
         cross_section=cs,
-        film=Layer(t_f, e_f, nu_f),
+        film=Layer(e_f, nu_f),
+        film_thickness_nm=t_f,
         biaxiality_factor=b,
     )
 
@@ -109,6 +110,31 @@ class TestSectionProperties:
         # a vertex below the top edge makes two edges cross
         with pytest.raises(InvalidGeometry, match="^polygon is self-intersecting$"):
             CrossSection([[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]])
+
+    @pytest.mark.parametrize("verts", [
+        # a top edge doubling back over the one before it
+        [[0, 0], [0, -10], [10, -10], [10, 0], [2, 0], [6, 0]],
+        # a spike through the bottom edge that folds back onto itself
+        [[0, 0], [0, -10], [5, -10], [5, -5], [5, -12], [10, -10], [10, 0]],
+        # a zero-area spike down from the top
+        [[0, 0], [0, -10], [10, -10], [10, 0], [5, 0], [5, -5], [5, 0]],
+        # a notch whose tip touches the bottom edge
+        [[0, 0], [0, -10], [10, -10], [10, 0], [6, 0], [5, -10], [4, 0]],
+        # two bottom edges that overlap on [4, 6]
+        [[0, 0], [0, -10], [6, -10], [6, -5], [4, -5], [4, -10], [10, -10], [10, 0]],
+    ])
+    def test_self_overlapping_polygon_rejected(self, verts):
+        with pytest.raises(InvalidGeometry, match="^polygon is self-intersecting$"):
+            CrossSection(verts)
+
+    @pytest.mark.parametrize("repeat", [0, 1, 3])
+    def test_repeated_vertex_rejected(self, repeat):
+        # a zero-length edge leaves its two neighbours sharing a vertex,
+        # and a closed list (last vertex = first) is one such edge
+        verts = [[0.0, 0.0], [0.0, -10.0], [10.0, -10.0], [10.0, 0.0]]
+        verts.insert(repeat + 1, verts[repeat])
+        with pytest.raises(InvalidGeometry, match="^polygon is self-intersecting$"):
+            CrossSection(verts)
 
     def test_too_few_vertices(self):
         with pytest.raises(InvalidGeometry):
@@ -278,9 +304,7 @@ class TestStrainAt:
             membrane_strain=0.0,
             curvature_per_nm=base.curvature_per_nm,
             neutral_axis_depth_nm=base.neutral_axis_depth_nm,
-            biaxiality_factor=base.biaxiality_factor,
-            nu_substrate=base.nu_substrate,
-            cross_section=base.cross_section,
+            stack=base.stack,
         )
         eps = strain_at(field, field.neutral_axis_depth_nm)
         assert eps.eps_yy == 0.0
@@ -337,13 +361,14 @@ class TestBeamToCrystal:
 
 class TestLayerValidation:
     def test_bad_thickness(self):
+        # a layer is a material; the film's thickness is the stack's
         with pytest.raises(InvalidDomain):
-            Layer(0.0, 100.0, 0.2)
+            stack_for(rectangle(100.0, 100.0), t_f=0.0)
 
     def test_bad_poisson(self):
         with pytest.raises(InvalidDomain):
-            Layer(10.0, 100.0, 0.5)
+            Layer(100.0, 0.5)
 
     def test_bad_modulus(self):
         with pytest.raises(InvalidDomain):
-            Layer(10.0, -5.0, 0.2)
+            Layer(-5.0, 0.2)

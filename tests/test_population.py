@@ -266,7 +266,7 @@ class TestPostDeposition:
         assert np.all(np.abs(s.y_nm) <= pos.aperture_y_nm / 2)
         assert np.all(s.depth_nm >= 0.0)
         assert np.all(s.depth_nm <= field.depth_max_nm)
-        cs = field.cross_section
+        cs = field.stack.cross_section
         for i in range(0, 20_000, 997):
             assert point_in_section(cs, s.y_nm[i], s.depth_nm[i])
 
@@ -393,7 +393,7 @@ class TestMonotoneCalibration:
 
     def test_thicker_film_needs_less_stress(self, cfg):
         base = cfg.stack
-        thick = replace(base, film=replace(base.film, thickness_nm=120.0))
+        thick = replace(base, film_thickness_nm=120.0)
         s_base, _ = calibrate_film_stress(400.0, ensemble(20_000, 21, base), SIGMA)
         s_thick, _ = calibrate_film_stress(400.0, ensemble(20_000, 21, thick), SIGMA)
         assert s_thick < s_base
