@@ -49,7 +49,6 @@ from .spectra import (
     Peak,
     Spectrum,
     batch_gss_stats,
-    classify_and_extract,
     detect_peaks,
     load_spectrum,
     pool_transitions,

@@ -67,12 +67,13 @@ def _write_atomic(path: Path, text) -> None:
         raise
 
 
-def _csv_text(header: str, columns, row_format: str) -> str:
+def _csv_text(header: str, columns) -> str:
     """A figure-data or histogram table, small enough to hold whole, as one
-    string: the header line, then each row ``row_format % row``. The
-    ``sample`` table goes through ``_sample_csv`` instead."""
+    string: the header line, then the rows, each cell ``%s`` if it is text,
+    else ``%r``. The ``sample`` table goes through ``_sample_csv`` instead."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return header + "\n" + "".join(row_format % row + "\n" for row in rows)
+    return header + "\n" + "".join(
+        ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
 
 
 def _json_text(obj) -> str:
@@ -143,11 +144,8 @@ def _cmd_mechanics(args, cfg: Config) -> int:
     field = solve_beam_state(cfg.stack, cfg.film_stress_mpa)
     depths = np.linspace(0.0, field.depth_max_nm, DEPTH_PROFILE_POINTS)
     eps = [strain_at(field, float(depth)) for depth in depths]
-    text = _csv_text(
-        "depth_nm,eps_xx,eps_yy,eps_zz",
-        [depths, *np.array([(e.eps_xx, e.eps_yy, e.eps_zz) for e in eps]).T],
-        "%r,%r,%r,%r",
-    )
+    text = _csv_text("depth_nm,eps_xx,eps_yy,eps_zz",
+                     [depths, *np.array([(e.eps_xx, e.eps_yy, e.eps_zz) for e in eps]).T])
     if args.out:
         _write_atomic(Path(args.out), text)
     else:
@@ -242,20 +240,16 @@ def report(cfg: Config, seed: int, n: int | None = None,
                  for gss in (pre_gss, post_gss)]
     _write_atomic(out_dir / "gss_pdf.csv", _csv_text(
         "bin_left_ghz,bin_right_ghz,pre_density,post_density",
-        [edges[:-1], edges[1:], *densities], "%r,%r,%r,%r",
-    ))
+        [edges[:-1], edges[1:], *densities]))
 
     top_curve = operational_temperature_batch(TOP_CURVE_GSS_GHZ, ref)
-    _write_atomic(out_dir / "top_vs_gss.csv", _csv_text(
-        "gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve], "%r,%r",
-    ))
+    _write_atomic(out_dir / "top_vs_gss.csv",
+                  _csv_text("gss_ghz,t_op_k", [TOP_CURVE_GSS_GHZ, top_curve]))
 
-    _write_atomic(out_dir / "operability.csv", _csv_text(
-        "temp_k,p_pre,p_post",
-        [OPERABILITY_TEMPS_K, operability_curve(top_pre, OPERABILITY_TEMPS_K),
-         operability_curve(top_post, OPERABILITY_TEMPS_K)],
-        "%r,%r,%r",
-    ))
+    p_pre, p_post = (operability_curve(top, OPERABILITY_TEMPS_K) for top in (top_pre, top_post))
+    _write_atomic(out_dir / "operability.csv",
+                  _csv_text("temp_k,p_pre,p_post", [OPERABILITY_TEMPS_K, p_pre, p_post]))
+    row = OPERABILITY_TEMPS_K.tolist().index  # the summary reads the 1.5 K and 2.0 K rows
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -269,9 +263,9 @@ def report(cfg: Config, seed: int, n: int | None = None,
         "post_mean_ghz": post.mean_ghz,
         "post_std_ghz": post.std_ghz,
         "post_sem_ghz": post.sem_ghz,
-        "p_top_ge_1p5k": float(np.mean(top_post >= 1.5)),
-        "p_top_ge_2p0k": float(np.mean(top_post >= 2.0)),
-        "pre_p_top_ge_1p5k": float(np.mean(top_pre >= 1.5)),
+        "p_top_ge_1p5k": float(p_post[row(1.5)]),
+        "p_top_ge_2p0k": float(p_post[row(2.0)]),
+        "pre_p_top_ge_1p5k": float(p_pre[row(1.5)]),
     }
     _write_atomic(out_dir / "summary.json", _json_text(summary))
     return summary
@@ -304,7 +298,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
                 spectra.load_spectrum(f), cfg.smoothing_window, cfg.min_prominence)
         except StrainforgeError as exc:
             raise type(exc)(f"{f.name}: {exc}") from exc
-        assignment = spectra.classify_and_extract(peaks)
+        assignment = spectra.EmitterAssignment(peaks)
         assignments.append(assignment)
         records.append({
             "file": f.name,
@@ -339,9 +333,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
     edges, density = spectra.pool_transitions(assignments)
     _write_atomic(pooled_path, _csv_text(
         "batch_tag,bin_left_ghz,bin_right_ghz,density",
-        [[args.batch_tag] * density.size, edges[:-1], edges[1:], density],
-        "%s,%r,%r,%r",
-    ))
+        [[args.batch_tag] * density.size, edges[:-1], edges[1:], density]))
     sys.stdout.write(_json_text({"out": str(out_path), "pooled": str(pooled_path)}))
     return 0
 

@@ -164,7 +164,7 @@ def _check_rotation(rot: np.ndarray, tol: float) -> np.ndarray:
     return rot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectOrientation:
     """One of the four <111> SiV orientations.
 

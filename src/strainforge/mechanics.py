@@ -91,7 +91,7 @@ def _segments_meet(p, q, r, s) -> bool:
                for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossSection:
     """Substrate cross-section polygon; the film covers its whole top."""
 

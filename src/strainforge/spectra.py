@@ -2,7 +2,7 @@
 
 A spectrum with four or fewer clear lines is treated as a single emitter;
 the difference between its two lowest-frequency lines is the ground-state
-splitting. An ``EmitterAssignment`` stores the sorted lines alone and
+splitting. An ``EmitterAssignment`` sorts its lines, stores them alone and
 derives both. Peak finding is deliberately plain: moving-average smoothing
 followed by a topographic-prominence threshold, with both knobs exposed,
 so batch results are easy to reproduce.
@@ -35,7 +35,6 @@ __all__ = [
     "BatchGssStats",
     "load_spectrum",
     "detect_peaks",
-    "classify_and_extract",
     "pool_transitions",
     "batch_gss_stats",
 ]
@@ -48,7 +47,7 @@ DEFAULT_SMOOTHING_WINDOW = 5
 DEFAULT_MIN_PROMINENCE = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Photoluminescence trace on a strictly increasing frequency axis."""
 
@@ -89,9 +88,17 @@ class Peak:
 
 @dataclass(frozen=True)
 class EmitterAssignment:
-    """A spectrum's lines in ascending frequency, and what follows from them."""
+    """A spectrum's lines, in any order, and what follows from them.
 
-    peaks: list
+    The lines are stored as a tuple in ascending ``center_ghz``. One to
+    four lines read as a single emitter; with at least two, the two lowest
+    are the C and D transitions and their difference is the splitting.
+    """
+
+    peaks: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "peaks", tuple(sorted(self.peaks, key=lambda p: p.center_ghz)))
 
     @property
     def is_single_emitter(self) -> bool:
@@ -127,9 +134,13 @@ def _parse_lines(text: str) -> tuple[str, np.ndarray, np.ndarray]:
     raw_x: list[float] = []
     raw_y: list[float] = []
     for lineno, row in enumerate(reader, start=1):
-        cells = [c.strip() for c in row if c.strip() != ""]
+        cells = [c.strip() for c in row]
+        while cells and not cells[-1]:  # trailing commas, or an all-empty row
+            cells.pop()
         if not cells:
             continue
+        if "" in cells:
+            raise ParseError(f"line {lineno}: empty cell before the row's last value")
         if len(cells) != 2:
             raise ParseError(f"line {lineno}: expected 2 columns, got {len(cells)}")
         try:
@@ -165,7 +176,7 @@ def _parse_fast(text: str) -> tuple[str, np.ndarray, np.ndarray] | None:
     if '"' in first or "\r" in first:  # csv quoting or a bare-CR line break
         return None
     axis = "frequency_ghz"
-    cells = [c.strip() for c in first.split(",") if c.strip() != ""]
+    cells = [c.strip() for c in first.split(",")]
     if len(cells) == 2 and cells[0].lower() in _HEADER_AXES:
         axis = cells[0].lower()
         lines = lines[1:]
@@ -190,7 +201,9 @@ def load_spectrum(source) -> Spectrum:
     the axis (frequency_ghz, frequency_thz, or wavelength_nm), else the
     axis is frequency in GHz. The axis is converted to GHz and the rows
     sorted into ascending frequency; exact duplicates are rejected. CR, LF
-    and CRLF all end a line, and a leading byte-order mark is skipped."""
+    and CRLF all end a line, and a leading byte-order mark is skipped.
+    Trailing empty cells and all-empty rows are ignored; an empty cell
+    before a row's last value raises ParseError naming the line."""
     try:
         if hasattr(source, "read"):
             text = source.read()
@@ -319,16 +332,6 @@ def detect_peaks(
         peaks.append(Peak(center_ghz=center, height=float(smoothed[i]),
                           prominence=float(prominence), width_ghz=float(width * local_step)))
     return peaks
-
-
-def classify_and_extract(peaks: list[Peak]) -> EmitterAssignment:
-    """Single-emitter call and splitting extraction from detected lines.
-
-    One to four lines reads as a single emitter; with at least two, the
-    two lowest frequencies are taken as the C and D transitions and their
-    difference is the splitting.
-    """
-    return EmitterAssignment(sorted(peaks, key=lambda p: p.center_ghz))
 
 
 def pool_transitions(

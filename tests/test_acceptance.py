@@ -24,7 +24,7 @@ from strainforge.population import (
     sample_post_deposition,
     summarize,
 )
-from strainforge.spectra import batch_gss_stats, classify_and_extract, detect_peaks
+from strainforge.spectra import EmitterAssignment, batch_gss_stats, detect_peaks
 from strainforge.thermal import (
     ThermalReference,
     operational_temperature,
@@ -316,7 +316,7 @@ def test_c09_spectra_pipeline():
     agree = 0
     gss_ok = True
     for (spec, centers, fwhm), single, gss in zip(batch, truth_single, truth_gss):
-        assignment = classify_and_extract(detect_peaks(spec, window, prominence))
+        assignment = EmitterAssignment(detect_peaks(spec, window, prominence))
         if assignment.is_single_emitter == single:
             agree += 1
         if gss is not None:
@@ -329,7 +329,7 @@ def test_c09_spectra_pipeline():
     z = (z - z.mean()) / z.std(ddof=1)
     values = 608.0 + 295.0 * z
     sem_batch = batch_gss_stats([
-        classify_and_extract(detect_peaks(synth_spectrum(
+        EmitterAssignment(detect_peaks(synth_spectrum(
             rng2, [406600.0, 406600.0 + g], fwhm_ghz=10.0, snr=30.0,
             f_lo=406300.0, f_hi=408300.0, n_points=4000,
         )))

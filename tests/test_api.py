@@ -6,11 +6,13 @@ name left behind by a deletion would break every traced run.
 """
 
 import ast
+import dataclasses
 import importlib
 import io
 import math
 import pkgutil
 import re
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,8 +122,34 @@ def test_every_exported_name_has_a_user():
     assert idle == []
 
 
+def _dataclasses():
+    """Every dataclass defined in a strainforge module."""
+    for modname in MODULES:
+        for obj in vars(importlib.import_module(modname)).values():
+            if dataclasses.is_dataclass(obj) and obj.__module__ == modname:
+                yield obj
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ compares an array field with ==, whose truth value
+    # is ambiguous, and drops __hash__: a type with one must say eq=False
+    holding = {cls for cls in _dataclasses()
+               if any(typing.get_type_hints(cls)[f.name] is np.ndarray
+                      for f in dataclasses.fields(cls))}
+    assert {cls.__name__ for cls in holding} >= {"CrossSection", "DefectOrientation", "Spectrum"}
+    assert sorted(cls.__name__ for cls in holding if cls.__dataclass_params__.eq) == []
+
+
 CFG = sf.default_config()
 INF, NAN = math.inf, math.nan
+
+
+def test_value_types_hash_and_compare_without_raising():
+    # an array-holding type compares and hashes by identity, and a type
+    # that holds one field by field
+    for value in (CFG, CFG.stack, sf.ORIENTATIONS[0], sf.Spectrum(np.arange(20.0), np.ones(20))):
+        assert value == value
+        assert isinstance(hash(value), int)
 
 
 def _tensor(*components, frame=sf.Frame.CRYSTAL):

@@ -558,6 +558,31 @@ class TestReportCommand:
                     "--out-dir", str(tmp_path)]) == 0
         assert sum(solved) == 2 * 4096 + len(cli.TOP_CURVE_GSS_GHZ)
 
+    def test_report_probabilities_are_the_operability_rows(self, tmp_path, capsys,
+                                                          fast_config, monkeypatch):
+        # operating temperatures a hair below 1.5 K and 2.0 K count as
+        # operable there in summary.json as in operability.csv: one tie rule
+        solve = cli.operational_temperature_batch
+
+        def near_ties(gss, ref):
+            top = solve(gss, ref)
+            if gss is not cli.TOP_CURVE_GSS_GHZ:
+                top[:300:3], top[1:300:3] = 1.5 - 1e-10, 2.0 - 1e-10
+            return top
+
+        monkeypatch.setattr(cli, "operational_temperature_batch", near_ties)
+        assert run(["report", "--config", fast_config, "--n", "4096",
+                    "--out-dir", str(tmp_path)]) == 0
+        temps = cli.OPERABILITY_TEMPS_K.tolist()
+        assert temps[50] == 1.5 and temps[70] == 2.0
+        rows = (tmp_path / "operability.csv").read_text().splitlines()[1:]
+        curve = {float(t): (float(pre), float(post))
+                 for t, pre, post in (r.split(",") for r in rows)}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["pre_p_top_ge_1p5k"] == curve[1.5][0]
+        assert summary["p_top_ge_1p5k"] == curve[1.5][1]
+        assert summary["p_top_ge_2p0k"] == curve[2.0][1]
+
     def test_report_seed_flag_changes_output(self, tmp_path, fast_config):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"
         run(["report", "--config", fast_config, "--out-dir", str(d1),

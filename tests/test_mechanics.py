@@ -136,6 +136,14 @@ class TestSectionProperties:
         with pytest.raises(InvalidGeometry, match="^polygon is self-intersecting$"):
             CrossSection(verts)
 
+    def test_sections_compare_by_identity(self):
+        # a section holds an array, so it is equal only to itself, and
+        # comparing two built from one polygon must not raise
+        verts = [[0.0, 0.0], [0.0, -10.0], [10.0, -10.0], [10.0, 0.0]]
+        a, b = CrossSection(verts), CrossSection(verts)
+        assert a == a and a != b
+        assert hash(a) != hash(b)
+
     def test_too_few_vertices(self):
         with pytest.raises(InvalidGeometry):
             CrossSection(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -23,13 +23,13 @@ from strainforge.errors import (
     ParseError,
 )
 from strainforge.spectra import (
+    EmitterAssignment,
     Peak,
     Spectrum,
     _find_peaks,
     _parse_fast,
     _parse_lines,
     batch_gss_stats,
-    classify_and_extract,
     detect_peaks,
     load_spectrum,
     pool_transitions,
@@ -40,7 +40,7 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 def assign(batch):
     """Each spectrum's classified lines, as the spectra command builds them."""
-    return [classify_and_extract(detect_peaks(spec)) for spec in batch]
+    return [EmitterAssignment(detect_peaks(spec)) for spec in batch]
 
 
 def csv_of(rows, header=None):
@@ -123,6 +123,24 @@ class TestLoadSpectrum:
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="line 2"):
             load_spectrum(io.StringIO("1.0,2.0\n3.0,4.0,5.0\n"))
+
+    @pytest.mark.parametrize("row, line", [
+        ("736.5,,7.0", 5), ("736.5, ,7.0", 5), (",736.5,7.0", 5), (",7.0", 5),
+        (",frequency_ghz,intensity", 1),
+    ])
+    def test_empty_cell_before_a_value_names_line(self, row, line):
+        # a three-field row must not read as a two-field one
+        lines = [f"{x},{y}" for x, y in simple_rows()]
+        lines.insert(line - 1, row)
+        with pytest.raises(ParseError, match=f"line {line}: empty cell"):
+            load_spectrum(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_trailing_commas_and_empty_rows_are_skipped(self):
+        rows = simple_rows()
+        text = "frequency_ghz,intensity,\n" + "".join(f"{x},{y},,\n" for x, y in rows) + ",,\n"
+        got, want = load_spectrum(io.StringIO(text)), load_spectrum(csv_of(rows))
+        assert np.array_equal(got.frequencies_ghz, want.frequencies_ghz)
+        assert np.array_equal(got.intensities, want.intensities)
 
     def test_duplicate_frequency(self):
         rows = simple_rows()
@@ -468,25 +486,25 @@ class TestFindPeaksMatchesScipy:
             assert np.array_equal(widths, peak_widths(x, want, rel_height=0.5)[0])
 
 
-class TestClassifyAndExtract:
+class TestEmitterAssignment:
     def test_two_lines_subtraction(self):
-        a = classify_and_extract([peak_at(406600.0), peak_at(406650.0)])
+        a = EmitterAssignment([peak_at(406600.0), peak_at(406650.0)])
         assert a.is_single_emitter
         assert a.gss_ghz == pytest.approx(50.0, rel=1e-12)
 
     def test_six_peaks_is_multi_emitter(self):
         peaks = [peak_at(406500.0 + 40 * i) for i in range(6)]
-        a = classify_and_extract(peaks)
+        a = EmitterAssignment(peaks)
         assert not a.is_single_emitter
         assert a.gss_ghz is None
 
     def test_single_peak_has_no_gss(self):
-        a = classify_and_extract([peak_at(406600.0)])
+        a = EmitterAssignment([peak_at(406600.0)])
         assert a.is_single_emitter
         assert a.gss_ghz is None
 
     def test_no_peaks_not_single(self):
-        a = classify_and_extract([])
+        a = EmitterAssignment([])
         assert not a.is_single_emitter
         assert a.gss_ghz is None
 
@@ -494,13 +512,20 @@ class TestClassifyAndExtract:
         base = [peak_at(406600.0), peak_at(406650.0)]
         for extra in ([406800.0], [406800.0, 406900.0]):
             peaks = base + [peak_at(c) for c in extra]
-            a = classify_and_extract(peaks)
+            a = EmitterAssignment(peaks)
             assert a.is_single_emitter
             assert a.gss_ghz == pytest.approx(50.0, rel=1e-12)
 
     def test_unsorted_input_is_sorted(self):
-        a = classify_and_extract([peak_at(406650.0), peak_at(406600.0)])
+        a = EmitterAssignment([peak_at(406650.0), peak_at(406600.0)])
         assert a.gss_ghz == pytest.approx(50.0, rel=1e-12)
+
+    def test_constructor_orders_its_lines_and_hashes(self):
+        # the lines may come in any order: the splitting is never negative
+        a = EmitterAssignment([Peak(700.0, 1, 1, 1), Peak(600.0, 1, 1, 1)])
+        assert a.gss_ghz == 100.0
+        assert a.peaks == (Peak(600.0, 1, 1, 1), Peak(700.0, 1, 1, 1))
+        assert hash(a) == hash(EmitterAssignment(a.peaks[::-1]))
 
 
 class TestPoolTransitions:
@@ -530,7 +555,7 @@ class TestPoolTransitions:
         assert hist_std(spread) >= 4.0 * hist_std(tight)
 
     def test_no_peaks_gives_empty_histogram(self):
-        edges, density = pool_transitions([classify_and_extract([])] * 3)
+        edges, density = pool_transitions([EmitterAssignment([])] * 3)
         assert edges.size == 0 and density.size == 0
 
     def test_empty_batch(self):
