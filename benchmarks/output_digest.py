@@ -6,11 +6,11 @@ the ``src/`` beside this script first on the path and no
 STRAINFORGE_CONFIG) in a fresh temporary directory, with relative output
 paths, so the paths a command echoes on stdout are the same in any
 checkout. The commands are ``report`` at --threads 1 and 2, ``sample``
-before and after deposition, both ``calibrate`` fits, ``mechanics
---depth-profile`` to a file and to stdout, ``top``, and ``spectra`` on
-DIR when --spectra-dir is given. One ``sha256  name`` line is printed per
-output file (``command/file``) and per stdout (``command/stdout``), in a
-fixed order; diff the output of two trees to compare them.
+before and after deposition, ``mechanics --depth-profile`` to a file and
+to stdout, ``top``, and ``spectra`` on DIR when --spectra-dir is given.
+One ``sha256  name`` line is printed per output file (``command/file``)
+and per stdout (``command/stdout``), in a fixed order; diff the output of
+two trees to compare them.
 
     python benchmarks/output_digest.py [--n N] [--seed S] [--spectra-dir DIR]
 """
@@ -34,8 +34,6 @@ def commands(n, seed, spectra_dir):
     for phase in ("pre", "post"):
         yield f"sample-{phase}", ["sample", "--phase", phase, *mc, "--threads", "2",
                                   "--out", "samples.csv"]
-    yield "calibrate-sigma", ["calibrate", "--what", "sigma", "--target-ghz", "119", *mc]
-    yield "calibrate-stress", ["calibrate", "--what", "stress", "--target-ghz", "608", *mc]
     yield "mechanics-file", ["mechanics", "--depth-profile", "--out", "profile.csv"]
     yield "mechanics-stdout", ["mechanics", "--depth-profile"]
     yield "top", ["top", "--gss-ghz", "700"]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: mechanics, sample, calibrate, top, report, spectra. Every
+Subcommands: mechanics, sample, top, report, spectra. Every
 output file is written atomically (temp file + rename) and is byte-stable
 for a fixed seed and config, independent of --threads. Exit status: 0 on
 success, 1 on domain errors, on operating-system errors such as an
@@ -118,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", choices=("pre", "post"), required=True)
     p.add_argument("--out", required=True, help="samples CSV path")
 
-    p = sub.add_parser("calibrate", help="fit sigma or film stress to a mean")
-    monte_carlo(p)
-    p.add_argument("--what", choices=("sigma", "stress"), required=True)
-    p.add_argument("--target-ghz", type=float, required=True)
-
     p = sub.add_parser("top", help="operating temperature of a splitting")
     common(p)
     p.add_argument("--gss-ghz", type=float, required=True)
@@ -190,19 +185,6 @@ def _cmd_sample(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_calibrate(args, cfg: Config) -> int:
-    ensemble = draw_ensemble(args.n, cfg.stack, cfg.position, cfg.siv, args.seed,
-                             threads=args.threads)
-    if args.what == "sigma":
-        key, (value, _) = "sigma_unstrained", calibrate_sigma(args.target_ghz, ensemble)
-    else:
-        key, (value, _) = "film_stress_mpa", calibrate_film_stress(
-            args.target_ghz, ensemble, cfg.sigma_unstrained)
-    sys.stdout.write(_json_text({"what": args.what, "target_ghz": args.target_ghz,
-                                 "n": args.n, "seed": args.seed, key: value}))
-    return 0
-
-
 def _cmd_top(args, cfg: Config) -> int:
     t_op = operational_temperature(args.gss_ghz, cfg.thermal)
     sys.stdout.write(f"{t_op:.4f} K\n")
@@ -218,7 +200,10 @@ def report(cfg: Config, seed: int, n: int | None = None,
     sigma, the film stress to the post-deposition one, reports the
     ensemble at the two points the calibrations end on, solves
     per-emitter operating temperatures, and emits gss_pdf.csv,
-    top_vs_gss.csv, operability.csv, and summary.json.
+    top_vs_gss.csv, operability.csv, summary.json and
+    calibrated_config.json: ``cfg``'s tree at the fitted sigma and film
+    stress and this run's n and seed, from which ``sample`` draws the
+    ensembles reported here.
     """
     n = n if n is not None else cfg.default_n
     ref = cfg.thermal
@@ -268,6 +253,12 @@ def report(cfg: Config, seed: int, n: int | None = None,
         "pre_p_top_ge_1p5k": float(p_pre[row(1.5)]),
     }
     _write_atomic(out_dir / "summary.json", _json_text(summary))
+
+    tree = json.loads(cfg.tree_json)
+    tree["population"]["sigma_unstrained"] = sigma
+    tree["mechanics"]["film"]["intrinsic_stress_mpa"] = stress
+    tree["monte_carlo"].update(n=n, seed=seed)
+    _write_atomic(out_dir / "calibrated_config.json", _json_text(tree))
     return summary
 
 
@@ -288,7 +279,7 @@ def _cmd_spectra(args, cfg: Config) -> int:
     # a rerun into the same directory must not read this run's own output
     here = directory.resolve()
     written = {p.name for p in (out_path, pooled_path) if p.parent.resolve() == here}
-    files = sorted(f for f in directory.glob("*.csv") if f.name not in written)
+    files = sorted(f for f in directory.glob("*.csv") if f.is_file() and f.name not in written)
     if not files:
         raise StrainforgeError(f"no .csv spectra found in {directory}")
     records, assignments = [], []
@@ -341,7 +332,6 @@ def _cmd_spectra(args, cfg: Config) -> int:
 _COMMANDS = {
     "mechanics": _cmd_mechanics,
     "sample": _cmd_sample,
-    "calibrate": _cmd_calibrate,
     "top": _cmd_top,
     "report": _cmd_report,
     "spectra": _cmd_spectra,

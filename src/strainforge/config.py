@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -88,7 +88,8 @@ def _validate(user: dict, defaults: dict, path: str = "") -> dict:
 @dataclass(frozen=True)
 class Config:
     """Validated configuration: the typed objects each module takes, built
-    once when the file is loaded."""
+    once when the file is loaded, and ``tree_json``, the merged tree they
+    were built from, as canonical JSON."""
 
     siv: SivParameters
     stack: LayerStack
@@ -101,6 +102,7 @@ class Config:
     default_n: int
     default_seed: int
     source: str
+    tree_json: str = field(repr=False)
 
 
 def _layer_stack(mech: dict) -> LayerStack:
@@ -139,6 +141,7 @@ def _build(data: dict, source: str) -> Config:
             default_n=data["monte_carlo"]["n"],
             default_seed=data["monte_carlo"]["seed"],
             source=source,
+            tree_json=json.dumps(data, sort_keys=True),
         )
     except ConfigError:
         raise

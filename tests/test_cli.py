@@ -75,15 +75,20 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert run([]) == 2
 
-    @pytest.mark.parametrize("argv", [["sample", "--phase", "pre"],
-                                      ["calibrate", "--what", "sigma", "--target-ghz", "119"]])
+    def test_calibrate_is_no_subcommand(self, capsys):
+        # report fits both scales and writes them to calibrated_config.json
+        assert run(["calibrate", "--what", "sigma", "--target-ghz", "119"]) == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["sample", "--phase", "pre", "--out", "{out}/s.csv"],
+                                      ["report", "--out-dir", "{out}"]])
     def test_pre_deposition_needs_placeable_emitters(self, tmp_path, capsys, argv):
         # before deposition is the same implanted emitters at zero film
         # stress, so an implantation depth past the section is an error
         path = tmp_path / "deep.json"
         path.write_text(json.dumps({"position": {"depth_mean_nm": 5000.0}}))
-        out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sample" else []
-        assert run([*argv, *out, "--n", "50", "--config", str(path)]) == 1
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        assert run([*argv, "--n", "50", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert _one_line_error(err) and "substrate containment" in err
 
@@ -102,19 +107,15 @@ class TestExitCodes:
                 f"containment after {kernels.MAX_POSITION_ATTEMPTS} attempts each\n")
             assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["report", "--out-dir", "{out}"],
-                                         ["calibrate", "--what", "sigma", "--target-ghz", "119"]])
-    def test_ensemble_containment_failure_names_its_first_sub_block(self, tmp_path, capsys,
-                                                                    command):
+    def test_ensemble_containment_failure_names_its_first_sub_block(self, tmp_path, capsys):
         # an ensemble is drawn _SUB emitters at a time, so its error names
         # the first sub-block of the first chunk at any thread count
         path = tmp_path / "deep.json"
         path.write_text(json.dumps({"position": {"depth_mean_nm": 5000.0}}))
         n = 2 * kernels.CHUNK + 1
         for threads in ("1", "2"):
-            argv = [a.replace("{out}", str(tmp_path / f"r{threads}")) for a in command]
-            assert run([*argv, "--n", str(n), "--threads", threads,
-                        "--config", str(path)]) == 1
+            assert run(["report", "--out-dir", str(tmp_path / f"r{threads}"), "--n", str(n),
+                        "--threads", threads, "--config", str(path)]) == 1
             assert capsys.readouterr().err == (
                 f"error: {pop._SUB} of emitters [0, {pop._SUB}) failed substrate "
                 f"containment after {kernels.MAX_POSITION_ATTEMPTS} attempts each\n")
@@ -129,7 +130,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["sample", "--phase", "pre", "--n", "5", "--out", "{out}"],
-        ["calibrate", "--what", "sigma", "--target-ghz", "46", "--n", "5"],
         ["report", "--n", "10", "--out-dir", "{out}"],
     ])
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 1)])
@@ -146,9 +146,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["sample", "--phase", "post", "--out", "{out}"],
-        ["calibrate", "--what", "sigma", "--target-ghz", "119"],
         ["report", "--out-dir", "{out}"],
-    ], ids=["sample", "calibrate", "report"])
+    ], ids=["sample", "report"])
     def test_allocation_beyond_memory_is_one_line(self, tmp_path, capsys, command):
         # the largest n the counter space allows: one float64 per emitter is
         # 2**58 bytes, beyond any 64-bit address space, so the allocation fails at once
@@ -206,7 +205,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["sample", "--phase", "pre", "--n", "10", "--out", "{out}"],
-        ["calibrate", "--what", "sigma", "--target-ghz", "119", "--n", "10"],
         ["report", "--n", "10", "--out-dir", "{out}"],
     ])
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
@@ -437,48 +435,6 @@ class TestSampleCommand:
                 assert out.read_bytes() == before
 
 
-class TestCalibrateCommand:
-    def test_sigma_floor(self, capsys, fast_config):
-        code = run(["calibrate", "--what", "sigma", "--target-ghz", "46",
-                    "--config", fast_config])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sigma_unstrained"] == 0.0
-
-    @pytest.mark.parametrize("n", ["0", "-5"])
-    def test_sigma_floor_with_bad_n_is_one_line_error(self, capsys, fast_config, n):
-        code = run(["calibrate", "--what", "sigma", "--target-ghz", "46",
-                    "--n", n, "--config", fast_config])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert _one_line_error(captured.err)
-
-    def test_sigma_infeasible(self, capsys, fast_config):
-        code = run(["calibrate", "--what", "sigma", "--target-ghz", "10",
-                    "--config", fast_config])
-        assert code == 1
-
-    @pytest.mark.parametrize("what", ["sigma", "stress"])
-    @pytest.mark.parametrize("target", ["nan", "inf"])
-    def test_non_finite_target_is_one_line_error(self, capsys, fast_config,
-                                                 what, target):
-        code = run(["calibrate", "--what", what, "--target-ghz", target,
-                    "--config", fast_config])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert _one_line_error(captured.err)
-        assert "not finite" in captured.err
-
-    def test_stress_target(self, capsys, fast_config):
-        code = run(["calibrate", "--what", "stress", "--target-ghz", "608",
-                    "--n", "20000", "--config", fast_config])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert 400.0 < payload["film_stress_mpa"] < 1000.0
-
-
 class TestReportCommand:
     def test_report_outputs_and_determinism(self, tmp_path, capsys, fast_config):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -486,10 +442,10 @@ class TestReportCommand:
                     "--threads", "1"]) == 0
         assert run(["report", "--config", fast_config, "--out-dir", str(d2),
                     "--threads", "4"]) == 0
-        names = ["gss_pdf.csv", "top_vs_gss.csv", "operability.csv", "summary.json"]
-        for name in names:
-            assert (d1 / name).exists()
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        written = {p.name: p.read_bytes() for p in d1.iterdir()}
+        assert sorted(written) == ["calibrated_config.json", "gss_pdf.csv", "operability.csv",
+                                   "summary.json", "top_vs_gss.csv"]
+        assert {p.name: p.read_bytes() for p in d2.iterdir()} == written
         summary = json.loads((d1 / "summary.json").read_text())
         assert summary["schema_version"] == 2
         assert "backend" not in summary
@@ -497,6 +453,37 @@ class TestReportCommand:
         assert abs(summary["post_mean_ghz"] - 608.0) < 1.0
         assert summary["p_top_ge_1p5k"] > 0.5
         assert summary["seed"] == 5
+
+    def test_sigma_at_the_spin_orbit_floor_is_zero(self, tmp_path, capsys):
+        # a pre-deposition target at the floor: every emitter there, no spread
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps({"siv": {"lambda_so_ghz": cli.PRE_TARGET_MEAN_GHZ}}))
+        assert run(["report", "--n", "4096", "--config", str(path),
+                    "--out-dir", str(tmp_path / "r")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["sigma_unstrained_calibrated"] == 0.0
+        assert (summary["pre_mean_ghz"], summary["pre_std_ghz"]) == (119.0, 0.0)
+        calibrated = json.loads((tmp_path / "r" / "calibrated_config.json").read_text())
+        assert calibrated["population"]["sigma_unstrained"] == 0.0
+
+    def test_floor_above_the_pre_target_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "high_floor.json"
+        path.write_text(json.dumps({"siv": {"lambda_so_ghz": 120.0}}))
+        out = tmp_path / "out"
+        assert run(["report", "--n", "4096", "--config", str(path), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: target mean 119.0 GHz is below the floor 120.0 GHz\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_n_below_one_is_one_line_error(self, tmp_path, capsys, fast_config, n):
+        out = tmp_path / "out"
+        assert run(["report", "--n", n, "--config", fast_config, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err)
+        assert not out.exists()
 
     def test_report_draws_each_ensemble_once(self, tmp_path, capsys,
                                              fast_config, monkeypatch):
@@ -725,6 +712,19 @@ class TestSpectraCommand:
                     "--batch-tag", "pre", "--out", str(tmp_path / "o.json")])
         assert code == 1
 
+    def test_subdirectory_named_like_a_spectrum_is_skipped(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        write_spectrum(synth_spectrum(rng, [406600.0, 406900.0], fwhm_ghz=15.0, snr=30.0,
+                                      f_lo=406300.0, f_hi=407400.0, n_points=2200),
+                       spec_dir / "s0.csv")
+        (spec_dir / "sub.csv").mkdir()
+        out = tmp_path / "stats.json"
+        assert run(["spectra", "--dir", str(spec_dir), "--batch-tag", "post",
+                    "--out", str(out)]) == 0
+        assert [r["file"] for r in json.loads(out.read_text())["records"]] == ["s0.csv"]
+
     def test_dir_without_csv_writes_nothing(self, tmp_path, capsys):
         spec_dir = tmp_path / "specs"
         spec_dir.mkdir()
@@ -795,16 +795,31 @@ class TestNonDefaultSettings:
         )
         assert json.loads(capsys.readouterr().out)["mean_ghz"] == np.mean(s.gss_ghz)
 
-    def test_calibrate_stress_has_no_intrinsic_tensor(self, capsys, other_config):
-        assert run(["calibrate", "--what", "stress", "--target-ghz", "608",
-                    "--n", "4096", "--config", other_config]) == 0
-        cfg = load_config(other_config)
-        ensemble = pop.draw_ensemble(4096, cfg.stack, cfg.position, cfg.siv, 5)
-        stress, _ = pop.calibrate_film_stress(608.0, ensemble, 0.0)
-        with_intrinsic, _ = pop.calibrate_film_stress(608.0, ensemble,
-                                                      default_config().sigma_unstrained)
-        assert stress != with_intrinsic
-        assert json.loads(capsys.readouterr().out)["film_stress_mpa"] == stress
+    def test_report_hands_its_fit_to_sample(self, tmp_path, capsys):
+        # calibrated_config.json is the run's config at the fitted point, the
+        # user's overrides and notes kept, so sample draws the ensembles
+        # report summarized, to the last bit
+        path = tmp_path / "other.json"
+        note = "sigma from a user's fit"
+        path.write_text(json.dumps({**OTHER_SETTINGS, "notes": {"population": note}}))
+        out = tmp_path / "r"
+        assert run(["report", "--n", "4096", "--seed", "3", "--threads", "2",
+                    "--out-dir", str(out), "--config", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        want = json.loads(default_config().tree_json)
+        want["notes"]["population"] = note
+        want["thermal"] = OTHER_SETTINGS["thermal"]
+        want["population"]["sigma_unstrained"] = summary["sigma_unstrained_calibrated"]
+        want["mechanics"]["film"]["intrinsic_stress_mpa"] = summary["film_stress_mpa_calibrated"]
+        want["monte_carlo"] = {"n": 4096, "seed": 3}
+        calibrated = out / "calibrated_config.json"
+        assert json.loads(calibrated.read_text()) == want
+        for phase in ("pre", "post"):
+            assert run(["sample", "--phase", phase, "--config", str(calibrated),
+                        "--out", str(tmp_path / "s.csv")]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert (printed["n"], printed["seed"]) == (4096, 3)
+            assert printed["mean_ghz"] == summary[f"{phase}_mean_ghz"]
 
     def test_report_runs_the_library_chain(self, tmp_path, capsys, other_config):
         # report fits its own sigma, whatever sigma_unstrained says

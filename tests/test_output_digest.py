@@ -11,8 +11,8 @@ from conftest import synth_spectrum, write_spectrum
 from strainforge.cli import run
 
 TOOL = Path(__file__).resolve().parents[1] / "benchmarks" / "output_digest.py"
-REPORT_FILES = ["out/gss_pdf.csv", "out/operability.csv", "out/summary.json",
-                "out/top_vs_gss.csv", "stdout"]
+REPORT_FILES = ["out/calibrated_config.json", "out/gss_pdf.csv", "out/operability.csv",
+                "out/summary.json", "out/top_vs_gss.csv", "stdout"]
 SPECTRA_FILES = ["stats.json", "stats_pooled.csv"]
 
 
@@ -35,7 +35,6 @@ def test_output_digest_smoke(tmp_path, monkeypatch, capsys):
         *(f"report-threads{t}/{f}" for t in (1, 2) for f in REPORT_FILES),
         "sample-pre/samples.csv", "sample-pre/stdout",
         "sample-post/samples.csv", "sample-post/stdout",
-        "calibrate-sigma/stdout", "calibrate-stress/stdout",
         "mechanics-file/profile.csv", "mechanics-file/stdout", "mechanics-stdout/stdout",
         "top/stdout", *(f"spectra/{f}" for f in SPECTRA_FILES), "spectra/stdout",
     ]

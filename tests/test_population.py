@@ -784,16 +784,15 @@ class TestSubBlockedSplitting:
         assert got_slope == want_slope
         assert pop._splitting(*args).tobytes() == want_gss.tobytes()
 
-    def test_report_and_calibrate_make_no_qr(self, cfg, monkeypatch, tmp_path):
-        # the maps D[o] Q^T (and their QR) are the sampler's alone
-        from strainforge.cli import report, run
+    def test_report_makes_no_qr(self, cfg, monkeypatch, tmp_path):
+        # the maps D[o] Q^T (and their QR) are the sampler's alone: the
+        # ensemble's draw and both fits make none
+        from strainforge.cli import report
 
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
         report(cfg, cfg.default_seed, n=4096, threads=1, out_dir=tmp_path)
-        for what, target in (("sigma", "119"), ("stress", "608")):
-            assert run(["calibrate", "--what", what, "--target-ghz", target, "--n", "4096"]) == 0
         assert calls == []
         sample(8, SIGMA, seed=1)
         assert len(calls) == 1
@@ -820,3 +819,38 @@ class TestSubBlockedSplitting:
             rises.append((pre, post))
         per_emitter = [(big - small) / 2 ** 18 for small, big in zip(*rises)]
         assert max(per_emitter) <= 8.0 + 1.0 / 64, per_emitter
+
+
+# d and f halved, the spin-orbit splitting kept
+HALVED = SivParameters(PARAMS.lambda_so_ghz, PARAMS.d_ghz_per_strain / 2,
+                       PARAMS.f_ghz_per_strain / 2)
+# (sigma, stress) pairs: film strain only, intrinsic strain only, and a
+# compressive film over a wide spread; the fitted pair is added per seed
+GAUGE_SCALES = [(0.0, 700.0), (1.9e-5, 0.0), (3e-5, -250.0)]
+
+
+class TestSusceptibilityGauge:
+    """gss reads strain only through d e and f e, so the susceptibilities'
+    overall scale is a gauge: with d and f halved and both strain scales
+    doubled, every splitting is the same to the last bit (a power of two
+    scales exactly), while the strain doubles. The fitted strain, unlike
+    C7, depends on that scale."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 20260809])
+    def test_halved_susceptibilities_at_doubled_scales(self, seed):
+        draw = ensemble(4096, seed)
+        halved = draw_ensemble(4096, CFG.stack, CFG.position, HALVED, seed)
+        sigma, _ = calibrate_sigma(119.0, draw)
+        stress, _ = calibrate_film_stress(608.0, draw, sigma)
+        for s, stress_mpa in [(sigma, stress), *GAUGE_SCALES]:
+            want = draw.gss(s, stress_mpa).tobytes()
+            assert halved.gss(2 * s, 2 * stress_mpa).tobytes() == want
+
+    @pytest.mark.parametrize("seed", [1, 7, 20260809])
+    def test_halved_sampler_strain_is_twice_the_default(self, seed):
+        for s, stress_mpa in [(SIGMA, POST), *GAUGE_SCALES]:
+            default = sample(4096, s, seed, stress_mpa)
+            halved = sample_post_deposition(4096, CFG.stack, CFG.position, HALVED, seed,
+                                            sigma=2 * s, stress_mpa=2 * stress_mpa)
+            assert halved.eps_crystal.tobytes() == (2 * default.eps_crystal).tobytes()
+            assert halved.gss_ghz.tobytes() == default.gss_ghz.tobytes()
