@@ -454,6 +454,44 @@ class TestReportCommand:
         assert summary["p_top_ge_1p5k"] > 0.5
         assert summary["seed"] == 5
 
+    def test_fitted_film_stress_is_physical(self, tmp_path, capsys, fast_config):
+        out = tmp_path / "r"
+        assert run(["report", "--config", fast_config, "--out-dir", str(out)]) == 0
+        stress = json.loads(capsys.readouterr().out)["film_stress_mpa_calibrated"]
+        assert 400.0 < stress < 1000.0
+        calibrated = json.loads((out / "calibrated_config.json").read_text())
+        assert calibrated["mechanics"]["film"]["intrinsic_stress_mpa"] == stress
+
+    def test_calibrated_config_reproduces_the_report(self, tmp_path, capsys):
+        # both fits start from fixed points, not from the configured scales,
+        # and the file carries the run's n and seed: a rerun on it writes
+        # the same five files
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert run(["report", "--n", "4096", "--seed", "11", "--out-dir", str(first)]) == 0
+        assert run(["report", "--config", str(first / "calibrated_config.json"),
+                    "--out-dir", str(second)]) == 0
+        written = {p.name: p.read_bytes() for p in first.iterdir()}
+        assert len(written) == 5
+        assert {p.name: p.read_bytes() for p in second.iterdir()} == written
+
+    def test_config_file_is_not_reread_during_the_run(self, tmp_path, capsys, monkeypatch):
+        # calibrated_config.json is the tree loaded at the start, whatever
+        # the file holds by the time it is written
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"siv": {"lambda_so_ghz": 50.0}}))
+        fit = cli.calibrate_sigma
+
+        def fit_after_an_edit(*args):
+            path.write_text(json.dumps({"siv": {"lambda_so_ghz": 60.0}}))
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "calibrate_sigma", fit_after_an_edit)
+        out = tmp_path / "r"
+        assert run(["report", "--n", "4096", "--config", str(path), "--out-dir", str(out)]) == 0
+        calibrated = json.loads((out / "calibrated_config.json").read_text())
+        assert calibrated["siv"]["lambda_so_ghz"] == 50.0
+        assert json.loads(path.read_text())["siv"]["lambda_so_ghz"] == 60.0
+
     def test_sigma_at_the_spin_orbit_floor_is_zero(self, tmp_path, capsys):
         # a pre-deposition target at the floor: every emitter there, no spread
         path = tmp_path / "floor.json"

@@ -42,6 +42,17 @@ class TestDefaults:
         assert cfg.source == str(SHIPPED)
         assert repr(replace(cfg, source="<defaults>")) == repr(default_config())
 
+    def test_tree_json_loads_as_the_same_config(self, tmp_path):
+        # the merged tree, overrides and notes in it, is itself a config file
+        cfg = load_config(write_cfg(tmp_path, {"siv": {"lambda_so_ghz": 50.0},
+                                               "notes": {"population": "a user's note"}}))
+        tree = json.loads(cfg.tree_json)
+        assert tree["siv"]["lambda_so_ghz"] == 50.0
+        assert tree["notes"]["population"] == "a user's note"
+        again = load_config(write_cfg(tmp_path, tree, name="tree.json"))
+        assert again.tree_json == cfg.tree_json
+        assert repr(replace(again, source=cfg.source)) == repr(cfg)
+
     def test_shipped_defaults_match_the_code_defaults(self):
         # each default is written in the JSON file and in the code; the
         # library's value types and perfbench's oracle use the code copy
